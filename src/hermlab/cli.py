@@ -685,7 +685,13 @@ def main(argv=None) -> int:
     _apply_thread_cap(args.threads)
     try:
         manifest = run(config, out_override=args.out, seed_override=args.seed, threads=args.threads)
-    except (control.ControlError, geometry.CoverageError, spectral.DegenerateRestrictionError) as exc:
+    except (
+        control.ControlError,
+        geometry.CoverageError,
+        geometry.InvalidDensityError,
+        geometry.QuadratureError,
+        spectral.DegenerateRestrictionError,
+    ) as exc:
         # run() already removed partial outputs; no manifest means no complete run
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,7 @@ import scipy.linalg
 from . import indexing
 from .geometry import ControlSet
 from .hermite import HermiteExpansion
+from .quadrature import gauss_legendre
 from .semigroup import EvolutionSpec
 from .spectral import GramMatrix, gram_matrix
 
@@ -127,29 +128,16 @@ def _gram_block(omega, degree: int, spec: EvolutionSpec) -> np.ndarray:
 def _exact_kernel(lam_a: np.ndarray, lam_b: np.ndarray, tau: float) -> np.ndarray:
     """Closed form of int_0^tau exp(-t (la + lb)) dt; all rates positive."""
     S = lam_a[:, None] + lam_b[None, :]
-    return (1.0 - np.exp(-tau * S)) / S
+    return -np.expm1(-tau * S) / S
 
 
-def _exp_kernel(lam_a: np.ndarray, lam_b: np.ndarray, tau: float, nodes: int) -> np.ndarray:
-    """Gauss-Legendre approximation of int_0^tau exp(-t (la + lb)) dt."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t = tau / 2.0 * (x + 1.0)
-    wt = tau / 2.0 * w
-    S = lam_a[:, None] + lam_b[None, :]
-    K = np.zeros_like(S)
-    for ti, wi in zip(t, wt):
-        K += wi * np.exp(-ti * S)
-    return K
-
-
-def gramian(tau: float, k: int, omega, spec: EvolutionSpec, rel_tol: float = 1e-10) -> np.ndarray:
+def gramian(tau: float, k: int, omega, spec: EvolutionSpec) -> np.ndarray:
     """Controllability Gramian of the level-k truncation over [0, tau].
 
     W = int_0^tau E(t) G^2 E(t) dt with E(t) = diag(e^{-t lambda}). The time
-    integral separates into an entrywise kernel, evaluated by Gauss-Legendre
-    with 32 nodes and doubled until the relative Frobenius change is below
-    rel_tol. omega may be a ControlSet or a preassembled GramMatrix of
-    degree >= k.
+    integral separates into the entrywise kernel
+    (1 - e^{-tau (la + lb)}) / (la + lb), evaluated in closed form. omega
+    may be a ControlSet or a preassembled GramMatrix of degree >= k.
     """
     if not tau > 0:
         raise ValueError("duration must be positive")
@@ -157,16 +145,7 @@ def gramian(tau: float, k: int, omega, spec: EvolutionSpec, rel_tol: float = 1e-
     lam = spec.eigenvalues(k)
     M2 = G @ G
     M2 = (M2 + M2.T) / 2.0
-    nodes = 32
-    W_prev = M2 * _exp_kernel(lam, lam, tau, nodes)
-    while True:
-        nodes *= 2
-        W = M2 * _exp_kernel(lam, lam, tau, nodes)
-        delta = np.linalg.norm(W - W_prev) / max(np.linalg.norm(W), np.finfo(float).tiny)
-        if delta <= rel_tol or nodes >= 4096:
-            break
-        W_prev = W
-    W = (W + W.T) / 2.0
+    W = M2 * _exact_kernel(lam, lam, tau)
     eigs = np.linalg.eigvalsh(W)
     if eigs[0] <= 0.0:
         raise ControlError(
@@ -209,7 +188,7 @@ def min_energy_control(
     mu = scipy.linalg.cho_solve(cho, e_tau * gvec)
     duality_cost = float((e_tau * gvec) @ mu)
 
-    x, w = np.polynomial.legendre.leggauss(samples)
+    x, w = gauss_legendre(samples)
     times = tau / 2.0 * (x + 1.0)
     weights = tau / 2.0 * w
     decay = np.exp(-(tau - times)[:, None] * lam[None, :])
@@ -246,7 +225,7 @@ def G_as_matrix(G: np.ndarray, degree: int, spec: EvolutionSpec) -> GramMatrix:
 
 def _duhamel_terminal(gvec, lam, G, mu, tau, nodes) -> np.ndarray:
     """Terminal state of f' = -Lambda f + G u from quadrature of the forcing."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = gauss_legendre(nodes)
     t = tau / 2.0 * (x + 1.0)
     wt = tau / 2.0 * w
     out = np.exp(-tau * lam) * gvec
@@ -339,7 +318,7 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         new_state -= M @ mu
         low_resid = float(np.linalg.norm(new_state[:m]))
 
-        xs, ws = np.polynomial.legendre.leggauss(32)
+        xs, _ = gauss_legendre(32)
         times = t0 + tau / 2.0 * (xs + 1.0)
         traj = -G_lo @ (np.exp(-(t0 + tau - times)[:, None] * lam_lo[None, :]).T * mu[:, None])
         segments.append(
@@ -413,7 +392,7 @@ def resimulate(problem: ControlProblem, signal: ControlSignal, oversample: int =
         m = indexing.span_dim(spec.dim, level)
         lam_lo = lam[:m]
         nodes = 128 * oversample
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = gauss_legendre(nodes)
         ts = tau / 2.0 * (x + 1.0)
         wt = tau / 2.0 * w
         acc = np.exp(-tau * lam) * state

@@ -188,7 +188,9 @@ class DensityFn:
             return self.m
         if self.kind == "power":
             nearest = np.clip(0.0, b[:, 0], b[:, 1])
-            return float(self(nearest if b.shape[0] > 1 else nearest[0]))
+            if b.shape[0] == 1:
+                return float(self(nearest[0]))
+            return float(self(nearest[None, :])[0])
         xs = np.linspace(b[0, 0], b[0, 1], 4097)
         return float(np.min(self(xs)))
 

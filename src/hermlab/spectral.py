@@ -7,10 +7,13 @@ omega. Its smallest eigenvalue gives the sharpest constant C with
 bottom eigenvector is the extremal expansion.
 
 Assembly evaluates the basis on composite Gauss-Legendre panels restricted
-to omega (exact interval decomposition in 1-D, slice decomposition in 2-D)
-and forms G = B^T B from the weighted evaluation factor B. lambda_min is
-then computed as the square of the smallest singular value of B, which
-stays accurate far below the eps*||G|| floor of a direct eigensolve.
+to omega. In 1-D the panels cover the exact interval decomposition and
+G = B^T B comes from the weighted evaluation factor B; lambda_min is the
+square of the smallest singular value of B, which stays accurate far below
+the eps*||G|| floor of a direct eigensolve. In 2-D the x-nodes are grouped
+into runs over which the slice of omega does not change; each run adds the
+separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings, and
+lambda_min is the bottom eigenvalue of a dense symmetric eigensolve.
 """
 
 import math
@@ -21,6 +24,7 @@ import numpy as np
 from . import indexing
 from .geometry import ControlSet, QuadratureError
 from .kernels import hermite_function_table
+from .quadrature import gauss_legendre
 
 __all__ = [
     "DegenerateRestrictionError",
@@ -29,7 +33,6 @@ __all__ = [
     "truncation_radius",
     "SpectralResult",
     "spectral_constant",
-    "min_eigenvalue",
     "GrowthFitReport",
     "growth_fit",
 ]
@@ -70,7 +73,7 @@ class GramMatrix:
 
 def _panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
     """Composite Gauss-Legendre nodes/weights over an interval union."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = gauss_legendre(order)
     xs, ws = [], []
     for a, b in intervals:
         k = max(int(math.ceil((b - a) / panel_len)), 1)
@@ -99,26 +102,28 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int) -> np
     alphas = indexing.multi_indices(2, degree)
     a1 = alphas[:, 0]
     a2 = alphas[:, 1]
-    m = alphas.shape[0]
-    G = np.zeros((m, m))
     breaks = np.asarray(omega.breakpoints_first(-R, R), dtype=np.float64)
-    pieces = np.unique(np.concatenate([[-R, R], breaks]))
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        if hi - lo <= 1e-14:
+    edges = np.unique(np.concatenate([[-R, R], breaks]))
+    pieces = np.column_stack([edges[:-1], edges[1:]])
+    x, wx = _panel_nodes(pieces[pieces[:, 1] - pieces[:, 0] > 1e-14], panel_len, order)
+    # runs of consecutive x-nodes sharing one slice: [start, stop, slice intervals]
+    runs = []
+    for i, xi in enumerate(x):
+        iv = omega.slice_first(float(xi)).intervals_1d(-R, R)
+        if runs and np.array_equal(iv, runs[-1][2]):
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, iv])
+    Bx = hermite_function_table(degree, x) * np.sqrt(wx)
+    G = np.zeros((alphas.shape[0],) * 2)
+    for start, stop, iv in runs:
+        y, wy = _panel_nodes(iv, panel_len, order)
+        if y.size == 0:
             continue
-        x, wx = _panel_nodes(np.array([[lo, hi]]), panel_len, order)
-        tabx = hermite_function_table(degree, np.ascontiguousarray(x))
-        for xi, wi, col in zip(x, wx, tabx.T):
-            sub = omega.slice_first(float(xi))
-            iv = sub.intervals_1d(-R, R)
-            y, wy = _panel_nodes(iv, panel_len, order)
-            if y.size == 0:
-                continue
-            taby = hermite_function_table(degree, np.ascontiguousarray(y))
-            By = taby * np.sqrt(wy)
-            My = By @ By.T
-            P = np.outer(col, col)
-            G += wi * P[a1[:, None], a1[None, :]] * My[a2[:, None], a2[None, :]]
+        By = hermite_function_table(degree, y) * np.sqrt(wy)
+        Px = Bx[:, start:stop] @ Bx[:, start:stop].T
+        My = By @ By.T
+        G += Px[a1[:, None], a1[None, :]] * My[a2[:, None], a2[None, :]]
     return G
 
 
@@ -198,10 +203,12 @@ class SpectralResult:
 def spectral_constant(G: GramMatrix) -> SpectralResult:
     """C_N(omega) = lambda_min(G)^{-1/2} with the extremal coefficient vector.
 
-    When the weighted evaluation factor is available, lambda_min is the
-    squared smallest singular value of the factor (accurate even when it
-    sits far below machine epsilon times ||G||); otherwise an iterative
-    symmetric eigensolve of the entries is used.
+    When the weighted evaluation factor is available (1-D), lambda_min is
+    the squared smallest singular value of the factor, accurate even when it
+    sits far below machine epsilon times ||G|| (method "factor-svd").
+    Otherwise (2-D) it is the bottom eigenvalue of a dense symmetric
+    eigensolve of the entries, accurate to about m * eps * ||G|| (method
+    "dense-eigh").
     """
     if G.factor is not None and G.factor.size:
         _, s, Vt = np.linalg.svd(G.factor, full_matrices=False)
@@ -210,9 +217,9 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         top = float(s[0] ** 2)
         method = "factor-svd"
     else:
-        lam, vec = min_eigenvalue(G.entries)
-        top = float(np.linalg.norm(G.entries, 2))
-        method = "eigen-iteration"
+        w, V = np.linalg.eigh(G.entries)
+        lam, vec, top = float(w[0]), V[:, 0], float(w[-1])
+        method = "dense-eigh"
     if lam <= 0.0:
         raise DegenerateRestrictionError(
             f"restriction form degenerate at quadrature resolution (lambda_min={lam:.3e})"
@@ -224,56 +231,6 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         condition=top / lam if lam > 0 else math.inf,
         method=method,
     )
-
-
-def min_eigenvalue(G: np.ndarray, tol: float = 1e-12, max_iter: int = 80):
-    """Smallest eigenvalue and eigenvector of a symmetric matrix.
-
-    Shifted inverse iteration from a Gershgorin lower bound (the shift sits
-    strictly below the spectrum, so the iteration converges to the bottom
-    pair), switching to Rayleigh-quotient shifts once the estimate settles;
-    falls back to a full symmetric decomposition if the iteration stalls.
-    The result satisfies ||G v - lambda v|| <= tol ||G||.
-    """
-    A = np.asarray(G, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    m = A.shape[0]
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * max(scale, 1.0):
-        raise ValueError("matrix must be symmetric")
-    if m == 1:
-        return float(A[0, 0]), np.ones(1)
-    # any lower bound on ||G||_2 keeps the residual contract conservative
-    norm_lb = max(float(np.max(np.abs(np.diag(A)))), float(np.linalg.norm(A)) / math.sqrt(m))
-    norm_lb = max(norm_lb, np.finfo(np.float64).tiny)
-
-    gersh = float(np.min(np.diag(A) - (np.sum(np.abs(A), axis=1) - np.abs(np.diag(A)))))
-    shift = gersh - 1e-3 * max(scale, 1.0)
-    v = np.ones(m) + 1e-3 * np.sin(np.arange(m))
-    v /= np.linalg.norm(v)
-    lam = float(v @ A @ v)
-    rayleigh = False
-    for it in range(max_iter):
-        try:
-            w = np.linalg.solve(A - shift * np.eye(m), v)
-        except np.linalg.LinAlgError:
-            # dead-on shift: the previous iterate is already converged
-            break
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        v = w / nw
-        lam_new = float(v @ A @ v)
-        resid = float(np.linalg.norm(A @ v - lam_new * v))
-        if resid <= tol * norm_lb:
-            return lam_new, v
-        if rayleigh or abs(lam_new - lam) <= 1e-2 * max(abs(lam_new), norm_lb * 1e-6):
-            rayleigh = True
-            shift = lam_new
-        lam = lam_new
-    eigvals, eigvecs = np.linalg.eigh(A)
-    return float(eigvals[0]), eigvecs[:, 0]
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,27 @@ def test_main_reports_runtime_failure_cleanly(tmp_path, capsys):
     assert not (tmp_path / "broken" / "manifest.json").exists()
 
 
+def test_main_reports_quadrature_failure_cleanly(tmp_path, capsys):
+    # the 2-D Gram on balls fails its own refinement check
+    cfg = {
+        "kind": "spectral-scan",
+        "seed": 0,
+        "output_dir": str(tmp_path / "balls"),
+        "parameters": {
+            "N_values": [2],
+            "omega": {"type": "balls", "centers": [[0.0, 0.0], [3.0, 1.0]], "radii": [1.5, 1.0]},
+        },
+    }
+    path = _write(tmp_path, "balls.json", cfg)
+    assert validate(cfg) == []
+    assert main(["spectral-scan", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: run failed:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "balls" / "manifest.json").exists()
+
+
 def test_main_rejects_kind_mismatch(tmp_path, capsys):
     path = _write(tmp_path, "scan.json", _full_scan(str(tmp_path / "k")))
     assert main(["covering", "--config", path]) == 2

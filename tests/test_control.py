@@ -29,9 +29,13 @@ def test_gramian_matches_closed_form():
     G = np.asarray(Gm.entries)
     lam = HEAT.eigenvalues(8)
     W = gramian(0.5, 8, Gm, HEAT)
+    # reference: 64-node Gauss-Legendre integral of exp(-t S) over [0, tau]
+    tau = 0.5
+    x, w = np.polynomial.legendre.leggauss(64)
     S = lam[:, None] + lam[None, :]
-    W_exact = (G @ G) * (1.0 - np.exp(-0.5 * S)) / S
-    assert np.linalg.norm(W - W_exact) <= 1e-12 * np.linalg.norm(W_exact)
+    K = sum(tau / 2.0 * wi * np.exp(-tau / 2.0 * (xi + 1.0) * S) for xi, wi in zip(x, w))
+    W_ref = (G @ G) * K
+    assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
 
 
 def test_gramian_needs_positive_duration():

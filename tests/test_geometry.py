@@ -196,6 +196,26 @@ def test_covering_2d_overlap_modest():
     assert np.all((d2 <= cov.radii[None, :] ** 2).any(axis=1))
 
 
+def test_power_density_min_on_2d_box():
+    rho = DensityFn.power(1.0, 0.5)
+    # the point of [1, 2] x [3, 4] nearest the origin is (1, 3), at |x|^2 = 10
+    assert rho.min_on_box([(1.0, 2.0), (3.0, 4.0)]) == pytest.approx(11.0**0.25, rel=1e-15)
+    assert rho.min_on_box([(-1.0, 2.0), (-3.0, 4.0)]) == 1.0
+
+
+def test_covering_2d_power_density():
+    rho = DensityFn.power(1.0, 0.5)
+    cov = covering_generate(rho, [(-5.0, 5.0), (-5.0, 5.0)])
+    assert cov.dim == 2
+    assert cov.max_multiplicity <= cov.overlap_bound
+    np.testing.assert_allclose(cov.radii, (1.0 + np.sum(cov.centers**2, axis=1)) ** 0.25)
+    xs = np.linspace(-5, 5, 120)
+    X, Y = np.meshgrid(xs, xs)
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    d2 = ((pts[:, None, :] - cov.centers[None, :, :]) ** 2).sum(axis=2)
+    assert np.all((d2 <= cov.radii[None, :] ** 2).any(axis=1))
+
+
 def test_covering_rejects_coarse_grid():
     with pytest.raises(CoverageError):
         covering_generate(DensityFn.constant(1.0), [(-3.0, 3.0)], grid_step=0.9)

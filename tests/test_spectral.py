@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import erf
 
 from hermlab import geometry, spectral
@@ -12,7 +10,6 @@ from hermlab.spectral import (
     GramMatrix,
     gram_matrix,
     growth_fit,
-    min_eigenvalue,
     spectral_constant,
     truncation_radius,
 )
@@ -91,36 +88,37 @@ def test_quadrature_tolerance_reported():
     assert 0.0 <= G.quad_tol <= 1e-7
 
 
-def test_min_eigenvalue_matches_dense_solver(rng):
-    A = rng.standard_normal((40, 40))
-    M = A @ A.T + 0.1 * np.eye(40)
-    lam, vec = min_eigenvalue(M)
-    assert lam == pytest.approx(np.linalg.eigvalsh(M)[0], rel=1e-10)
-    resid = np.linalg.norm(M @ vec - lam * vec)
-    assert resid <= 1e-10 * max(np.max(np.abs(np.diag(M))), 1e-300)
+PERIODIC_2D = geometry.PeriodicPattern(dim=2, period=4.0, kept=0.25)
 
 
-def test_min_eigenvalue_scalar_case():
-    lam, vec = min_eigenvalue(np.array([[4.0]]))
-    assert lam == 4.0
-    assert abs(vec[0]) == 1.0
+def test_periodic_2d_gram_is_tensor_of_1d():
+    # the product pattern separates: G2[(a1, a2), (b1, b2)] = G1[a1, b1] G1[a2, b2]
+    N = 12
+    G1 = gram_matrix(geometry.PeriodicPattern(dim=1, period=4.0, kept=0.25), N).entries
+    G2 = gram_matrix(PERIODIC_2D, N).entries
+    alphas = np.array([(i, k - i) for k in range(N + 1) for i in range(k + 1)])
+    a1 = alphas[:, 0]
+    a2 = alphas[:, 1]
+    ref = G1[a1[:, None], a1[None, :]] * G1[a2[:, None], a2[None, :]]
+    assert np.max(np.abs(G2 - ref)) <= 1e-10
 
 
-def test_min_eigenvalue_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
+def test_periodic_2d_lambda_min_is_bottom_and_constant_rises():
+    constants = []
+    for N in (4, 8, 12, 16):
+        G = gram_matrix(PERIODIC_2D, N)
+        res = spectral_constant(G)
+        ref = np.linalg.eigvalsh(G.entries)
+        bound = G.size * np.finfo(float).eps * ref[-1]
+        assert abs(res.lambda_min - ref[0]) <= bound
+        constants.append(res.constant)
+    assert all(b >= a for a, b in zip(constants, constants[1:]))
 
 
-@settings(deadline=None, max_examples=15)
-@given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
-def test_min_eigenvalue_residual_contract(m, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, m))
-    M = A @ A.T
-    lam, vec = min_eigenvalue(M)
-    norm_lb = max(np.max(np.abs(np.diag(M))), np.linalg.norm(M, "fro") / math.sqrt(m))
-    assert np.linalg.norm(M @ vec - lam * vec) <= 1e-12 * norm_lb
-    assert lam >= -1e-8 * norm_lb
+def test_two_dim_ball_union_fails_refinement():
+    omega = geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [1.5, 1.0])
+    with pytest.raises(geometry.QuadratureError, match="refinement moved entries"):
+        gram_matrix(omega, 2)
 
 
 def test_growth_fit_recovers_exponential_law():
