@@ -3,9 +3,8 @@
 Subpackages cover the shared multi-index enumeration, Hermite ladder
 calculus, thick control-set geometry, quadratic-symbol analysis, spectral
 constants on sensor sets, coefficient-space operator bounds, fractional
-oscillator semigroups, and minimum-energy control synthesis. A compiled
-kernel backend is used when available; set HERMLAB_PURE=1 to force the
-pure-python fallback.
+oscillator semigroups, and minimum-energy control synthesis. The hot
+kernels are plain numpy; BACKEND names them ("python").
 """
 
 from .kernels import BACKEND

@@ -6,16 +6,25 @@ A control set omega is a union of boxes, balls, or a periodic pattern;
 thickness of omega with respect to rho is the worst-case volume fraction
 |omega cap B(x, rho(x))| / |B(x, rho(x))| over ball centers x.
 
-Measures are exact interval arithmetic in 1-D. In higher dimension the ball
-is sliced along the first axis; the slice measure is integrated with a
-midpoint rule under the substitution x = c + r sin(theta), which absorbs the
-square-root behaviour at the ball's rim, split at the set's own breakpoints
-so each panel is smooth, with one Richardson extrapolation per panel.
+Measures are exact interval arithmetic in 1-D. Boxes, periodic patterns
+and the full space have slices that stay the same between consecutive
+first-axis breakpoints (``piecewise_slices``); in 2-D such a set cut to the
+disk's bounding square is a union of disjoint rectangles, and the disk's
+area inside each has a closed form, so those measures are exact. Otherwise
+the ball is sliced along the first axis and the slice measure integrated
+with a midpoint rule under the substitution x = c + r sin(theta), which
+absorbs the square-root behaviour at the ball's rim, with one Richardson
+extrapolation per panel. Panels split at the set's own breakpoints and, in
+3-D over piecewise slices, where the slice disk becomes tangent to an edge
+line or passes through a corner of the slice's rectangles, so each panel's
+integrand is analytic; the slice measure itself is then the exact 2-D one.
 
 The covering generator picks centers greedily from a fine grid, keeping a
 candidate only when it is at least a third of the summed radii away from
 every kept center; that makes the third-radius balls interior-disjoint by
-construction while the full balls still cover the box.
+construction while the full balls still cover the box. Selection and the
+coverage count use KD-trees, so their work follows the balls kept and the
+grid points each ball holds.
 """
 
 import math
@@ -39,6 +48,7 @@ __all__ = [
     "PeriodicPattern",
     "BallUnion",
     "graded_cells",
+    "slice_pieces",
     "intersection_measure",
     "ball_volume",
     "thickness_estimate",
@@ -254,10 +264,14 @@ class ControlSet:
     intervals clipped to [lo, hi] as a merged (k, 2) array; `slice_first`
     (dim >= 2) returns the restriction to a hyperplane x_0 = value as a set
     one dimension down; `breakpoints_first` lists first-axis coordinates
-    where the slice structure jumps.
+    where the slice structure jumps. `piecewise_slices` is set on the
+    classes whose slice is the same at every point strictly between two
+    consecutive breakpoints, so one `slice_first` call per piece (see
+    `slice_pieces`) describes the whole set.
     """
 
     dim: int
+    piecewise_slices = False
 
     def contains(self, points) -> np.ndarray:
         raise NotImplementedError
@@ -287,6 +301,7 @@ class FullSpace(ControlSet):
     """All of R^n."""
 
     dim: int = 1
+    piecewise_slices = True
 
     def contains(self, points):
         return np.ones(self._points(points).shape[0], dtype=bool)
@@ -304,6 +319,7 @@ class BoxUnion(ControlSet):
 
     dim: int
     boxes: np.ndarray = field(repr=False)
+    piecewise_slices = True
 
     def __post_init__(self):
         b = np.asarray(self.boxes, dtype=np.float64).reshape(-1, self.dim, 2)
@@ -351,6 +367,7 @@ class PeriodicPattern(ControlSet):
     period: float
     kept: float
     offset: float = 0.0
+    piecewise_slices = True
 
     def __post_init__(self):
         if not self.period > 0:
@@ -457,6 +474,18 @@ def graded_cells(rho: DensityFn, gamma: float, extent: float) -> BoxUnion:
     return interval_union(kept)
 
 
+def slice_pieces(omega: ControlSet, lo: float, hi: float) -> list:
+    """Pieces (a, b, slice) of [lo, hi] between omega's first-axis breakpoints.
+
+    The slice is taken at each piece's midpoint; for a set with
+    piecewise_slices it is the slice at every interior point of the piece.
+    The ends lo and hi are kept exactly.
+    """
+    breaks = np.asarray(omega.breakpoints_first(lo, hi), dtype=np.float64)
+    edges = np.unique(np.concatenate([[lo, hi], breaks]))
+    return [(a, b, omega.slice_first(0.5 * (a + b))) for a, b in zip(edges[:-1], edges[1:])]
+
+
 # -- intersection measure ----------------------------------------------------
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -472,14 +501,88 @@ def _measure_1d(omega: ControlSet, center: float, radius: float) -> float:
     return _total_length(omega.intervals_1d(center - radius, center + radius))
 
 
+def _rectangles(omega: ControlSet, center, radius: float) -> np.ndarray:
+    """A 2-D set with piecewise slices, cut to the square center +- radius.
+
+    Returns disjoint rectangles as rows (x0, x1, y0, y1) relative to the
+    center, clipped to [-radius, radius]; the square's own sides land on
+    exactly +-radius.
+    """
+    cx, cy = float(center[0]), float(center[1])
+    rows = [
+        (a, b, y0, y1)
+        for a, b, sub in slice_pieces(omega, cx - radius, cx + radius)
+        for y0, y1 in sub.intervals_1d(cy - radius, cy + radius)
+    ]
+    if not rows:
+        return np.empty((0, 4))
+    rect = np.array(rows, dtype=np.float64)
+    c = np.array([cx, cx, cy, cy])
+    rel = np.clip(rect - c, -radius, radius)
+    rel[rect <= c - radius] = -radius
+    rel[rect >= c + radius] = radius
+    return rel
+
+
+def _rim(r, x):
+    """sqrt(r^2 - x^2) for |x| <= r, without the cancellation of r*r - x*x."""
+    return np.sqrt((r - x) * (r + x))
+
+
+def _disk_rect_area(rects: np.ndarray, radius) -> np.ndarray:
+    """Summed area of the disk B(0, radius) inside each rectangle of rects.
+
+    rects holds rows (x0, x1, y0, y1) relative to the disk's center; radius
+    is a scalar or an (m,) array, giving a scalar or (m,) result. Each
+    rectangle's x-range is split where the rim s(x) = sqrt(r^2 - x^2)
+    crosses its y-edges; on each part the column length is a constant plus
+    0, 1 or 2 copies of s, integrated with the antiderivative
+    (x s + r^2 atan2(x, s)) / 2.
+    """
+    r = np.asarray(radius, dtype=np.float64)[..., None]
+    x0, x1, y0, y1 = (np.clip(rects[:, j], -r, r) for j in range(4))
+    cuts = np.stack([x0, x1, -_rim(r, y0), _rim(r, y0), -_rim(r, y1), _rim(r, y1)], axis=-1)
+    pts = np.sort(np.clip(cuts, x0[..., None], x1[..., None]), axis=-1)
+    a, b = pts[..., :-1], pts[..., 1:]
+    rr = r[..., None]
+    s_mid = _rim(rr, (a + b) / 2.0)
+    top = y1[..., None] >= s_mid  # column top on the rim, else at y1
+    bottom = y0[..., None] <= -s_mid  # column bottom on the rim, else at y0
+    const = np.where(top, 0.0, y1[..., None]) - np.where(bottom, 0.0, y0[..., None])
+    rims = top.astype(np.float64) + bottom
+
+    def F(x):
+        s = _rim(rr, x)
+        return (x * s + rr * rr * np.arctan2(x, s)) / 2.0
+
+    part = const * (b - a) + rims * (F(b) - F(a))
+    # the column length keeps its sign on each part; an empty column adds 0
+    return np.sum(np.where(const + rims * s_mid > 0.0, part, 0.0), axis=(-2, -1))
+
+
+def _kink_radii(rects: np.ndarray, radius: float) -> np.ndarray:
+    """Disk radii in (0, radius) where the disk's area inside rects is not analytic.
+
+    These are the distances from the center to each edge line (tangency)
+    and to each corner of the rectangles.
+    """
+    ax = np.abs(rects[:, :2])
+    ay = np.abs(rects[:, 2:])
+    d = np.concatenate([ax.ravel(), ay.ravel(), np.hypot(ax[:, :, None], ay[:, None, :]).ravel()])
+    return np.unique(d[(d > 0.0) & (d < radius)])
+
+
 def _panel_midpoint(g, t0: float, t1: float, atol: float, max_nodes: int = 1 << 15):
-    """Midpoint rule with doubling and one Richardson step on [t0, t1]."""
+    """Midpoint rule with doubling and one Richardson step on [t0, t1].
+
+    g maps an array of nodes to the array of integrand values.
+    """
     m = 16
     prev = None
     while m <= max_nodes:
         h = (t1 - t0) / m
         ts = t0 + h * (np.arange(m) + 0.5)
-        cur = h * math.fsum(g(t) for t in ts)
+        cur = h * math.fsum(g(ts))
         if prev is not None and abs(cur - prev) <= 3.0 * atol:
             return (4.0 * cur - prev) / 3.0, True
         prev = cur
@@ -487,13 +590,74 @@ def _panel_midpoint(g, t0: float, t1: float, atol: float, max_nodes: int = 1 << 
     return prev, False
 
 
+def _rim_panels(omega: ControlSet, c: np.ndarray, radius: float, rel_tol: float) -> list:
+    """Panels (theta0, theta1, g) of the first-axis integral under x = c0 + r sin(theta).
+
+    g(theta) is the slice measure times the jacobian r cos(theta). Over
+    piecewise slices (3-D) the slice measure is the exact 2-D one and the
+    panels also split where it stops being analytic; otherwise each node
+    takes its own slice and the panels split at the set's breakpoints.
+    """
+    c0 = float(c[0])
+    rest = c[1:]
+
+    def theta(x):
+        return np.arcsin(np.clip((np.asarray(x, dtype=np.float64) - c0) / radius, -1.0, 1.0))
+
+    if omega.piecewise_slices:
+        panels = []
+        for a, b, sub in slice_pieces(omega, c0 - radius, c0 + radius):
+            rects = _rectangles(sub, rest, radius)
+            if rects.shape[0] == 0:
+                continue
+            d = _kink_radii(rects, radius)
+            half = np.arctan2(_rim(radius, d), d)
+            ta, tb = float(theta(a)), float(theta(b))
+            ts = np.concatenate([[ta, tb], -half, half])
+            ts = np.unique(ts[(ts >= ta) & (ts <= tb)])
+
+            def g(t, rects=rects):
+                chord = radius * np.cos(t)
+                return _disk_rect_area(rects, chord) * chord
+
+            panels += [(t0, t1, g) for t0, t1 in zip(ts[:-1], ts[1:])]
+        return panels
+
+    inner_tol = rel_tol / 4.0
+
+    def g_one(t) -> float:
+        x = c0 + radius * math.sin(t)
+        chord = radius * math.cos(t)
+        if chord <= 0:
+            return 0.0
+        sub = omega.slice_first(x)
+        if sub.dim == 1:
+            inner = _measure_1d(sub, float(rest[0]), chord)
+        else:
+            inner = intersection_measure(sub, rest, chord, inner_tol)
+        # jacobian of x = c0 + r sin(theta)
+        return inner * radius * math.cos(t)
+
+    def g(ts):
+        return [g_one(t) for t in ts]
+
+    breaks = np.asarray(omega.breakpoints_first(c0 - radius, c0 + radius), dtype=np.float64)
+    ts = np.unique(np.concatenate([[-math.pi / 2, math.pi / 2], theta(breaks)]))
+    return [(t0, t1, g) for t0, t1 in zip(ts[:-1], ts[1:])]
+
+
 def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: float = 1e-6) -> float:
     """Lebesgue measure of omega intersected with the ball B(center, radius).
 
-    Exact for one-dimensional sets. In dimension 2 or 3 the first axis is
-    integrated with the rim-absorbing substitution x = c + r sin(theta),
-    split at the set's structural breakpoints, midpoint rule with Richardson
+    Exact for one-dimensional sets, and in 2-D for sets with piecewise
+    slices (boxes, periodic patterns, the full space): the disk's area
+    inside each rectangle of omega has a closed form. Otherwise (2-D balls,
+    and 3-D) the first axis is integrated with the rim-absorbing
+    substitution x = c + r sin(theta) by a midpoint rule with Richardson
     refinement per panel; the result carries relative error about rel_tol.
+    In 3-D over piecewise slices the slice measure is the exact 2-D one and
+    the panels split where the slice disk touches an edge line or a corner,
+    so each panel's integrand is analytic.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -505,33 +669,14 @@ def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: floa
     if omega.dim not in (2, 3):
         raise ValueError(f"dimension {omega.dim} unsupported (1, 2, or 3)")
 
-    c0 = float(c[0])
-    rest = c[1:]
-    inner_tol = rel_tol / 4.0
-
-    def g(theta: float) -> float:
-        x = c0 + radius * math.sin(theta)
-        chord = radius * math.cos(theta)
-        if chord <= 0:
-            return 0.0
-        sub = omega.slice_first(x)
-        if sub.dim == 1:
-            inner = _measure_1d(sub, float(rest[0]), chord)
-        else:
-            inner = intersection_measure(sub, rest, chord, inner_tol)
-        # jacobian of x = c0 + r sin(theta)
-        return inner * radius * math.cos(theta)
-
-    breaks = np.asarray(omega.breakpoints_first(c0 - radius, c0 + radius), dtype=np.float64)
-    thetas = np.unique(
-        np.concatenate(
-            [[-math.pi / 2, math.pi / 2], np.arcsin(np.clip((breaks - c0) / radius, -1.0, 1.0))]
-        )
-    )
     scale = ball_volume(omega.dim, radius)
+    if omega.dim == 2 and omega.piecewise_slices:
+        total = float(_disk_rect_area(_rectangles(omega, c, radius), radius))
+        return min(max(total, 0.0), scale)
+
     total = 0.0
     converged_all = True
-    for t0, t1 in zip(thetas[:-1], thetas[1:]):
+    for t0, t1, g in _rim_panels(omega, c, radius, rel_tol):
         if t1 - t0 <= 1e-14:
             continue
         atol = rel_tol * scale * max((t1 - t0) / math.pi, 1e-3)
@@ -607,6 +752,8 @@ def covering_generate(
     recorded. A grid coarser than min rho / 5 cannot certify coverage and is
     rejected up front.
     """
+    from scipy.spatial import cKDTree
+
     b = _as_box(box)
     n = b.shape[0]
     if n not in (1, 2, 3):
@@ -627,10 +774,18 @@ def covering_generate(
     centers = grid[kept]
     kept_radii = radii[kept]
 
+    tree = cKDTree(grid)
     covered = np.zeros(grid.shape[0], dtype=np.int64)
-    for ctr, r in zip(centers, kept_radii):
-        d2 = np.sum((grid - ctr) ** 2, axis=1)
-        covered += (d2 <= r * r).astype(np.int64)
+    # candidate hits from the tree, widened against its rounding, then the
+    # exact test; in chunks of centers, so few index lists exist at a time
+    for s in range(0, centers.shape[0], 128):
+        ctr, rad = centers[s : s + 128], kept_radii[s : s + 128]
+        hits = tree.query_ball_point(ctr, rad * (1.0 + 1e-12))
+        owner = np.repeat(np.arange(ctr.shape[0]), [len(h) for h in hits])
+        point = np.concatenate(hits).astype(np.intp)
+        d2 = np.sum((grid[point] - ctr[owner]) ** 2, axis=1)
+        r = rad[owner]
+        covered += np.bincount(point[d2 <= r * r], minlength=grid.shape[0])
     if np.any(covered == 0):
         holes = grid[covered == 0]
         raise CoverageError(

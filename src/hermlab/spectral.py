@@ -13,7 +13,9 @@ square of the smallest singular value of B, which stays accurate far below
 the eps*||G|| floor of a direct eigensolve. In 2-D the x-nodes are grouped
 into runs over which the slice of omega does not change; each run adds the
 separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings, and
-lambda_min is the bottom eigenvalue of a dense symmetric eigensolve.
+lambda_min is the bottom eigenvalue of a dense symmetric eigensolve. Sets
+with piecewise slices (boxes, periodic patterns) are sliced once per piece
+between first-axis breakpoints; ball unions once per x-node.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import indexing
-from .geometry import ControlSet, QuadratureError
+from .geometry import ControlSet, QuadratureError, slice_pieces
 from .kernels import hermite_function_table
 from .quadrature import gauss_legendre
 
@@ -102,18 +104,27 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int) -> np
     alphas = indexing.multi_indices(2, degree)
     a1 = alphas[:, 0]
     a2 = alphas[:, 1]
-    breaks = np.asarray(omega.breakpoints_first(-R, R), dtype=np.float64)
-    edges = np.unique(np.concatenate([[-R, R], breaks]))
-    pieces = np.column_stack([edges[:-1], edges[1:]])
-    x, wx = _panel_nodes(pieces[pieces[:, 1] - pieces[:, 0] > 1e-14], panel_len, order)
+    pieces = [(a, b, sub) for a, b, sub in slice_pieces(omega, -R, R) if b - a > 1e-14]
+    parts = [_panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
+    x = np.concatenate([p[0] for p in parts])
+    wx = np.concatenate([p[1] for p in parts])
+    if omega.piecewise_slices:
+        # the slice of a piece holds at every one of its nodes
+        sizes = [p[0].size for p in parts]
+        slices = [sub for _, _, sub in pieces]
+    else:
+        sizes = [1] * x.size
+        slices = [omega.slice_first(float(xi)) for xi in x]
     # runs of consecutive x-nodes sharing one slice: [start, stop, slice intervals]
     runs = []
-    for i, xi in enumerate(x):
-        iv = omega.slice_first(float(xi)).intervals_1d(-R, R)
+    start = 0
+    for size, sub in zip(sizes, slices):
+        iv = sub.intervals_1d(-R, R)
         if runs and np.array_equal(iv, runs[-1][2]):
-            runs[-1][1] = i + 1
+            runs[-1][1] = start + size
         else:
-            runs.append([i, i + 1, iv])
+            runs.append([start, start + size, iv])
+        start += size
     Bx = hermite_function_table(degree, x) * np.sqrt(wx)
     G = np.zeros((alphas.shape[0],) * 2)
     for start, stop, iv in runs:
