@@ -8,6 +8,8 @@ controls come from the controllability Gramian W = int_0^tau E(t) G^2 E(t) dt
 (E the diagonal propagator) via the closed form u(t) = -G E(tau - t) mu,
 mu = W^{-1} E(tau) g; dyadic alternation of such controls on growing level
 blocks with free dissipation in between steers any initial state to zero.
+Every stage goes through one solver, and every terminal check through one
+Duhamel-quadrature replay that never uses the closed-form stage kernel.
 
 Observability is estimated on the same span: the best constant C_T with
 ||f(T)||^2 <= C_T int_0^T ||f(t)||^2_{L2(omega)} dt solves a generalized
@@ -131,6 +133,22 @@ def _exact_kernel(lam_a: np.ndarray, lam_b: np.ndarray, tau: float) -> np.ndarra
     return -np.expm1(-tau * S) / S
 
 
+def _gramian(G: np.ndarray, lam: np.ndarray, tau: float) -> np.ndarray:
+    M2 = G @ G
+    M2 = (M2 + M2.T) / 2.0
+    return M2 * _exact_kernel(lam, lam, tau)
+
+
+def _checked_eigs(W: np.ndarray) -> np.ndarray:
+    eigs = np.linalg.eigvalsh(W)
+    if eigs[0] <= 0.0:
+        raise ControlError(
+            f"singular controllability Gramian on {W.shape[0]} modes (min eigenvalue {eigs[0]:.3e}); "
+            "sensor set too thin at this resolution"
+        )
+    return eigs
+
+
 def gramian(tau: float, k: int, omega, spec: EvolutionSpec) -> np.ndarray:
     """Controllability Gramian of the level-k truncation over [0, tau].
 
@@ -141,18 +159,49 @@ def gramian(tau: float, k: int, omega, spec: EvolutionSpec) -> np.ndarray:
     """
     if not tau > 0:
         raise ValueError("duration must be positive")
-    G = _gram_block(omega, k, spec)
-    lam = spec.eigenvalues(k)
-    M2 = G @ G
-    M2 = (M2 + M2.T) / 2.0
-    W = M2 * _exact_kernel(lam, lam, tau)
-    eigs = np.linalg.eigvalsh(W)
-    if eigs[0] <= 0.0:
-        raise ControlError(
-            f"singular controllability Gramian at level {k} (min eigenvalue {eigs[0]:.3e}); "
-            "sensor set too thin at this resolution"
-        )
+    W = _gramian(_gram_block(omega, k, spec), spec.eigenvalues(k), tau)
+    _checked_eigs(W)
     return W
+
+
+def _stage(G: np.ndarray, lam: np.ndarray, m: int, tau: float, g: np.ndarray):
+    """Minimal-energy control of the leading m modes of g over [0, tau].
+
+    Returns (mu, cost, condition) with mu = W^{-1} E(tau) g and cost the
+    duality form gᵀE(tau)W⁻¹E(tau)g; raises ControlError when the Gramian
+    is singular or its condition exceeds CONDITION_CAP.
+    """
+    lam_lo = lam[:m]
+    W = _gramian(G[:m, :m], lam_lo, tau)
+    eigs = _checked_eigs(W)
+    condition = float(eigs[-1] / eigs[0])
+    if condition > CONDITION_CAP:
+        raise ControlError(f"Gramian condition {condition:.3e} exceeds cap {CONDITION_CAP:.0e} on {m} modes")
+    rhs = np.exp(-tau * lam_lo) * g[:m]
+    mu = scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), rhs)
+    return mu, float(rhs @ mu), condition
+
+
+def _segment(G_lo, lam_lo, mu, t0: float, tau: float, level: int, nodes: int) -> ControlSegment:
+    """u(t) = -G_lo E_lo(t0 + tau - t) mu sampled at Gauss nodes of [t0, t0 + tau]."""
+    x, _ = gauss_legendre(nodes)
+    times = t0 + tau / 2.0 * (x + 1.0)
+    traj = -G_lo @ (np.exp(-(t0 + tau - times)[:, None] * lam_lo[None, :]).T * mu[:, None])
+    return ControlSegment(interval=(t0, t0 + tau), level=level, times=times, values=traj)
+
+
+def _replay(state, G, lam, m: int, tau: float, mu, nodes: int) -> np.ndarray:
+    """State after one controlled stage of f' = -Lambda f + G[:, :m] u.
+
+    Duhamel quadrature of the forcing at `nodes` Gauss points, with the
+    control u(t) = -G_lo E_lo(tau - t) mu rebuilt at every node; it never
+    uses the closed-form kernel of the synthesis, so it checks it.
+    """
+    x, w = gauss_legendre(nodes)
+    lag = tau / 2.0 * (1.0 - x)  # tau - t at the nodes
+    U = G[:m, :m] @ (np.exp(-lam[:m, None] * lag[None, :]) * mu[:, None])
+    forced = np.exp(-lam[:, None] * lag[None, :]) * (G[:, :m] @ U)
+    return np.exp(-tau * lam) * state - forced @ (tau / 2.0 * w)
 
 
 def min_energy_control(
@@ -172,67 +221,22 @@ def min_energy_control(
     """
     if g.dim != spec.dim:
         raise ValueError("state dimension mismatch")
+    if not tau > 0:
+        raise ValueError("duration must be positive")
     gvec = g.with_degree(k).coeffs if g.degree != k else g.coeffs
     lam = spec.eigenvalues(k)
-    gnorm = float(np.linalg.norm(gvec))
     G = _gram_block(omega, k, spec)
-    W = gramian(tau, k, omega if isinstance(omega, GramMatrix) else G_as_matrix(G, k, spec), spec)
-    eigs = np.linalg.eigvalsh(W)
-    condition = float(eigs[-1] / eigs[0])
-    if condition > CONDITION_CAP:
-        raise ControlError(
-            f"Gramian condition {condition:.3e} exceeds cap {CONDITION_CAP:.0e} at level {k}"
-        )
-    cho = scipy.linalg.cho_factor(W)
-    e_tau = np.exp(-tau * lam)
-    mu = scipy.linalg.cho_solve(cho, e_tau * gvec)
-    duality_cost = float((e_tau * gvec) @ mu)
+    mu, duality_cost, condition = _stage(G, lam, lam.size, tau, gvec)
 
-    x, w = gauss_legendre(samples)
-    times = tau / 2.0 * (x + 1.0)
-    weights = tau / 2.0 * w
-    decay = np.exp(-(tau - times)[:, None] * lam[None, :])
-    traj = -G @ (decay.T * mu[:, None])
-    total_cost = float(np.sum(weights * np.sum(traj**2, axis=0)))
+    segment = _segment(G, lam, mu, 0.0, tau, k, samples)
+    _, w = gauss_legendre(samples)
+    total_cost = float(np.sum(tau / 2.0 * w * np.sum(segment.values**2, axis=0)))
 
-    resid_vec = _duhamel_terminal(gvec, lam, G, mu, tau, 2 * samples)
-    residual = float(np.linalg.norm(resid_vec))
+    residual = float(np.linalg.norm(_replay(gvec, G, lam, lam.size, tau, mu, 2 * samples)))
+    gnorm = float(np.linalg.norm(gvec))
     if gnorm > 0 and residual > 1e-8 * gnorm:
         raise ControlError(f"terminal residual {residual:.3e} exceeds 1e-8 ||g||")
-    segment = ControlSegment(interval=(0.0, tau), level=k, times=times, values=traj)
-    return ControlSignal(
-        segments=(segment,),
-        total_cost=total_cost,
-        duality_cost=duality_cost,
-        residual=residual,
-        condition=condition,
-        stage_data=((0.0, tau, k, mu),),
-    )
-
-
-def G_as_matrix(G: np.ndarray, degree: int, spec: EvolutionSpec) -> GramMatrix:
-    """Wrap a raw actuator block as a GramMatrix for reuse."""
-    return GramMatrix(
-        degree=degree,
-        dim=spec.dim,
-        entries=np.asarray(G),
-        factor=None,
-        omega_ref="provided-block",
-        quad_tol=0.0,
-        radius=float("nan"),
-    )
-
-
-def _duhamel_terminal(gvec, lam, G, mu, tau, nodes) -> np.ndarray:
-    """Terminal state of f' = -Lambda f + G u from quadrature of the forcing."""
-    x, w = gauss_legendre(nodes)
-    t = tau / 2.0 * (x + 1.0)
-    wt = tau / 2.0 * w
-    out = np.exp(-tau * lam) * gvec
-    for ti, wi in zip(t, wt):
-        u = -G @ (np.exp(-(tau - ti) * lam) * mu)
-        out += wi * np.exp(-(tau - ti) * lam) * (G @ u)
-    return out
+    return ControlSignal((segment,), total_cost, duality_cost, residual, condition, ((0.0, tau, k, mu),))
 
 
 # -- dyadic synthesis ---------------------------------------------------------
@@ -254,22 +258,23 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
     minimal-energy control kills every mode of level <= k_j = min(2^j, N) of
     the current state (tracking exactly the pollution the actuator injects
     into the higher modes), and on the second half the flow runs free so
-    dissipation crushes what remains. Once k_j reaches N the state in the
-    span is exactly controlled and the leftover time evolves freely. Window
-    lengths are kept as exact dyadic fractions of T, so they sum to T.
+    dissipation crushes what remains. A stage whose Gramian is singular or
+    over CONDITION_CAP retries at half the level. Once k_j reaches N the
+    state in the span is exactly controlled and the leftover time evolves
+    freely. Window lengths are exact dyadic fractions of T, so they sum to T.
+    One Gram assembly serves every stage and the re-simulation.
 
     Returns (ControlSignal, trace); the trace dict carries per-stage
     {interval, level, cost, residual}, the total cost, the terminal
-    residual, an independent double-resolution re-simulation of it, and the
-    truncation tail ||(1 - pi_N) f0|| = 0 caveat field for exported states.
+    residual, and verified_residual, the terminal norm of the independent
+    Duhamel-quadrature replay that resimulate(oversample=2) performs.
     """
     spec = problem.spec
     N = problem.N
     lam = spec.eigenvalues(N)
     state = problem.f0.with_degree(N).coeffs.astype(np.float64).copy()
     f0_norm = float(np.linalg.norm(state))
-    gram_full = gram_matrix(problem.omega, N)
-    Gfull = np.asarray(gram_full.entries)
+    Gfull = np.asarray(gram_matrix(problem.omega, N).entries)
 
     stages = []
     stage_data = []
@@ -285,15 +290,8 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         eff_level = level
         while True:
             m = indexing.span_dim(spec.dim, eff_level)
-            lam_lo = lam[:m]
-            G_lo = Gfull[:m, :m]
-            g_lo = state[:m]
             try:
-                W = gramian(tau, eff_level, gram_full, spec)
-                eigs = np.linalg.eigvalsh(W)
-                condition = float(eigs[-1] / eigs[0])
-                if condition > CONDITION_CAP:
-                    raise ControlError(f"condition {condition:.3e} over cap")
+                mu, stage_cost, condition = _stage(Gfull, lam, m, tau, state)
                 break
             except ControlError:
                 if eff_level == 0:
@@ -304,38 +302,22 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
                 eff_level //= 2
         worst_condition = max(worst_condition, condition)
 
-        cho = scipy.linalg.cho_factor(W)
-        e_tau_lo = np.exp(-tau * lam_lo)
-        mu = scipy.linalg.cho_solve(cho, e_tau_lo * g_lo)
-        stage_cost = float((e_tau_lo * g_lo) @ mu)
-
         # exact effect of the stage control on every mode of the span:
         # terminal += -(G[:, :m] E_lo(tau - t) mu) propagated, which separates
         # into the same entrywise kernel as the Gramian itself
-        K = _exact_kernel(lam, lam_lo, tau)
-        M = (Gfull[:, :m] @ G_lo) * K
+        M = (Gfull[:, :m] @ Gfull[:m, :m]) * _exact_kernel(lam, lam[:m], tau)
         new_state = np.exp(-tau * lam) * state
         new_state -= M @ mu
         low_resid = float(np.linalg.norm(new_state[:m]))
 
-        xs, _ = gauss_legendre(32)
-        times = t0 + tau / 2.0 * (xs + 1.0)
-        traj = -G_lo @ (np.exp(-(t0 + tau - times)[:, None] * lam_lo[None, :]).T * mu[:, None])
-        segments.append(
-            ControlSegment(interval=(t0, t0 + tau), level=eff_level, times=times, values=traj)
-        )
+        segments.append(_segment(Gfull[:m, :m], lam[:m], mu, t0, tau, eff_level, 32))
         stage_data.append((t0, tau, eff_level, mu))
         total_cost += stage_cost
 
         # free evolution on the second half of the window
         state = np.exp(-tau * lam) * new_state
         stages.append(
-            {
-                "interval": [t0, t0 + 2 * tau],
-                "level": int(eff_level),
-                "cost": stage_cost,
-                "residual": low_resid,
-            }
+            {"interval": [t0, t0 + 2 * tau], "level": int(eff_level), "cost": stage_cost, "residual": low_resid}
         )
         elapsed += window
 
@@ -344,15 +326,11 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         state = np.exp(-float(remainder) * problem.T * lam) * state
     terminal_residual = float(np.linalg.norm(state))
 
+    # the duality cost of each stage is its exact control energy
     signal = ControlSignal(
-        segments=tuple(segments),
-        total_cost=total_cost,
-        duality_cost=total_cost,
-        residual=terminal_residual,
-        condition=worst_condition,
-        stage_data=tuple(stage_data),
+        tuple(segments), total_cost, total_cost, terminal_residual, worst_condition, tuple(stage_data)
     )
-    verified = resimulate(problem, signal, oversample=2)
+    verified = _resimulate(problem, Gfull, signal.stage_data, oversample=2)
     trace = _trace_dict(stages, total_cost, terminal_residual, verified)
     if f0_norm > 0 and terminal_residual > tol * f0_norm:
         raise ControlError(
@@ -367,44 +345,32 @@ def _trace_dict(stages, total_cost, terminal_residual, verified):
         "total_cost": total_cost,
         "terminal_residual": terminal_residual,
         "verified_residual": verified,
-        "truncation_tail": 0.0,
     }
+
+
+def _resimulate(problem: ControlProblem, Gfull: np.ndarray, stage_data, oversample: int) -> float:
+    lam = problem.spec.eigenvalues(problem.N)
+    state = problem.f0.with_degree(problem.N).coeffs.astype(np.float64)
+    t_cursor = 0.0
+    for t0, tau, level, mu in stage_data:
+        state = np.exp(-(t0 - t_cursor) * lam) * state
+        m = indexing.span_dim(problem.spec.dim, level)
+        state = _replay(state, Gfull, lam, m, tau, mu, 128 * oversample)
+        t_cursor = t0 + tau
+    return float(np.linalg.norm(np.exp(-(problem.T - t_cursor) * lam) * state))
 
 
 def resimulate(problem: ControlProblem, signal: ControlSignal, oversample: int = 2) -> float:
     """Independent forward simulation of the synthesized control.
 
-    Replays the exact control formulas through Duhamel quadrature at
-    oversample times the default node count and exact free propagation, and
-    returns the terminal norm. Agreement with the synthesis residual is the
-    double-resolution confirmation of the terminal contract.
+    Assembles the Gram matrix of problem.omega, replays each stage's control
+    formula through Duhamel quadrature at 128 * oversample Gauss nodes with
+    exact free propagation in between, and returns the terminal norm.
+    Agreement with the synthesis residual, which uses the closed-form stage
+    kernel, confirms the terminal contract.
     """
-    spec = problem.spec
-    N = problem.N
-    lam = spec.eigenvalues(N)
-    gram_full = gram_matrix(problem.omega, N)
-    Gfull = np.asarray(gram_full.entries)
-    state = problem.f0.with_degree(N).coeffs.astype(np.float64).copy()
-    t_cursor = 0.0
-    for t0, tau, level, mu in signal.stage_data:
-        if t0 > t_cursor + 1e-12:
-            state = np.exp(-(t0 - t_cursor) * lam) * state
-        m = indexing.span_dim(spec.dim, level)
-        lam_lo = lam[:m]
-        nodes = 128 * oversample
-        x, w = gauss_legendre(nodes)
-        ts = tau / 2.0 * (x + 1.0)
-        wt = tau / 2.0 * w
-        acc = np.exp(-tau * lam) * state
-        for ti, wi in zip(ts, wt):
-            u = -Gfull[:m, :m] @ (np.exp(-(tau - ti) * lam_lo) * mu)
-            forcing = Gfull[:, :m] @ u
-            acc += wi * np.exp(-(tau - ti) * lam) * forcing
-        state = acc
-        t_cursor = t0 + tau
-    if problem.T > t_cursor:
-        state = np.exp(-(problem.T - t_cursor) * lam) * state
-    return float(np.linalg.norm(state))
+    Gfull = np.asarray(gram_matrix(problem.omega, problem.N).entries)
+    return _resimulate(problem, Gfull, signal.stage_data, oversample)
 
 
 # -- observability ------------------------------------------------------------

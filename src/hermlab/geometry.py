@@ -699,9 +699,9 @@ def thickness_estimate(omega: ControlSet, rho: DensityFn, centers, rel_tol: floa
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != omega.dim:
         raise ValueError("centers must be a non-empty (m, dim) array")
+    radii = np.atleast_1d(rho(pts[:, 0] if omega.dim == 1 else pts))
     worst = 1.0
-    for row in pts:
-        r = float(rho(row if omega.dim > 1 else row[0]))
+    for row, r in zip(pts, radii.tolist()):
         frac = intersection_measure(omega, row, r, rel_tol) / ball_volume(omega.dim, r)
         worst = min(worst, frac)
     return min(max(worst, 0.0), 1.0)

@@ -51,8 +51,8 @@ _K_GUARD = 10**6
 def hermite_eval_1d(k: int, x):
     """Value of the 1-D Hermite function h_k at x (scalar or array).
 
-    Total on finite inputs: the recurrence runs in the function domain, so
-    large |x| underflows to 0 instead of overflowing.
+    Total on finite inputs: the recurrence carries a per-point power-of-two
+    exponent, so large |x| neither overflows nor underflows before h_k does.
     """
     if k < 0 or k > _K_GUARD:
         raise ValueError(f"degree k={k} outside [0, {_K_GUARD}]")

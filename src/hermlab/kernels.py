@@ -1,5 +1,7 @@
 """Hot kernels: Hermite-function tables and greedy ball selection, in numpy."""
 
+import math
+
 import numpy as np
 
 BACKEND = "python"
@@ -7,13 +9,23 @@ BACKEND = "python"
 __all__ = ["BACKEND", "hermite_function_table", "greedy_ball_select"]
 
 
+# ln 2 split so that E * _LN2_HI is exact for every reachable exponent E
+_LN2_HI = 0.693145751953125
+_LN2_LO = 1.4286068203094173e-06
+_RESCALE = 512
+
+
 def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     """Table of normalized Hermite functions h_k(x), rows k = 0..kmax.
 
-    Uses the three-term recurrence
-        h_{k+1}(x) = sqrt(2/(k+1)) x h_k(x) - sqrt(k/(k+1)) h_{k-1}(x)
-    run in the function domain, so every intermediate stays bounded and large
-    |x| underflows gracefully to 0.
+    Runs the three-term recurrence
+        p_{k+1}(x) = sqrt(2/(k+1)) x p_k(x) - sqrt(k/(k+1)) p_{k-1}(x)
+    on the polynomial part p_k = h_k e^{x^2/2} 2^{-E}, with a per-point
+    integer exponent E. Whenever |p_k| passes 2^512, p_k and p_{k-1} are
+    scaled by 2^-512 exactly and E grows by 512; h_k = p_k
+    exp(E ln 2 - x^2/2), with ln 2 split so the exponent stays exact. So
+    h_k stays right where e^{-x^2/2} alone underflows (|x| > 38.6), which
+    degrees past about 750 reach inside their turning point.
 
     Parameters
     ----------
@@ -26,11 +38,23 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     out = np.empty((kmax + 1, x.size), dtype=np.float64)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if kmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, kmax):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
+    half = 0.5 * x * x
+    E = np.zeros(x.size, dtype=np.int64)
+    row = np.exp(-half)
+    p_prev = np.zeros_like(x)
+    p = np.full_like(x, np.pi**-0.25)
+    out[0] = p * row
+    # |h_k| <= pi^{-1/4} (Cramer), so |p_k| can pass 2^512 only where x^2/2 > 512 ln 2
+    far = np.flatnonzero(half > _RESCALE * _LN2_HI)
+    for k in range(kmax):
+        p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1.0)) * p_prev, p
+        big = far[np.abs(p[far]) > 2.0**_RESCALE] if far.size else far
+        if big.size:
+            p[big] = np.ldexp(p[big], -_RESCALE)
+            p_prev[big] = np.ldexp(p_prev[big], -_RESCALE)
+            E[big] += _RESCALE
+            row[big] = np.exp((E[big] * _LN2_HI - half[big]) + E[big] * _LN2_LO)
+        np.multiply(p, row, out=out[k + 1])
     return out
 
 

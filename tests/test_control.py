@@ -1,14 +1,15 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hermlab import control, geometry
 from hermlab.control import (
     ControlError,
     ControlProblem,
-    G_as_matrix,
     gramian,
     lebeau_robbiano_synthesize,
     min_energy_control,
@@ -18,10 +19,42 @@ from hermlab.control import (
 )
 from hermlab.hermite import basis_state, random_expansion
 from hermlab.semigroup import EvolutionSpec
-from hermlab.spectral import gram_matrix
+from hermlab.spectral import GramMatrix, gram_matrix
 
 STRIPES = geometry.PeriodicPattern(dim=1, period=2.0, kept=0.5)
 HEAT = EvolutionSpec(s=1.0, dim=1)
+
+
+def _actuator(G, degree):
+    """A synthetic 1-D actuator block in place of an assembled Gram matrix."""
+    return GramMatrix(
+        degree=degree, dim=1, entries=np.asarray(G), factor=None, omega_ref="synthetic", quad_tol=0.0, radius=math.nan
+    )
+
+
+def _expm_terminal(problem, signal):
+    """Terminal state under the stage controls, one matrix exponential per stage.
+
+    On a stage (t0, tau, level, mu) the control is u = -G_lo z with
+    z(t) = e^{-(tau - (t - t0)) Lambda_lo} mu, so z' = Lambda_lo z and the pair
+    (f, z) solves [f; z]' = [[-Lambda, -G[:, :m] G_lo], [0, Lambda_lo]] [f; z].
+    """
+    G = np.asarray(gram_matrix(problem.omega, problem.N).entries)
+    lam = (2.0 * np.arange(problem.N + 1) + 1.0) ** problem.spec.s
+    M = lam.size
+    f = np.asarray(problem.f0.coeffs, dtype=np.float64)
+    cursor = 0.0
+    for t0, tau, level, mu in signal.stage_data:
+        f = np.exp(-(t0 - cursor) * lam) * f
+        m = level + 1
+        A = np.zeros((M + m, M + m))
+        A[:M, :M] = -np.diag(lam)
+        A[:M, M:] = -G[:, :m] @ G[:m, :m]
+        A[M:, M:] = np.diag(lam[:m])
+        z0 = np.exp(-tau * lam[:m]) * mu
+        f = (scipy.linalg.expm(tau * A) @ np.concatenate([f, z0]))[:M]
+        cursor = t0 + tau
+    return np.exp(-(problem.T - cursor) * lam) * f
 
 
 def test_gramian_matches_closed_form():
@@ -52,7 +85,7 @@ def test_gramian_rejects_unresolvable_sensor():
 
 def test_scalar_cost_closed_form():
     # one mode, identity actuator, rate 1: cost = e^{-2} / int_0^1 e^{-2t} dt
-    ident = G_as_matrix(np.eye(1), 0, HEAT)
+    ident = _actuator(np.eye(1), 0)
     sig = min_energy_control(basis_state(1, 0, (0,)), 1.0, 0, ident, HEAT)
     expected = math.exp(-2.0) / ((1.0 - math.exp(-2.0)) / 2.0)
     assert sig.duality_cost == pytest.approx(expected, abs=1e-13)
@@ -81,7 +114,7 @@ def test_costlier_to_control_faster(rng):
 def test_condition_cap_raises():
     # an actuator that barely sees the second mode pushes the Gramian past
     # the conditioning cap
-    weak = G_as_matrix(np.diag([1.0, 3e-7]), 1, HEAT)
+    weak = _actuator(np.diag([1.0, 3e-7]), 1)
     g = basis_state(1, 1, (1,))
     with pytest.raises(ControlError, match="condition"):
         min_energy_control(g, 0.5, 1, weak, HEAT)
@@ -157,6 +190,57 @@ def test_resimulation_consistency(rng):
     assert replay == pytest.approx(trace["verified_residual"], abs=1e-9 * f0.norm())
 
 
+def _loop_terminal(problem, signal, nodes=256):
+    """The same Duhamel quadrature as resimulate, one node at a time."""
+    G = np.asarray(gram_matrix(problem.omega, problem.N).entries)
+    lam = (2.0 * np.arange(problem.N + 1) + 1.0) ** problem.spec.s
+    f = np.asarray(problem.f0.coeffs, dtype=np.float64)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    cursor = 0.0
+    for t0, tau, level, mu in signal.stage_data:
+        f = np.exp(-(t0 - cursor) * lam) * f
+        m = level + 1
+        acc = np.exp(-tau * lam) * f
+        for ti, wi in zip(tau / 2.0 * (x + 1.0), tau / 2.0 * w):
+            u = -G[:m, :m] @ (np.exp(-(tau - ti) * lam[:m]) * mu)
+            acc += wi * np.exp(-(tau - ti) * lam) * (G[:, :m] @ u)
+        f = acc
+        cursor = t0 + tau
+    return np.exp(-(problem.T - cursor) * lam) * f
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_resimulate_matches_augmented_expm(rng, scale):
+    # scale 0.5 halves every stage control, so the terminal state is far from
+    # zero and the comparison sees the whole replayed state, not two small norms
+    f0 = random_expansion(rng, dim=1, degree=12)
+    problem = ControlProblem(T=1.0, omega=STRIPES, spec=EvolutionSpec(s=0.75, dim=1), N=12, f0=f0)
+    signal, _ = lebeau_robbiano_synthesize(problem)
+    stage_data = tuple((t0, tau, level, scale * mu) for t0, tau, level, mu in signal.stage_data)
+    signal = dataclasses.replace(signal, stage_data=stage_data)
+    reference = float(np.linalg.norm(_expm_terminal(problem, signal)))
+    if scale < 1.0:
+        assert reference > 1e-3 * f0.norm()
+    replay = resimulate(problem, signal)
+    assert replay == pytest.approx(reference, abs=1e-9 * f0.norm())
+    # the node-by-node loop differs from the vectorised replay only in summation order
+    assert replay == pytest.approx(float(np.linalg.norm(_loop_terminal(problem, signal))), abs=1e-10 * f0.norm())
+
+
+def test_synthesis_assembles_the_gram_once(rng, monkeypatch):
+    calls = []
+
+    def counting(omega, degree, *args, **kwargs):
+        calls.append(degree)
+        return gram_matrix(omega, degree, *args, **kwargs)
+
+    monkeypatch.setattr(control, "gram_matrix", counting)
+    f0 = random_expansion(rng, dim=1, degree=8)
+    problem = ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=8, f0=f0)
+    lebeau_robbiano_synthesize(problem)
+    assert calls == [8]
+
+
 def test_signal_segments_stay_inside_horizon(rng):
     f0 = random_expansion(rng, dim=1, degree=4)
     problem = ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=4, f0=f0)
@@ -172,7 +256,7 @@ def test_signal_segments_stay_inside_horizon(rng):
 
 
 def test_scalar_observability_closed_form():
-    ident = G_as_matrix(np.eye(1), 0, HEAT)
+    ident = _actuator(np.eye(1), 0)
     for T in (0.3, 0.7, 1.5):
         rep = observability_lower_bound(T, 0, ident, HEAT)
         expected = 2.0 * math.exp(-2.0 * T) / (1.0 - math.exp(-2.0 * T))

@@ -288,6 +288,36 @@ def test_periodic_thickness_matches_kept_fraction():
     assert thickness_estimate(omega, rho, centers) == pytest.approx(0.5, abs=1e-12)
 
 
+def _segment_area(r, h):
+    """Area of the part of a radius-r disk below height h over its center."""
+    t = min(max(h, -r), r)
+    return r * r * (math.pi - math.acos(t / r)) + t * math.sqrt((r - t) * (r + t))
+
+
+SLABS = ((-3.0, -1.5), (-0.5, 0.7), (1.6, 2.9))
+SLAB_CENTERS = np.array([(0.0, 0.4, 0.1), (-2.0, 1.3, -1.1), (1.5, -0.2, 2.2), (0.7, 0.0, -0.3), (3.0, 2.0, 1.0)])
+
+
+def _slab_fraction(dim, center, r):
+    h = center[-1]
+    if dim == 2:
+        part, whole = _segment_area, math.pi * r * r
+    else:
+        part, whole = _cap_volume, 4.0 / 3.0 * math.pi * r**3
+    return sum(part(r, b - h) - part(r, a - h) for a, b in SLABS) / whole
+
+
+@pytest.mark.parametrize("dim, tol", [(2, 1e-12), (3, 2e-6)])
+def test_thickness_on_slabs_matches_closed_form(dim, tol):
+    # slabs across the last axis; the radius grows with |center|, so each
+    # center must be measured with its own radius
+    omega = BoxUnion(dim, np.array([[(-math.inf, math.inf)] * (dim - 1) + [s] for s in SLABS]))
+    rho = DensityFn.power(1.0, 0.5)
+    centers = SLAB_CENTERS[:, 3 - dim :]
+    expected = min(_slab_fraction(dim, c, (1.0 + float(c @ c)) ** 0.25) for c in centers)
+    assert thickness_estimate(omega, rho, centers) == pytest.approx(expected, abs=tol)
+
+
 def test_graded_cells_are_thick_for_their_density():
     rho = DensityFn.power(1.0, 0.5)
     omega = graded_cells(rho, gamma=0.5, extent=25.0)

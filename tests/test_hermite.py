@@ -1,12 +1,13 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermlab import indexing
+from hermlab import indexing, kernels
 from hermlab.hermite import (
     HermiteExpansion,
     apply_harmonic_oscillator,
@@ -156,6 +157,27 @@ def test_ladder_adjointness(rng):
     lhs = np.vdot(apply_ladder(f, 1, "raise").coeffs, g.coeffs)
     rhs = np.vdot(f.coeffs, apply_ladder(g, 1, "lower").with_degree(4).coeffs)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def _mp_hermite_function(k, x):
+    """h_k(x) = H_k(x) e^{-x^2/2} / sqrt(2^k k! sqrt(pi)) at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** k * mpmath.factorial(k))
+        return float(mpmath.hermite(k, x) * mpmath.exp(-x * x / 2) / norm)
+
+
+@pytest.mark.parametrize("k", [1000, 2048])
+def test_high_degree_table_matches_mpmath(k):
+    # out to the truncation radius of the degree cap; e^{-x^2/2} alone
+    # underflows beyond |x| = 38.6, where these degrees are still oscillating
+    xs = np.array([0.3, 12.0, 40.0, 55.0, 63.0, 90.0])
+    table = kernels.hermite_function_table(k, xs)
+    for j, x in enumerate(xs):
+        ref = _mp_hermite_function(k, x)
+        assert table[k, j] == pytest.approx(ref, abs=1e-12)
+        if abs(ref) > 1e-290:
+            assert table[k, j] == pytest.approx(ref, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

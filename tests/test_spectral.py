@@ -32,6 +32,14 @@ def test_full_space_gram_is_identity():
     assert G.quad_tol <= 1e-7
 
 
+@pytest.mark.parametrize("N, tol", [(400, 5e-15), (800, 1e-12)])
+def test_high_degree_full_space_gram_is_identity(N, tol):
+    # from degree ~800 the quadrature nodes pass |x| = 38.6, where a Hermite
+    # recurrence started from e^{-x^2/2} underflows to zero
+    G = gram_matrix(geometry.FullSpace(1), N)
+    assert np.max(np.abs(G.entries - np.eye(G.size))) <= tol
+
+
 def test_full_space_constant_is_one():
     res = spectral_constant(gram_matrix(geometry.FullSpace(1), 10))
     assert res.constant == pytest.approx(1.0, abs=1e-8)
