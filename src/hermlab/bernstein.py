@@ -16,7 +16,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hermite import (
     DEGREE_CAP,
@@ -65,6 +64,8 @@ def crude_bernstein_check(f: HermiteExpansion, alpha, beta) -> BernsteinCheck:
     mathematically exact on the degree-N span, so a ratio above 1 + 1e-10
     indicates an implementation bug, not a sharpness failure.
     """
+    from scipy.special import gammaln
+
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     beta = tuple(int(b) for b in np.atleast_1d(beta))
     order = sum(alpha) + sum(beta)
@@ -109,6 +110,8 @@ class GammaEnvelopeFit:
 
 
 def _log_shape(order: int, degree: int, epsilon: float, delta: float) -> float:
+    from scipy.special import gammaln
+
     return float(
         gammaln(order / (2.0 - epsilon) + 2.0)
         + degree ** (1.0 - epsilon / 2.0) / delta ** (2.0 - epsilon)
@@ -212,6 +215,8 @@ def gamma_inequality_check(grid=None, r: float = 1.0) -> GammaReport:
     120x120 lattice is used. The product bound is checked on the grid points
     with both coordinates >= r. All comparisons run in log space.
     """
+    from scipy.special import gammaln
+
     if grid is None:
         axis = np.linspace(0.05, 50.0, 120)
         grid = [(x, y) for x in axis for y in axis]

@@ -400,9 +400,10 @@ def _run_spectral_scan(p, ws, rng):
     for N in p["N_values"]:
         G = spectral.gram_matrix(omega, N)
         res = spectral.spectral_constant(G)
-        rows.append((N, res.lambda_min, res.constant, G.quad_tol))
-    ws.write_csv("spectral.csv", ["N", "lambda_min", "C_N", "quad_tol"], rows)
+        rows.append((N, res.lambda_min, res.constant, G.quad_tol, res.lambda_err, res.floor))
+    ws.write_csv("spectral.csv", ["N", "lambda_min", "C_N", "quad_tol", "lambda_err", "floor"], rows)
     metrics = {
+        "floor_rows": sum(r[5] for r in rows),
         "max_abs_cn_minus_1": max(abs(r[2] - 1.0) for r in rows),
         "max_quad_tol": max(r[3] for r in rows),
         "min_lambda_min": min(r[1] for r in rows),

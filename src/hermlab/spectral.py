@@ -9,13 +9,18 @@ bottom eigenvector is the extremal expansion.
 Assembly evaluates the basis on composite Gauss-Legendre panels restricted
 to omega. In 1-D the panels cover the exact interval decomposition and
 G = B^T B comes from the weighted evaluation factor B; lambda_min is the
-square of the smallest singular value of B, which stays accurate far below
-the eps*||G|| floor of a direct eigensolve. In 2-D the x-nodes are grouped
-into runs over which the slice of omega does not change; each run adds the
-separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings, and
-lambda_min is the bottom eigenvalue of a dense symmetric eigensolve. Sets
-with piecewise slices (boxes, periodic patterns) are sliced once per piece
-between first-axis breakpoints; ball unions once per x-node.
+square of the smallest singular value of B, taken from the SVD of the QR
+triangle of B, which stays accurate far below the eps*||G|| floor of a
+direct eigensolve. In 2-D the x-nodes are grouped into runs over which the
+slice of omega does not change; each run adds the separable block
+Px[a1, a1] * My[a2, a2] of its x- and y-pairings, and lambda_min is the
+bottom eigenvalue of a dense symmetric eigensolve. Sets with piecewise
+slices (boxes, periodic patterns) are sliced once per piece between
+first-axis breakpoints; ball unions once per x-node.
+
+Every lambda_min carries lambda_err, the rounding error bound of its solve,
+and a floor flag set when lambda_min does not exceed that bound: such a
+value is rounding noise and its C_N only a lower bound on the constant.
 """
 
 import math
@@ -64,7 +69,6 @@ class GramMatrix:
     dim: int
     entries: np.ndarray = field(repr=False)
     factor: np.ndarray | None = field(repr=False)
-    omega_ref: str
     quad_tol: float
     radius: float
 
@@ -74,19 +78,24 @@ class GramMatrix:
 
 
 def _panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
-    """Composite Gauss-Legendre nodes/weights over an interval union."""
+    """Composite Gauss-Legendre nodes/weights over an interval union.
+
+    Each interval [a, b] is cut into k = max(ceil((b - a) / panel_len), 1)
+    equal panels with edges j * ((b - a) / k) + a and the last edge pinned
+    to b, the edges np.linspace(a, b, k + 1) gives.
+    """
     base_x, base_w = gauss_legendre(order)
-    xs, ws = [], []
-    for a, b in intervals:
-        k = max(int(math.ceil((b - a) / panel_len)), 1)
-        edges = np.linspace(a, b, k + 1)
-        lo = edges[:-1, None]
-        hi = edges[1:, None]
-        xs.append(((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel())
-        ws.append(((hi - lo) / 2 * base_w[None, :]).ravel())
-    if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+    iv = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    a, b = iv[:, 0], iv[:, 1]
+    k = np.maximum(np.ceil((b - a) / panel_len).astype(np.int64), 1)
+    owner = np.repeat(np.arange(k.size), k)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(k) - k, k)
+    step = ((b - a) / k)[owner]
+    lo = (j * step + a[owner])[:, None]
+    hi = np.where(j + 1 == k[owner], b[owner], (j + 1) * step + a[owner])[:, None]
+    x = ((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel()
+    w = ((hi - lo) / 2 * base_w[None, :]).ravel()
+    return x, w
 
 
 def _factor_1d(omega: ControlSet, degree: int, panel_len: float, order: int) -> np.ndarray:
@@ -194,7 +203,6 @@ def gram_matrix(
         dim=omega.dim,
         entries=G,
         factor=B,
-        omega_ref=repr(omega),
         quad_tol=quad_tol,
         radius=truncation_radius(degree),
     )
@@ -202,34 +210,49 @@ def gram_matrix(
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Sharp restriction constant with its eigen-certificate."""
+    """Sharp restriction constant with its eigen-certificate.
+
+    lambda_err bounds the rounding error of the solve on lambda_min; floor
+    is set when lambda_min <= lambda_err.
+    """
 
     constant: float
     lambda_min: float
     extremizer: np.ndarray = field(repr=False)
     condition: float
     method: str
+    lambda_err: float
+    floor: bool
 
 
 def spectral_constant(G: GramMatrix) -> SpectralResult:
     """C_N(omega) = lambda_min(G)^{-1/2} with the extremal coefficient vector.
 
-    When the weighted evaluation factor is available (1-D), lambda_min is
-    the squared smallest singular value of the factor, accurate even when it
-    sits far below machine epsilon times ||G|| (method "factor-svd").
-    Otherwise (2-D) it is the bottom eigenvalue of a dense symmetric
-    eigensolve of the entries, accurate to about m * eps * ||G|| (method
-    "dense-eigh").
+    When the weighted evaluation factor B is available (1-D), lambda_min is
+    the squared smallest singular value of B, taken from the SVD of the QR
+    triangle of B (method "factor-svd"). Each singular value is then good to
+    m * eps * s_max, so lambda_err = (s_min + m eps s_max)^2 - s_min^2,
+    which for small s_min is far below machine epsilon times ||G||. A
+    factor with fewer rows than the m basis functions has rank below m, and
+    its missing singular values count as zero. Otherwise (2-D) lambda_min
+    is the bottom eigenvalue of a dense symmetric eigensolve of the entries,
+    with the backward error lambda_err = m * eps * lambda_top (method
+    "dense-eigh"). floor is set when lambda_min <= lambda_err.
     """
+    m = G.size
+    eps = float(np.finfo(np.float64).eps)
     if G.factor is not None and G.factor.size:
-        _, s, Vt = np.linalg.svd(G.factor, full_matrices=False)
+        _, s, Vt = np.linalg.svd(np.linalg.qr(G.factor, mode="r"))
+        s = np.pad(s, (0, m - s.size))
         lam = float(s[-1] ** 2)
         vec = Vt[-1]
         top = float(s[0] ** 2)
+        lam_err = float((s[-1] + m * eps * s[0]) ** 2 - s[-1] ** 2)
         method = "factor-svd"
     else:
         w, V = np.linalg.eigh(G.entries)
         lam, vec, top = float(w[0]), V[:, 0], float(w[-1])
+        lam_err = m * eps * top
         method = "dense-eigh"
     if lam <= 0.0:
         raise DegenerateRestrictionError(
@@ -241,6 +264,8 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         extremizer=vec,
         condition=top / lam if lam > 0 else math.inf,
         method=method,
+        lambda_err=lam_err,
+        floor=lam <= lam_err,
     )
 
 

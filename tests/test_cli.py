@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hermlab
 from hermlab import cli
 from hermlab.cli import ConfigError, load_config, main, run, validate
 
@@ -88,8 +91,31 @@ def test_csv_dialect(tmp_path):
     raw = (tmp_path / "spectral.csv").read_bytes()
     assert b"\r" not in raw
     text = raw.decode()
-    assert text.splitlines()[0] == "N,lambda_min,C_N,quad_tol"
+    assert text.splitlines()[0] == "N,lambda_min,C_N,quad_tol,lambda_err,floor"
     assert ";" not in text
+
+
+def test_floor_column_flags_rounding_noise(tmp_path):
+    cfg = {
+        "kind": "spectral-scan",
+        "seed": 0,
+        "parameters": {
+            "N_values": [50, 200],
+            "omega": {"type": "periodic", "dim": 1, "period": 4.0, "kept": 0.25},
+        },
+    }
+    manifest = run(cfg, out_override=str(tmp_path))
+    rows = (tmp_path / "spectral.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["0", "1"]
+    assert manifest["metrics"]["floor_rows"] == 1
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = os.path.dirname(os.path.dirname(hermlab.__file__))
+    code = "import sys, hermlab.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_determinism_byte_identical(tmp_path):

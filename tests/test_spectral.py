@@ -5,9 +5,11 @@ import pytest
 from scipy.special import erf
 
 from hermlab import geometry, spectral
+from hermlab.quadrature import gauss_legendre
 from hermlab.spectral import (
     DegenerateRestrictionError,
     GramMatrix,
+    _panel_nodes,
     gram_matrix,
     growth_fit,
     spectral_constant,
@@ -76,6 +78,75 @@ def test_extremizer_certifies_lambda_min():
     # no coefficient vector can do better than the reported minimum
     probe = np.linalg.eigvalsh(G.entries)[0]
     assert res.lambda_min <= probe + 1e-10 * abs(probe) + 1e-14
+
+
+# the paper's set, thick with respect to rho = <x>^{1/2}, and a periodic set
+GRADED_1D = geometry.graded_cells(geometry.DensityFn.power(1.0, 0.5), gamma=0.5, extent=30.0)
+PERIODIC_1D = geometry.PeriodicPattern(dim=1, period=4.0, kept=0.25)
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("omega, N", [(GRADED_1D, 150), (PERIODIC_1D, 100)])
+def test_factor_svd_matches_svd_of_tall_factor(omega, N):
+    G = gram_matrix(omega, N)
+    B = np.asarray(G.factor)
+    s = np.linalg.svd(B, compute_uv=False)
+    bound = G.size * EPS * s[0]
+    res = spectral_constant(G)
+    assert abs(math.sqrt(res.lambda_min) - s[-1]) <= bound
+    assert abs(math.sqrt(res.condition * res.lambda_min) - s[0]) <= bound
+    v = res.extremizer
+    assert abs(np.linalg.norm(B @ v) / np.linalg.norm(v) - s[-1]) <= bound
+
+
+def test_lambda_min_does_not_increase_along_scan():
+    # the spans are nested, so lambda_min(G_N') <= lambda_min(G_N) for N' > N
+    results = [spectral_constant(gram_matrix(GRADED_1D, N)) for N in range(25, 201, 25)]
+    for a, b in zip(results, results[1:]):
+        assert b.lambda_min <= a.lambda_min + a.lambda_err + b.lambda_err
+
+
+def test_floor_flag_marks_rounding_noise():
+    periodic = spectral_constant(gram_matrix(PERIODIC_1D, 200))
+    assert periodic.floor and periodic.lambda_min <= periodic.lambda_err
+    graded = spectral_constant(gram_matrix(GRADED_1D, 400))
+    assert not graded.floor and graded.lambda_min > 100 * graded.lambda_err
+
+
+def test_fewer_nodes_than_basis_functions_degenerates():
+    # one 16-node panel cannot resolve 21 basis functions
+    G = gram_matrix(geometry.interval_union([(0.0, 1e-3)]), 20)
+    assert G.factor.shape[0] < G.size
+    with pytest.raises(DegenerateRestrictionError):
+        spectral_constant(G)
+
+
+def _panel_nodes_by_interval(intervals, panel_len, order):
+    """Composite rule built one np.linspace per interval."""
+    base_x, base_w = gauss_legendre(order)
+    xs, ws = [], []
+    for a, b in intervals:
+        k = max(int(math.ceil((b - a) / panel_len)), 1)
+        edges = np.linspace(a, b, k + 1)
+        lo = edges[:-1, None]
+        hi = edges[1:, None]
+        xs.append(((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel())
+        ws.append(((hi - lo) / 2 * base_w[None, :]).ravel())
+    if not xs:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def test_panel_nodes_match_linspace_panels():
+    rng = np.random.default_rng(7)
+    cases = [np.empty((0, 2)), np.array([[1.5, 1.5]]), np.array([[-2.0, -2.0], [0.0, 3.3]])]
+    for n in range(1, 30):
+        cases.append(np.sort(rng.uniform(-40.0, 40.0, 2 * n)).reshape(-1, 2))
+    for iv in cases:
+        for panel_len in (0.5, 6.0 / math.sqrt(401.0), 3.0 / math.sqrt(801.0), rng.uniform(0.01, 2.0)):
+            x, w = _panel_nodes(iv, panel_len, 16)
+            x_ref, w_ref = _panel_nodes_by_interval(iv, panel_len, 16)
+            assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
 
 
 def test_empty_window_degenerates():
