@@ -583,6 +583,8 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
     The manifest is written to output_dir/manifest.json only after every
     other artifact landed, so its presence marks a complete run. On any
     failure the partial outputs are removed before the exception leaves.
+    threads caps the BLAS/OpenMP pools; threads_applied records whether the
+    cap took effect.
     """
     diags = validate(config)
     if diags:
@@ -591,6 +593,7 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
         config = dict(config, seed=seed_override)
     outdir = out_override or config.get("output_dir") or "."
     os.makedirs(outdir, exist_ok=True)
+    threads_applied = _apply_thread_cap(threads)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
     ws = _Workspace(outdir)
@@ -622,6 +625,7 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
         "kind": config["kind"],
         "seed": config.get("seed", 0),
         "threads": threads,
+        "threads_applied": threads_applied,
         "config_hash": _config_hash(config),
         "tool_version": __version__,
         "started": started,
@@ -638,17 +642,22 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
     return manifest
 
 
-def _apply_thread_cap(threads):
+def _apply_thread_cap(threads) -> bool:
+    """Cap the BLAS/OpenMP pools; True only when threadpoolctl applied it.
+
+    The environment variables reach only pools started after this call;
+    numpy's and scipy's are already running by then.
+    """
     if threads is None:
-        return
+        return False
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(threads)
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(threads)
     except ImportError:
-        pass
+        return False
+    threadpool_limits(threads)
+    return True
 
 
 def main(argv=None) -> int:
@@ -683,7 +692,6 @@ def main(argv=None) -> int:
             print(f"error: {d}", file=sys.stderr)
         return 2
 
-    _apply_thread_cap(args.threads)
     try:
         manifest = run(config, out_override=args.out, seed_override=args.seed, threads=args.threads)
     except (

@@ -7,14 +7,15 @@ omega. Its smallest eigenvalue gives the sharpest constant C with
 bottom eigenvector is the extremal expansion.
 
 Assembly evaluates the basis on composite Gauss-Legendre panels restricted
-to omega. In 1-D the panels cover the exact interval decomposition and
-G = B^T B comes from the weighted evaluation factor B; lambda_min is the
-square of the smallest singular value of B, taken from the SVD of the QR
-triangle of B, which stays accurate far below the eps*||G|| floor of a
-direct eigensolve. In 2-D the x-nodes are grouped into runs over which the
-slice of omega does not change; each run adds the separable block
-Px[a1, a1] * My[a2, a2] of its x- and y-pairings, and lambda_min is the
-bottom eigenvalue of a dense symmetric eigensolve. Sets with piecewise
+to omega. In 1-D the panels cover the exact interval decomposition; one
+recursive-panel QR of the weighted evaluation factor B leaves the m x m
+triangle R, G = R^T R, and only R is kept. lambda_min is the square of the
+smallest singular value of R (equal to that of B), which stays accurate far
+below the eps*||G|| floor of a direct eigensolve. In 2-D the x-nodes are
+grouped into runs over which the slice of omega does not change; each run
+adds the separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings,
+and lambda_min is the bottom eigenvalue of a dense symmetric eigensolve,
+after a check that the assembled matrix is PSD. Sets with piecewise
 slices (boxes, periodic patterns) are sliced once per piece between
 first-axis breakpoints; ball unions once per x-node.
 
@@ -60,9 +61,11 @@ def truncation_radius(degree: int) -> float:
 class GramMatrix:
     """Symmetric PSD pairing matrix of the degree-N span over a sensor set.
 
-    factor holds the weighted evaluation matrix B with B^T B = entries when
-    the assembly is one-dimensional; quad_tol is the observed change under
-    halving the quadrature panels.
+    factor holds, when the assembly is one-dimensional, the m x m upper
+    triangle R with R^T R = entries: the QR triangle of the weighted
+    evaluation matrix, zero below its rank when the set has fewer nodes than
+    basis functions. quad_tol is the observed change under halving the
+    quadrature panels.
     """
 
     degree: int
@@ -105,7 +108,28 @@ def _factor_1d(omega: ControlSet, degree: int, panel_len: float, order: int) -> 
     if x.size == 0:
         return np.zeros((0, degree + 1))
     table = hermite_function_table(degree, np.ascontiguousarray(x))
-    return (table * np.sqrt(w)).T
+    table *= np.sqrt(w)
+    return table.T
+
+
+def _triangle(B: np.ndarray) -> np.ndarray:
+    """The m x m upper triangle R of a QR of B (nodes x m), so R^T R = B^T B.
+
+    One recursive-panel Householder QR (LAPACK dgeqrt) overwrites B. When B
+    has k < m rows, R keeps zero rows below its first k, so the missing
+    singular values stay zero.
+    """
+    from scipy.linalg.lapack import dgeqrt
+
+    m = B.shape[1]
+    k = min(B.shape)
+    R = np.zeros((m, m))
+    if k:
+        qr, _, info = dgeqrt(min(64, k), B, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
+        R[:k] = np.triu(qr[:k])
+    return R
 
 
 def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int) -> np.ndarray:
@@ -152,16 +176,16 @@ def gram_matrix(
     degree: int,
     order: int = 16,
     fail_tol: float = 1e-7,
-    verify: bool = True,
 ) -> GramMatrix:
     """Assemble the pairing matrix of the degree-N span over omega.
 
     The quadrature domain is truncated where the span's Gaussian envelope
     drops below 1e-14; panels shrink with degree so each holds a bounded
-    number of oscillations. When verify is set, the assembly is repeated at
-    half the panel length; the entrywise change is reported as quad_tol and
-    the finer result returned. Raises QuadratureError when that change
-    exceeds fail_tol.
+    number of oscillations. The assembly is made at two panel lengths; the
+    entrywise change under halving is reported as quad_tol and the finer
+    result returned. Raises QuadratureError when that change exceeds
+    fail_tol. In 1-D the finer entries are R^T R for the QR triangle R of
+    the weighted evaluation factor, and R is kept as the factor.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -174,35 +198,30 @@ def gram_matrix(
     if omega.dim == 1:
         B = _factor_1d(omega, degree, panel_len, order)
         G = B.T @ B
-        quad_tol = 0.0
-        if verify:
-            B2 = _factor_1d(omega, degree, panel_len / 2.0, order)
-            G2 = B2.T @ B2
-            quad_tol = float(np.max(np.abs(G - G2))) if G.size else 0.0
-            G, B = G2, B2
+        R = _triangle(_factor_1d(omega, degree, panel_len / 2.0, order))
+        G2 = R.T @ R
     else:
         G = _gram_2d(omega, degree, panel_len, order)
-        B = None
-        quad_tol = 0.0
-        if verify:
-            G2 = _gram_2d(omega, degree, panel_len / 2.0, order)
-            quad_tol = float(np.max(np.abs(G - G2))) if G.size else 0.0
-            G = G2
-    if verify and quad_tol > fail_tol:
+        G2 = _gram_2d(omega, degree, panel_len / 2.0, order)
+        R = None
+    quad_tol = float(np.max(np.abs(G - G2)))
+    if quad_tol > fail_tol:
         raise QuadratureError(f"Gram quadrature unstable: refinement moved entries by {quad_tol:.3e}")
 
-    G = (G + G.T) / 2.0
-    floor = float(np.min(np.linalg.eigvalsh(G))) if G.size else 0.0
-    if floor < -1e-10:
-        raise QuadratureError(f"Gram matrix not PSD: min eigenvalue {floor:.3e}")
+    G = (G2 + G2.T) / 2.0
+    if R is None:
+        # a 1-D R^T R is PSD to within m * eps * ||G||, far inside this threshold
+        floor = float(np.min(np.linalg.eigvalsh(G)))
+        if floor < -1e-10:
+            raise QuadratureError(f"Gram matrix not PSD: min eigenvalue {floor:.3e}")
+    else:
+        R.setflags(write=False)
     G.setflags(write=False)
-    if B is not None:
-        B.setflags(write=False)
     return GramMatrix(
         degree=degree,
         dim=omega.dim,
         entries=G,
-        factor=B,
+        factor=R,
         quad_tol=quad_tol,
         radius=truncation_radius(degree),
     )
@@ -228,22 +247,21 @@ class SpectralResult:
 def spectral_constant(G: GramMatrix) -> SpectralResult:
     """C_N(omega) = lambda_min(G)^{-1/2} with the extremal coefficient vector.
 
-    When the weighted evaluation factor B is available (1-D), lambda_min is
-    the squared smallest singular value of B, taken from the SVD of the QR
-    triangle of B (method "factor-svd"). Each singular value is then good to
-    m * eps * s_max, so lambda_err = (s_min + m eps s_max)^2 - s_min^2,
-    which for small s_min is far below machine epsilon times ||G||. A
-    factor with fewer rows than the m basis functions has rank below m, and
-    its missing singular values count as zero. Otherwise (2-D) lambda_min
-    is the bottom eigenvalue of a dense symmetric eigensolve of the entries,
-    with the backward error lambda_err = m * eps * lambda_top (method
-    "dense-eigh"). floor is set when lambda_min <= lambda_err.
+    When the triangular factor R is available (1-D), lambda_min is the
+    squared smallest singular value of R, from its SVD (method
+    "factor-svd"). Each singular value is then good to m * eps * s_max, so
+    lambda_err = (s_min + m eps s_max)^2 - s_min^2, which for small s_min is
+    far below machine epsilon times ||G||. A set with fewer nodes than the m
+    basis functions leaves zero rows in R, whose singular values are zero.
+    Otherwise (2-D) lambda_min is the bottom eigenvalue of a dense symmetric
+    eigensolve of the entries, with the backward error lambda_err = m * eps
+    * lambda_top (method "dense-eigh"). floor is set when lambda_min <=
+    lambda_err.
     """
     m = G.size
     eps = float(np.finfo(np.float64).eps)
-    if G.factor is not None and G.factor.size:
-        _, s, Vt = np.linalg.svd(np.linalg.qr(G.factor, mode="r"))
-        s = np.pad(s, (0, m - s.size))
+    if G.factor is not None:
+        _, s, Vt = np.linalg.svd(G.factor)
         lam = float(s[-1] ** 2)
         vec = Vt[-1]
         top = float(s[0] ** 2)

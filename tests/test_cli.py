@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -116,6 +117,29 @@ def test_cli_import_leaves_scipy_special_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_spectral_import_leaves_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(hermlab.__file__))
+    code = "import sys, hermlab.spectral; print(any(m.startswith('scipy.linalg') for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_manifest_records_whether_thread_cap_applied(tmp_path, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    have_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
+    for threads, applied in ((None, False), (1, have_threadpoolctl)):
+        out = tmp_path / str(threads)
+        argv = ["spectral-scan", "--config", _write(tmp_path, "cfg.json", _full_scan(str(out)))]
+        if threads is not None:
+            argv += ["--threads", str(threads)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["threads"] == threads
+        assert manifest["threads_applied"] is applied
 
 
 def test_determinism_byte_identical(tmp_path):

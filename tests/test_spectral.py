@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from hermlab import geometry, spectral
+from hermlab.kernels import hermite_function_table
 from hermlab.quadrature import gauss_legendre
 from hermlab.spectral import (
     DegenerateRestrictionError,
@@ -86,17 +87,43 @@ PERIODIC_1D = geometry.PeriodicPattern(dim=1, period=4.0, kept=0.25)
 EPS = np.finfo(np.float64).eps
 
 
+def _tall_factor(omega, N):
+    """Weighted evaluation matrix on the finer of gram_matrix's two panel rules."""
+    R = truncation_radius(N)
+    panel_len = min(0.5, 6.0 / math.sqrt(2.0 * N + 1.0)) / 2.0
+    x, w = _panel_nodes(omega.intervals_1d(-R, R), panel_len, 16)
+    return (hermite_function_table(N, x) * np.sqrt(w)).T
+
+
 @pytest.mark.parametrize("omega, N", [(GRADED_1D, 150), (PERIODIC_1D, 100)])
 def test_factor_svd_matches_svd_of_tall_factor(omega, N):
-    G = gram_matrix(omega, N)
-    B = np.asarray(G.factor)
+    B = _tall_factor(omega, N)
     s = np.linalg.svd(B, compute_uv=False)
+    G = gram_matrix(omega, N)
     bound = G.size * EPS * s[0]
     res = spectral_constant(G)
     assert abs(math.sqrt(res.lambda_min) - s[-1]) <= bound
     assert abs(math.sqrt(res.condition * res.lambda_min) - s[0]) <= bound
     v = res.extremizer
     assert abs(np.linalg.norm(B @ v) / np.linalg.norm(v) - s[-1]) <= bound
+
+
+@pytest.mark.parametrize("omega, N", [(GRADED_1D, 150), (PERIODIC_1D, 100)])
+def test_factor_is_square_triangle_of_entries(omega, N):
+    G = gram_matrix(omega, N)
+    R = np.asarray(G.factor)
+    assert R.shape == (G.size, G.size)
+    assert np.array_equal(np.triu(R), R)
+    B = _tall_factor(omega, N)
+    assert np.max(np.abs(G.entries - B.T @ B)) <= G.size * EPS
+
+
+@pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 150)])
+def test_1d_gram_is_psd_to_rounding(omega, N):
+    # the 1-D assembly runs no eigensolve of its own; R^T R keeps G PSD
+    G = gram_matrix(omega, N)
+    w = np.linalg.eigvalsh(G.entries)
+    assert w[0] >= -G.size * EPS * w[-1]
 
 
 def test_lambda_min_does_not_increase_along_scan():
@@ -116,7 +143,8 @@ def test_floor_flag_marks_rounding_noise():
 def test_fewer_nodes_than_basis_functions_degenerates():
     # one 16-node panel cannot resolve 21 basis functions
     G = gram_matrix(geometry.interval_union([(0.0, 1e-3)]), 20)
-    assert G.factor.shape[0] < G.size
+    assert G.factor.shape == (21, 21)
+    assert np.count_nonzero(np.any(G.factor != 0.0, axis=1)) == 16
     with pytest.raises(DegenerateRestrictionError):
         spectral_constant(G)
 
