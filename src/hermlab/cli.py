@@ -338,11 +338,15 @@ def _fmt_cell(v):
 
 
 class _Workspace:
-    """Collects output files so a failed run can clean up after itself."""
+    """Collects output files so a failed run can clean up after itself.
+
+    counters holds the run's work counts for the manifest.
+    """
 
     def __init__(self, outdir):
         self.outdir = outdir
         self.files = []
+        self.counters = {}
 
     def path(self, name):
         return os.path.join(self.outdir, name)
@@ -397,10 +401,13 @@ def _gnuplot(csv_name, title, xlabel, ylabel, using, logy=False, extra=""):
 def _run_spectral_scan(p, ws, rng):
     omega = _build_omega(p["omega"])
     rows = []
+    nodes = 0
     for N in p["N_values"]:
         G = spectral.gram_matrix(omega, N)
         res = spectral.spectral_constant(G)
         rows.append((N, res.lambda_min, res.constant, G.quad_tol, res.lambda_err, res.floor))
+        nodes += G.nodes
+    ws.counters.update(gram_assemblies=len(rows), quadrature_nodes=nodes)
     ws.write_csv("spectral.csv", ["N", "lambda_min", "C_N", "quad_tol", "lambda_err", "floor"], rows)
     metrics = {
         "floor_rows": sum(r[5] for r in rows),
@@ -632,6 +639,7 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": sorted(ws.files),
         "metrics": metrics,
+        "counters": ws.counters,
         "acceptance": {"passed": passed_all, "checks": checks},
     }
     tmp = ws.path("manifest.json.tmp")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hermlab
-from hermlab import cli
+from hermlab import cli, geometry, spectral
 from hermlab.cli import ConfigError, load_config, main, run, validate
 
 
@@ -85,6 +85,22 @@ def test_run_writes_manifest_last(tmp_path):
     assert manifest["acceptance"]["passed"] is True
     assert manifest["tool_version"]
     assert len(manifest["config_hash"]) == 64
+
+
+def test_spectral_scan_manifest_counts_assemblies_and_nodes(tmp_path):
+    cfg = {
+        "kind": "spectral-scan",
+        "seed": 0,
+        "parameters": {
+            "N_values": [10, 40],
+            "omega": {"type": "periodic", "dim": 1, "period": 4.0, "kept": 0.25},
+        },
+    }
+    run(cfg, out_override=str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    omega = geometry.PeriodicPattern(dim=1, period=4.0, kept=0.25)
+    nodes = [spectral.gram_matrix(omega, N).nodes for N in (10, 40)]
+    assert manifest["counters"] == {"gram_assemblies": 2, "quadrature_nodes": sum(nodes)}
 
 
 def test_csv_dialect(tmp_path):

@@ -10,6 +10,7 @@ from hermlab.quadrature import gauss_legendre
 from hermlab.spectral import (
     DegenerateRestrictionError,
     GramMatrix,
+    _panel_length,
     _panel_nodes,
     gram_matrix,
     growth_fit,
@@ -87,11 +88,12 @@ PERIODIC_1D = geometry.PeriodicPattern(dim=1, period=4.0, kept=0.25)
 EPS = np.finfo(np.float64).eps
 
 
-def _tall_factor(omega, N):
-    """Weighted evaluation matrix on the finer of gram_matrix's two panel rules."""
+def _tall_factor(omega, N, panel_len=None, order=16):
+    """Weighted evaluation matrix, by default on the rule gram_matrix returns."""
     R = truncation_radius(N)
-    panel_len = min(0.5, 6.0 / math.sqrt(2.0 * N + 1.0)) / 2.0
-    x, w = _panel_nodes(omega.intervals_1d(-R, R), panel_len, 16)
+    if panel_len is None:
+        panel_len = _panel_length(N)
+    x, w = _panel_nodes(omega.intervals_1d(-R, R), panel_len, order)
     return (hermite_function_table(N, x) * np.sqrt(w)).T
 
 
@@ -118,6 +120,16 @@ def test_factor_is_square_triangle_of_entries(omega, N):
     assert np.max(np.abs(G.entries - B.T @ B)) <= G.size * EPS
 
 
+@pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 100)])
+def test_entries_match_finer_independent_rule(omega, N):
+    # reference: order-20 Gauss panels a quarter as long as the returned rule's
+    B = _tall_factor(omega, N, panel_len=_panel_length(N) / 4.0, order=20)
+    G = gram_matrix(omega, N)
+    assert np.max(np.abs(G.entries - B.T @ B)) <= 1e-13
+    assert G.quad_tol <= 1e-12
+    assert G.nodes == _tall_factor(omega, N).shape[0]
+
+
 @pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 150)])
 def test_1d_gram_is_psd_to_rounding(omega, N):
     # the 1-D assembly runs no eigensolve of its own; R^T R keeps G PSD
@@ -128,7 +140,7 @@ def test_1d_gram_is_psd_to_rounding(omega, N):
 
 def test_lambda_min_does_not_increase_along_scan():
     # the spans are nested, so lambda_min(G_N') <= lambda_min(G_N) for N' > N
-    results = [spectral_constant(gram_matrix(GRADED_1D, N)) for N in range(25, 201, 25)]
+    results = [spectral_constant(gram_matrix(GRADED_1D, N)) for N in range(25, 401, 25)]
     for a, b in zip(results, results[1:]):
         assert b.lambda_min <= a.lambda_min + a.lambda_err + b.lambda_err
 
@@ -187,6 +199,9 @@ def test_empty_window_degenerates():
 def test_two_dim_full_space_gram():
     G = gram_matrix(geometry.FullSpace(2), 6)
     assert np.max(np.abs(G.entries - np.eye(G.size))) <= 1e-8
+    # one run: every x-node pairs with every y-node
+    R = truncation_radius(6)
+    assert G.nodes == _panel_nodes(np.array([[-R, R]]), _panel_length(6), 16)[0].size ** 2
 
 
 def test_quadrature_tolerance_reported():
@@ -196,6 +211,13 @@ def test_quadrature_tolerance_reported():
 
 
 PERIODIC_2D = geometry.PeriodicPattern(dim=2, period=4.0, kept=0.25)
+BOXES_2D = geometry.BoxUnion(2, np.array([[[-3.0, -1.0], [-2.0, 2.0]], [[0.0, 2.0], [-4.0, -1.0]]]))
+
+
+@pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 150), (PERIODIC_2D, 24), (BOXES_2D, 20)])
+def test_entries_are_exactly_symmetric(omega, N):
+    G = gram_matrix(omega, N)
+    assert np.array_equal(G.entries, G.entries.T)
 
 
 def test_periodic_2d_gram_is_tensor_of_1d():
