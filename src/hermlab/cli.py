@@ -27,6 +27,7 @@ assertion succeed.
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -314,6 +315,25 @@ def _build_omega(spec) -> geometry.ControlSet:
     return geometry.graded_cells(_build_density(spec["density"]), spec["gamma"], spec["extent"])
 
 
+def _omega_hash(omega: geometry.ControlSet) -> str:
+    """sha256 of a canonical form of a built sensor set.
+
+    The form is the class name, then every field in declaration order: dim
+    as an integer, arrays as their shape and float64 bytes, other numbers by
+    repr of their float. Specs that build the same set hash alike.
+    """
+    parts = [type(omega).__name__]
+    for f in dataclasses.fields(omega):
+        v = getattr(omega, f.name)
+        if f.name == "dim":
+            parts.append(f"dim={int(v)}")
+        elif isinstance(v, np.ndarray):
+            parts.append(f"{f.name}={v.shape}:{np.ascontiguousarray(v, dtype=np.float64).tobytes().hex()}")
+        else:
+            parts.append(f"{f.name}={float(v)!r}")
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -340,13 +360,15 @@ def _fmt_cell(v):
 class _Workspace:
     """Collects output files so a failed run can clean up after itself.
 
-    counters holds the run's work counts for the manifest.
+    counters holds the run's work counts for the manifest, and omega_hash
+    the hash of the sensor set when the run builds one.
     """
 
     def __init__(self, outdir):
         self.outdir = outdir
         self.files = []
         self.counters = {}
+        self.omega_hash = None
 
     def path(self, name):
         return os.path.join(self.outdir, name)
@@ -400,6 +422,7 @@ def _gnuplot(csv_name, title, xlabel, ylabel, using, logy=False, extra=""):
 
 def _run_spectral_scan(p, ws, rng):
     omega = _build_omega(p["omega"])
+    ws.omega_hash = _omega_hash(omega)
     rows = []
     nodes = 0
     for N in p["N_values"]:
@@ -518,6 +541,7 @@ def _build_f0(spec_f0, dim, N, rng) -> HermiteExpansion:
 def _run_control(p, ws, rng):
     spec = EvolutionSpec(s=p["s"], dim=p.get("dim", 1))
     omega = _build_omega(p["omega"])
+    ws.omega_hash = _omega_hash(omega)
     f0 = _build_f0(p.get("f0", {"type": "random"}), spec.dim, p["N"], rng)
     problem = control.ControlProblem(
         T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p.get("delta", 0.0)
@@ -642,6 +666,8 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
         "counters": ws.counters,
         "acceptance": {"passed": passed_all, "checks": checks},
     }
+    if ws.omega_hash is not None:
+        manifest["omega_hash"] = ws.omega_hash
     tmp = ws.path("manifest.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

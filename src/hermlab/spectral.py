@@ -13,15 +13,21 @@ rule on panels of L/4 the returned entries are off by at most 4e-15 on the
 graded, periodic and control sets at N <= 400. In 1-D the panels cover the
 exact interval decomposition; one recursive-panel QR of the weighted
 evaluation factor B leaves the m x m triangle R, G = R^T R, and only R is
-kept. lambda_min is the square of the smallest singular value of R (equal
-to that of B), which stays accurate far below the eps*||G|| floor of a
-direct eigensolve. In 2-D the x-nodes are grouped into runs over which
-the slice of omega does not change; each run adds the separable block
-Px[a1, a1] * My[a2, a2] of its x- and y-pairings, and lambda_min is the
-bottom eigenvalue of a dense symmetric eigensolve, after a check that the
-assembled matrix is PSD. Sets with piecewise slices (boxes, periodic
-patterns) are sliced once per piece between first-axis breakpoints; ball
-unions once per x-node.
+kept. A set equal to its mirror image (graded cells, their complement, the
+whole line) splits by parity, since h_k(-x) = (-1)^k h_k(x): the entries
+pairing even with odd degrees are exactly zero, the even and the odd
+columns are integrated on x >= 0 with doubled weights and factored apart,
+and each half-size triangle sits on its own rows and columns of R. The
+nodes of both rules of a 1-D Gram go through one Hermite table. lambda_min
+is the square of the smallest singular value of R (equal to that of B),
+taken block by block when R splits by parity, which stays accurate far
+below the eps*||G|| floor of a direct eigensolve. In 2-D the x-nodes are
+grouped into runs over which the slice of omega does not change; each run
+adds the separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings,
+and lambda_min is the bottom eigenvalue of a dense symmetric eigensolve,
+after a check that the assembled matrix is PSD. Sets with piecewise slices
+(boxes, periodic patterns) are sliced once per piece between first-axis
+breakpoints; ball unions once per x-node.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -115,15 +121,38 @@ def _panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
     return x, w
 
 
-def _factor_1d(omega: ControlSet, degree: int, panel_len: float, order: int) -> np.ndarray:
+def _gram_1d(omega: ControlSet, degree: int, panel_len: float, order: int):
+    """(G, G_check, R, node count) of a 1-D set on panels of panel_len and 2 * panel_len.
+
+    h_k(-x) = (-1)^k h_k(x), so on a set equal to its mirror image every
+    entry pairing an even with an odd degree vanishes and the rest are twice
+    their integral over x >= 0. Such a set is integrated on its half-line
+    intervals with doubled weights, one parity class of columns at a time,
+    and each class's triangle sits on its own rows and columns of R, which
+    keeps R upper triangular. Any other set is one class on the whole line.
+    Both rules' nodes go through one Hermite table.
+    """
     R = truncation_radius(degree)
     iv = omega.intervals_1d(-R, R)
+    if np.array_equal(iv, -iv[::-1, ::-1]):
+        iv = np.clip(iv, 0.0, None)
+        iv = iv[iv[:, 1] > iv[:, 0]]
+        classes, weight = (slice(0, None, 2), slice(1, None, 2)), 2.0
+    else:
+        classes, weight = (slice(None),), 1.0
+    x_check, w_check = _panel_nodes(iv, 2.0 * panel_len, order)
     x, w = _panel_nodes(iv, panel_len, order)
-    if x.size == 0:
-        return np.zeros((0, degree + 1))
-    table = hermite_function_table(degree, np.ascontiguousarray(x))
-    table *= np.sqrt(w)
-    return table.T
+    table = hermite_function_table(degree, np.concatenate([x_check, x]))
+    table *= np.sqrt(weight * np.concatenate([w_check, w]))
+    n = x_check.size
+    m = degree + 1
+    G_check = np.zeros((m, m))
+    F = np.zeros((m, m))
+    for p in classes:
+        B = table[p, :n]
+        G_check[p, p] = B @ B.T
+        F[p, p] = _triangle(np.ascontiguousarray(table[p, n:]).T)
+    return F.T @ F, G_check, F, int(weight) * x.size
 
 
 def _triangle(B: np.ndarray) -> np.ndarray:
@@ -204,7 +233,13 @@ def gram_matrix(
     returned entries are within 4e-15 of an order-20 rule on panels of L/4.
     Raises QuadratureError when quad_tol exceeds fail_tol. In 1-D the
     returned entries are R^T R for the QR triangle R of the weighted
-    evaluation factor, and R is kept as the factor.
+    evaluation factor, and R is kept as the factor. When omega's intervals
+    are their own mirror image, both rules run on x >= 0 with doubled
+    weights; the even and the odd columns are factored apart and their
+    triangles placed on R's even and odd rows and columns, so every entry
+    pairing degrees of opposite parity is exactly zero and nodes counts each
+    half-line node twice. Each 1-D call makes one Hermite table, over the
+    nodes of both rules.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -215,12 +250,7 @@ def gram_matrix(
     panel_len = _panel_length(degree)
 
     if omega.dim == 1:
-        B = _factor_1d(omega, degree, 2.0 * panel_len, order)
-        G_check = B.T @ B
-        B = _factor_1d(omega, degree, panel_len, order)
-        nodes = B.shape[0]
-        R = _triangle(B)
-        G = R.T @ R
+        G, G_check, R, nodes = _gram_1d(omega, degree, panel_len, order)
     else:
         G_check, _ = _gram_2d(omega, degree, 2.0 * panel_len, order)
         G, nodes = _gram_2d(omega, degree, panel_len, order)
@@ -270,9 +300,13 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
 
     When the triangular factor R is available (1-D), lambda_min is the
     squared smallest singular value of R, from its SVD (method
-    "factor-svd"). Each singular value is then good to m * eps * s_max, so
-    lambda_err = (s_min + m eps s_max)^2 - s_min^2, which for small s_min is
-    far below machine epsilon times ||G||. A set with fewer nodes than the m
+    "factor-svd"). When R's blocks between even and odd indices are exactly
+    zero, as gram_matrix leaves them on a mirror-symmetric set, the SVD runs
+    on the even and the odd diagonal block apart: s_min and s_max are taken
+    over both, and the extremizer is zero on the other parity. Each
+    singular value is then good to m * eps * s_max, so
+    lambda_err = (s_min + m eps s_max)^2 - s_min^2, which for small s_min
+    is far below machine epsilon times ||G||. A set with fewer nodes than the m
     basis functions leaves zero rows in R, whose singular values are zero.
     Otherwise (2-D) lambda_min is the bottom eigenvalue of a dense symmetric
     eigensolve of the entries, with the backward error lambda_err = m * eps
@@ -282,11 +316,24 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
     m = G.size
     eps = float(np.finfo(np.float64).eps)
     if G.factor is not None:
-        _, s, Vt = np.linalg.svd(G.factor)
-        lam = float(s[-1] ** 2)
-        vec = Vt[-1]
-        top = float(s[0] ** 2)
-        lam_err = float((s[-1] + m * eps * s[0]) ** 2 - s[-1] ** 2)
+        F = G.factor
+        if F[0::2, 1::2].any() or F[1::2, 0::2].any():
+            classes = (slice(None),)
+        else:
+            classes = (slice(0, None, 2), slice(1, None, 2))
+        s_min, s_max, vec = math.inf, 0.0, None
+        for p in classes:
+            if F[p, p].size == 0:
+                continue
+            _, s, Vt = np.linalg.svd(F[p, p])
+            s_max = max(s_max, float(s[0]))
+            if s[-1] < s_min:
+                s_min = float(s[-1])
+                vec = np.zeros(m)
+                vec[p] = Vt[-1]
+        lam = s_min**2
+        top = s_max**2
+        lam_err = (s_min + m * eps * s_max) ** 2 - s_min**2
         method = "factor-svd"
     else:
         w, V = np.linalg.eigh(G.entries)
@@ -301,7 +348,7 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         constant=lam ** (-0.5),
         lambda_min=lam,
         extremizer=vec,
-        condition=top / lam if lam > 0 else math.inf,
+        condition=top / lam,
         method=method,
         lambda_err=lam_err,
         floor=lam <= lam_err,

@@ -85,6 +85,7 @@ def test_run_writes_manifest_last(tmp_path):
     assert manifest["acceptance"]["passed"] is True
     assert manifest["tool_version"]
     assert len(manifest["config_hash"]) == 64
+    assert manifest["omega_hash"] == cli._omega_hash(geometry.FullSpace(1))
 
 
 def test_spectral_scan_manifest_counts_assemblies_and_nodes(tmp_path):
@@ -101,6 +102,29 @@ def test_spectral_scan_manifest_counts_assemblies_and_nodes(tmp_path):
     omega = geometry.PeriodicPattern(dim=1, period=4.0, kept=0.25)
     nodes = [spectral.gram_matrix(omega, N).nodes for N in (10, 40)]
     assert manifest["counters"] == {"gram_assemblies": 2, "quadrature_nodes": sum(nodes)}
+
+
+def _scan_omega_hash(tmp_path, name, omega_spec):
+    cfg = {"kind": "spectral-scan", "seed": 0, "parameters": {"N_values": [4], "omega": omega_spec}}
+    return run(cfg, out_override=str(tmp_path / name))["omega_hash"]
+
+
+def test_manifest_hashes_the_built_sensor_set(tmp_path):
+    a = _scan_omega_hash(tmp_path, "a", {"type": "boxes", "dim": 1, "boxes": [[[0.0, 1.0]], [[2.0, 3.0]]]})
+    b = _scan_omega_hash(tmp_path, "b", {"type": "boxes", "dim": 1, "boxes": [[[0.0, 1.0]], [[2.0, 3.5]]]})
+    assert len(a) == 64 and a != b
+    # the same set through other key orders and through the intervals spec
+    same = [
+        {"boxes": [[[0.0, 1.0]], [[2.0, 3.0]]], "dim": 1, "type": "boxes"},
+        {"intervals": [[0, 1], [2, 3]], "type": "intervals"},
+    ]
+    for i, spec in enumerate(same):
+        assert _scan_omega_hash(tmp_path, f"same{i}", spec) == a
+    periodic = {"type": "periodic", "period": 4, "kept": 0.25}
+    assert _scan_omega_hash(tmp_path, "p1", periodic) == _scan_omega_hash(
+        tmp_path, "p2", {"kept": 0.25, "period": 4.0, "type": "periodic", "offset": 0}
+    )
+    assert _scan_omega_hash(tmp_path, "p3", dict(periodic, offset=1.0)) != _scan_omega_hash(tmp_path, "p4", periodic)
 
 
 def test_csv_dialect(tmp_path):
@@ -291,6 +315,7 @@ def test_covering_run_exports_centers(tmp_path):
     }
     manifest = run(cfg)
     assert manifest["acceptance"]["passed"]
+    assert "omega_hash" not in manifest  # a covering builds no sensor set
     lines = (tmp_path / "covering.csv").read_text().splitlines()
     assert lines[0] == "x1,radius"
     assert len(lines) - 1 == manifest["metrics"]["balls"]
@@ -336,6 +361,7 @@ def test_control_run_manifest_lists_trace(tmp_path):
     assert manifest["acceptance"]["passed"]
     assert "trace.json" in manifest["files"]
     assert "cost.csv" in manifest["files"]
+    assert manifest["omega_hash"] == cli._omega_hash(geometry.PeriodicPattern(dim=1, period=2.0, kept=0.5))
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert {"stages", "total_cost", "terminal_residual"} <= set(trace)
     for stage in trace["stages"]:

@@ -120,6 +120,12 @@ def test_factor_is_square_triangle_of_entries(omega, N):
     assert np.max(np.abs(G.entries - B.T @ B)) <= G.size * EPS
 
 
+def _half_line(intervals):
+    """The parts of an interval union on x >= 0."""
+    iv = np.clip(intervals, 0.0, None)
+    return iv[iv[:, 1] > iv[:, 0]]
+
+
 @pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 100)])
 def test_entries_match_finer_independent_rule(omega, N):
     # reference: order-20 Gauss panels a quarter as long as the returned rule's
@@ -127,7 +133,68 @@ def test_entries_match_finer_independent_rule(omega, N):
     G = gram_matrix(omega, N)
     assert np.max(np.abs(G.entries - B.T @ B)) <= 1e-13
     assert G.quad_tol <= 1e-12
-    assert G.nodes == _tall_factor(omega, N).shape[0]
+    if omega is GRADED_1D:
+        # the mirror-symmetric set is integrated on x >= 0, each node counted twice
+        half = _half_line(omega.intervals_1d(-truncation_radius(N), truncation_radius(N)))
+        assert G.nodes == 2 * _panel_nodes(half, _panel_length(N), 16)[0].size
+    else:
+        assert G.nodes == _tall_factor(omega, N).shape[0]
+
+
+@pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (geometry.FullSpace(1), 800)])
+def test_symmetric_set_splits_by_parity(omega, N):
+    # h_k(-x) = (-1)^k h_k(x): on a set equal to its mirror image, even and odd degrees never pair
+    G = gram_matrix(omega, N)
+    assert not (G.entries[0::2, 1::2].any() or G.entries[1::2, 0::2].any())
+    R = np.asarray(G.factor)
+    assert np.array_equal(np.triu(R), R)
+    assert np.array_equal(R.T @ R, G.entries)
+
+
+@pytest.mark.parametrize("N", [150, 400])
+def test_parity_blocks_match_full_line_factor(N):
+    B = _tall_factor(GRADED_1D, N)
+    s = np.linalg.svd(B, compute_uv=False)
+    G = gram_matrix(GRADED_1D, N)
+    res = spectral_constant(G)
+    assert abs(res.lambda_min - s[-1] ** 2) <= res.lambda_err
+    v = res.extremizer
+    assert not (v[0::2].any() and v[1::2].any())
+    Rv = np.asarray(G.factor) @ v
+    assert abs(float(Rv @ Rv) / float(v @ v) - res.lambda_min) <= res.lambda_err
+
+
+def test_asymmetric_by_one_ulp_takes_general_path():
+    boxes = GRADED_1D.boxes.copy()
+    i = int(np.argmin(np.abs(boxes[:, 0, 0])))  # the cell that starts at the origin
+    assert boxes[i, 0, 0] == 0.0 and boxes[i, 0, 1] > 0.0
+    boxes[i, 0, 1] = np.nextafter(boxes[i, 0, 1], np.inf)
+    moved = geometry.BoxUnion(1, boxes)
+    N = 150
+    G = gram_matrix(moved, N)
+    assert G.nodes == _tall_factor(moved, N).shape[0]
+    assert G.factor[0::2, 1::2].any()
+    general = spectral_constant(G)
+    folded = spectral_constant(gram_matrix(GRADED_1D, N))
+    assert abs(general.lambda_min - folded.lambda_min) <= general.lambda_err
+
+
+def test_periodic_set_keeps_off_parity_entries():
+    G = gram_matrix(PERIODIC_1D, 100)
+    assert G.entries[0::2, 1::2].any() and G.entries[1::2, 0::2].any()
+
+
+@pytest.mark.parametrize("omega", [GRADED_1D, PERIODIC_1D])
+def test_one_hermite_table_per_1d_gram(omega, monkeypatch):
+    calls = []
+
+    def counted(kmax, x):
+        calls.append(x.size)
+        return hermite_function_table(kmax, x)
+
+    monkeypatch.setattr(spectral, "hermite_function_table", counted)
+    gram_matrix(omega, 50)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 150)])
