@@ -360,14 +360,16 @@ def _fmt_cell(v):
 class _Workspace:
     """Collects output files so a failed run can clean up after itself.
 
-    counters holds the run's work counts for the manifest, and omega_hash
-    the hash of the sensor set when the run builds one.
+    counters holds the run's work counts for the manifest, timings its wall
+    time per phase, and omega_hash the hash of the sensor set when the run
+    builds one.
     """
 
     def __init__(self, outdir):
         self.outdir = outdir
         self.files = []
         self.counters = {}
+        self.timings = {}
         self.omega_hash = None
 
     def path(self, name):
@@ -425,12 +427,18 @@ def _run_spectral_scan(p, ws, rng):
     ws.omega_hash = _omega_hash(omega)
     rows = []
     nodes = 0
+    assembly_s = solve_s = 0.0
     for N in p["N_values"]:
+        t0 = time.perf_counter()
         G = spectral.gram_matrix(omega, N)
+        t1 = time.perf_counter()
         res = spectral.spectral_constant(G)
+        solve_s += time.perf_counter() - t1
+        assembly_s += t1 - t0
         rows.append((N, res.lambda_min, res.constant, G.quad_tol, res.lambda_err, res.floor))
         nodes += G.nodes
     ws.counters.update(gram_assemblies=len(rows), quadrature_nodes=nodes)
+    ws.timings.update(assembly_s=assembly_s, solve_s=solve_s)
     ws.write_csv("spectral.csv", ["N", "lambda_min", "C_N", "quad_tol", "lambda_err", "floor"], rows)
     metrics = {
         "floor_rows": sum(r[5] for r in rows),
@@ -666,6 +674,8 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
         "counters": ws.counters,
         "acceptance": {"passed": passed_all, "checks": checks},
     }
+    if ws.timings:
+        manifest["timings"] = ws.timings
     if ws.omega_hash is not None:
         manifest["omega_hash"] = ws.omega_hash
     tmp = ws.path("manifest.json.tmp")

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import indexing
 from .geometry import ControlSet
@@ -171,6 +170,8 @@ def _stage(G: np.ndarray, lam: np.ndarray, m: int, tau: float, g: np.ndarray):
     duality form gᵀE(tau)W⁻¹E(tau)g; raises ControlError when the Gramian
     is singular or its condition exceeds CONDITION_CAP.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     lam_lo = lam[:m]
     W = _gramian(G[:m, :m], lam_lo, tau)
     eigs = _checked_eigs(W)
@@ -178,7 +179,7 @@ def _stage(G: np.ndarray, lam: np.ndarray, m: int, tau: float, g: np.ndarray):
     if condition > CONDITION_CAP:
         raise ControlError(f"Gramian condition {condition:.3e} exceeds cap {CONDITION_CAP:.0e} on {m} modes")
     rhs = np.exp(-tau * lam_lo) * g[:m]
-    mu = scipy.linalg.cho_solve(scipy.linalg.cho_factor(W), rhs)
+    mu = cho_solve(cho_factor(W), rhs)
     return mu, float(rhs @ mu), condition
 
 
@@ -406,6 +407,8 @@ class ObservabilityReport:
 
 
 def _c_t_single(T: float, G: np.ndarray, lam: np.ndarray) -> float:
+    from scipy.linalg import solve_triangular
+
     Q = G * _exact_kernel(lam, lam, T)
     Q = (Q + Q.T) / 2.0
     try:
@@ -414,7 +417,7 @@ def _c_t_single(T: float, G: np.ndarray, lam: np.ndarray) -> float:
         raise ControlError(f"observation form singular at T={T:g}") from exc
     # whiten: C_T = lambda_max(L^{-1} e^{-2T Lambda} L^{-T})
     E = np.exp(-2.0 * T * lam)
-    X = scipy.linalg.solve_triangular(L, np.diag(np.sqrt(E)), lower=True)
+    X = solve_triangular(L, np.diag(np.sqrt(E)), lower=True)
     return float(np.linalg.eigvalsh(X @ X.T)[-1])
 
 

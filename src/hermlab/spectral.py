@@ -21,13 +21,14 @@ and each half-size triangle sits on its own rows and columns of R. The
 nodes of both rules of a 1-D Gram go through one Hermite table. lambda_min
 is the square of the smallest singular value of R (equal to that of B),
 taken block by block when R splits by parity, which stays accurate far
-below the eps*||G|| floor of a direct eigensolve. In 2-D the x-nodes are
-grouped into runs over which the slice of omega does not change; each run
-adds the separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings,
-and lambda_min is the bottom eigenvalue of a dense symmetric eigensolve,
-after a check that the assembled matrix is PSD. Sets with piecewise slices
-(boxes, periodic patterns) are sliced once per piece between first-axis
-breakpoints; ball unions once per x-node.
+below the eps*||G|| floor of a direct eigensolve. In 2-D the x-pieces
+that share one slice of omega are pooled, and each distinct slice adds one
+separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
+rule, with one Hermite table per axis over both rules' nodes. Sets with
+piecewise slices (boxes, periodic patterns) are sliced once per piece
+between first-axis breakpoints; ball unions once per x-node. A Cholesky of
+G + 1e-10 I gates the 2-D Gram as PSD, and lambda_min is the bottom
+eigenvalue of a dense symmetric eigensolve.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -76,7 +77,7 @@ class GramMatrix:
     evaluation matrix, zero below its rank when the set has fewer nodes than
     basis functions. quad_tol is the observed change under halving the
     quadrature panels. nodes counts the quadrature points of the returned
-    rule: in 2-D the sum over runs of x-nodes times y-nodes.
+    rule: in 2-D the sum over distinct slices of x-nodes times y-nodes.
     """
 
     degree: int
@@ -176,45 +177,84 @@ def _triangle(B: np.ndarray) -> np.ndarray:
 
 
 def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int):
-    """(G, node count) from the separable per-run blocks on panels of panel_len."""
+    """(G, G_check, node count): one separable block per distinct slice and rule.
+
+    The x-pieces between omega's first-axis breakpoints are pooled by their
+    slice intervals (a set without piecewise slices: its x-nodes, one slice
+    each). Each distinct non-empty slice adds Px[a1, a1] * My[a2, a2] of its
+    x- and y-pairings to G, on panels of panel_len, and to G_check, on panels
+    of 2 * panel_len, with one Hermite table per axis over both rules' nodes.
+    """
     R = truncation_radius(degree)
     alphas = indexing.multi_indices(2, degree)
-    a1 = alphas[:, 0]
-    a2 = alphas[:, 1]
+    ix1 = np.ix_(alphas[:, 0], alphas[:, 0])
+    ix2 = np.ix_(alphas[:, 1], alphas[:, 1])
+    lens = (panel_len, 2.0 * panel_len)
     pieces = [(a, b, sub) for a, b, sub in slice_pieces(omega, -R, R) if b - a > 1e-14]
-    parts = [_panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
-    x = np.concatenate([p[0] for p in parts])
-    wx = np.concatenate([p[1] for p in parts])
     if omega.piecewise_slices:
         # the slice of a piece holds at every one of its nodes
-        sizes = [p[0].size for p in parts]
-        slices = [sub for _, _, sub in pieces]
+        spans = {}
+        for a, b, sub in pieces:
+            iv = sub.intervals_1d(-R, R)
+            spans.setdefault(iv.tobytes(), (iv, []))[1].append((a, b))
+        groups = [(iv, [_panel_nodes(np.array(ab), L, order) for L in lens]) for iv, ab in spans.values()]
     else:
-        sizes = [1] * x.size
-        slices = [omega.slice_first(float(xi)) for xi in x]
-    # runs of consecutive x-nodes sharing one slice: [start, stop, slice intervals]
-    runs = []
-    start = 0
-    for size, sub in zip(sizes, slices):
-        iv = sub.intervals_1d(-R, R)
-        if runs and np.array_equal(iv, runs[-1][2]):
-            runs[-1][1] = start + size
-        else:
-            runs.append([start, start + size, iv])
-        start += size
-    Bx = hermite_function_table(degree, x) * np.sqrt(wx)
-    G = np.zeros((alphas.shape[0],) * 2)
+        groups = _node_slices(omega, pieces, lens, order, R)
+    m = alphas.shape[0]
+    G = (np.zeros((m, m)), np.zeros((m, m)))
     nodes = 0
-    for start, stop, iv in runs:
-        y, wy = _panel_nodes(iv, panel_len, order)
-        if y.size == 0:
+    for iv, xs in groups:
+        if iv.shape[0] == 0:
             continue
-        By = hermite_function_table(degree, y) * np.sqrt(wy)
-        Px = Bx[:, start:stop] @ Bx[:, start:stop].T
-        My = By @ By.T
-        G += Px[a1[:, None], a1[None, :]] * My[a2[:, None], a2[None, :]]
-        nodes += (stop - start) * y.size
-    return G, nodes
+        ys = [_panel_nodes(iv, L, order) for L in lens]
+        for g, px, my in zip(G, _pairings(degree, xs), _pairings(degree, ys)):
+            block = px[ix1]
+            block *= my[ix2]
+            g += block
+        nodes += xs[0][0].size * ys[0][0].size
+    return G[0], G[1], nodes
+
+
+def _node_slices(omega: ControlSet, pieces: list, lens: tuple, order: int, R: float) -> list:
+    """[(slice intervals, [(x, w) per rule])], pooling each rule's x-nodes by their own slice."""
+    edges = np.array([(a, b) for a, b, _ in pieces]).reshape(-1, 2)
+    rules = [_panel_nodes(edges, L, order) for L in lens]
+    found = {}
+    for r, (x, _) in enumerate(rules):
+        for i, xi in enumerate(x):
+            iv = omega.slice_first(float(xi)).intervals_1d(-R, R)
+            found.setdefault(iv.tobytes(), (iv, [[] for _ in lens]))[1][r].append(i)
+    return [(iv, [(x[i], w[i]) for (x, w), i in zip(rules, idx)]) for iv, idx in found.values()]
+
+
+def _pairings(degree: int, parts: list) -> list:
+    """B B^T of each (nodes, weights) part's weighted Hermite table, from one table over all parts."""
+    B = hermite_function_table(degree, np.concatenate([x for x, _ in parts]))
+    B *= np.sqrt(np.concatenate([w for _, w in parts]))
+    out = []
+    start = 0
+    for x, _ in parts:
+        b = B[:, start : start + x.size]
+        out.append(b @ b.T)
+        start += x.size
+    return out
+
+
+def _check_psd(G: np.ndarray) -> None:
+    """Raise QuadratureError unless min eig(G) >= -1e-10, tested by a Cholesky of G + 1e-10 I.
+
+    The two tests agree to within the m * eps * ||G|| rounding both carry.
+    eigvalsh runs only when the Cholesky fails, to decide and to quote the
+    eigenvalue.
+    """
+    shifted = G.copy()
+    shifted.flat[:: G.shape[0] + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        floor = float(np.min(np.linalg.eigvalsh(G)))
+        if floor < -1e-10:
+            raise QuadratureError(f"Gram matrix not PSD: min eigenvalue {floor:.3e}") from None
 
 
 def gram_matrix(
@@ -228,9 +268,10 @@ def gram_matrix(
     The quadrature domain is truncated where the span's Gaussian envelope
     drops below 1e-14. Two rules of Gauss panels with order nodes each are
     assembled: the returned one, with panels of length
-    L = min(0.5, 6 / sqrt(2N + 1)), and a check rule with panels of 2L. Their entrywise difference is reported as
-    quad_tol; it reads at most 1.1e-13 on the benchmark sets, while the
-    returned entries are within 4e-15 of an order-20 rule on panels of L/4.
+    L = min(0.5, 6 / sqrt(2N + 1)), and a check rule with panels of 2L.
+    Their entrywise difference is reported as quad_tol; it reads at most
+    1.1e-13 on the benchmark sets, while the returned entries are within
+    4e-15 of an order-20 rule on panels of L/4.
     Raises QuadratureError when quad_tol exceeds fail_tol. In 1-D the
     returned entries are R^T R for the QR triangle R of the weighted
     evaluation factor, and R is kept as the factor. When omega's intervals
@@ -239,7 +280,10 @@ def gram_matrix(
     triangles placed on R's even and odd rows and columns, so every entry
     pairing degrees of opposite parity is exactly zero and nodes counts each
     half-line node twice. Each 1-D call makes one Hermite table, over the
-    nodes of both rules.
+    nodes of both rules. In 2-D both rules come from one pass that adds one
+    separable block per distinct slice, and a Cholesky of G + 1e-10 I
+    checks that G is PSD (min eigenvalue >= -1e-10), raising
+    QuadratureError when it is not.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -252,18 +296,15 @@ def gram_matrix(
     if omega.dim == 1:
         G, G_check, R, nodes = _gram_1d(omega, degree, panel_len, order)
     else:
-        G_check, _ = _gram_2d(omega, degree, 2.0 * panel_len, order)
-        G, nodes = _gram_2d(omega, degree, panel_len, order)
+        G, G_check, nodes = _gram_2d(omega, degree, panel_len, order)
         R = None
     quad_tol = float(np.max(np.abs(G - G_check)))
     if quad_tol > fail_tol:
         raise QuadratureError(f"Gram quadrature unstable: refinement moved entries by {quad_tol:.3e}")
 
     if R is None:
-        # a 1-D R^T R is PSD to within m * eps * ||G||, far inside this threshold
-        floor = float(np.min(np.linalg.eigvalsh(G)))
-        if floor < -1e-10:
-            raise QuadratureError(f"Gram matrix not PSD: min eigenvalue {floor:.3e}")
+        # a 1-D R^T R is PSD to within m * eps * ||G||, far inside the gate's threshold
+        _check_psd(G)
     else:
         R.setflags(write=False)
     G.setflags(write=False)

@@ -104,6 +104,22 @@ def test_spectral_scan_manifest_counts_assemblies_and_nodes(tmp_path):
     assert manifest["counters"] == {"gram_assemblies": 2, "quadrature_nodes": sum(nodes)}
 
 
+def test_spectral_scan_manifest_times_assembly_and_solve(tmp_path):
+    cfg = {
+        "kind": "spectral-scan",
+        "seed": 0,
+        "parameters": {
+            "N_values": [4, 8],
+            "omega": {"type": "periodic", "dim": 2, "period": 4.0, "kept": 0.25},
+        },
+    }
+    manifest = run(cfg, out_override=str(tmp_path))
+    timings = manifest["timings"]
+    assert set(timings) == {"assembly_s", "solve_s"}
+    assert min(timings.values()) >= 0.0
+    assert timings["assembly_s"] + timings["solve_s"] <= manifest["metrics"]["wall_time_s"]
+
+
 def _scan_omega_hash(tmp_path, name, omega_spec):
     cfg = {"kind": "spectral-scan", "seed": 0, "parameters": {"N_values": [4], "omega": omega_spec}}
     return run(cfg, out_override=str(tmp_path / name))["omega_hash"]
@@ -154,6 +170,14 @@ def test_floor_column_flags_rounding_noise(tmp_path):
 def test_cli_import_leaves_scipy_special_unloaded():
     src = os.path.dirname(os.path.dirname(hermlab.__file__))
     code = "import sys, hermlab.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(hermlab.__file__))
+    code = "import sys, hermlab.cli; print(any(m.startswith('scipy.linalg') for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

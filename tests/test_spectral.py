@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from hermlab import geometry, spectral
+from hermlab import geometry, indexing, spectral
 from hermlab.kernels import hermite_function_table
 from hermlab.quadrature import gauss_legendre
 from hermlab.spectral import (
     DegenerateRestrictionError,
     GramMatrix,
+    _check_psd,
+    _gram_2d,
     _panel_length,
     _panel_nodes,
     gram_matrix,
@@ -266,7 +268,7 @@ def test_empty_window_degenerates():
 def test_two_dim_full_space_gram():
     G = gram_matrix(geometry.FullSpace(2), 6)
     assert np.max(np.abs(G.entries - np.eye(G.size))) <= 1e-8
-    # one run: every x-node pairs with every y-node
+    # one slice: every x-node pairs with every y-node
     R = truncation_radius(6)
     assert G.nodes == _panel_nodes(np.array([[-R, R]]), _panel_length(6), 16)[0].size ** 2
 
@@ -309,6 +311,129 @@ def test_periodic_2d_lambda_min_is_bottom_and_constant_rises():
         assert abs(res.lambda_min - ref[0]) <= bound
         constants.append(res.constant)
     assert all(b >= a for a, b in zip(constants, constants[1:]))
+
+
+def _per_run_gram_2d(omega, degree, panel_len, order):
+    """Reference 2-D assembly: one block per run of consecutive x-nodes sharing a slice."""
+    R = truncation_radius(degree)
+    alphas = indexing.multi_indices(2, degree)
+    a1 = alphas[:, 0]
+    a2 = alphas[:, 1]
+    pieces = [(a, b, sub) for a, b, sub in geometry.slice_pieces(omega, -R, R) if b - a > 1e-14]
+    parts = [_panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
+    x = np.concatenate([p[0] for p in parts])
+    wx = np.concatenate([p[1] for p in parts])
+    if omega.piecewise_slices:
+        sizes = [p[0].size for p in parts]
+        slices = [sub for _, _, sub in pieces]
+    else:
+        sizes = [1] * x.size
+        slices = [omega.slice_first(float(xi)) for xi in x]
+    runs = []
+    start = 0
+    for size, sub in zip(sizes, slices):
+        iv = sub.intervals_1d(-R, R)
+        if runs and np.array_equal(iv, runs[-1][2]):
+            runs[-1][1] = start + size
+        else:
+            runs.append([start, start + size, iv])
+        start += size
+    Bx = hermite_function_table(degree, x) * np.sqrt(wx)
+    G = np.zeros((alphas.shape[0],) * 2)
+    nodes = 0
+    for start, stop, iv in runs:
+        y, wy = _panel_nodes(iv, panel_len, order)
+        if y.size == 0:
+            continue
+        By = hermite_function_table(degree, y) * np.sqrt(wy)
+        Px = Bx[:, start:stop] @ Bx[:, start:stop].T
+        My = By @ By.T
+        G += Px[a1[:, None], a1[None, :]] * My[a2[:, None], a2[None, :]]
+        nodes += (stop - start) * y.size
+    return G, nodes
+
+
+def _random_box_unions(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lo = rng.uniform(-5.0, 4.0, size=(int(rng.integers(2, 6)), 2))
+        hi = lo + rng.uniform(0.3, 4.0, size=lo.shape)
+        yield geometry.BoxUnion(2, np.stack([lo, hi], axis=-1))
+
+
+GROUPED_CASES = (
+    [(omega, 8) for omega in _random_box_unions(20, seed=11)]
+    + [
+        (geometry.PeriodicPattern(2, period, kept, offset), N)
+        for period, kept, offset, N in [
+            (4.0, 0.25, 0.0, 12),
+            (4.0, 0.25, 0.0, 24),
+            (2.0, 0.5, 0.3, 10),
+            (3.0, 0.4, -1.1, 16),
+            (1.5, 0.7, 0.25, 8),
+            (6.0, 0.3, 2.0, 20),
+        ]
+    ]
+    + [(geometry.FullSpace(2), 10), (BOXES_2D, 20), (geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [1.5, 1.0]), 2)]
+)
+
+
+@pytest.mark.parametrize("omega, N", GROUPED_CASES)
+def test_grouped_2d_assembly_matches_per_run_reference(omega, N):
+    L = _panel_length(N)
+    G, G_check, nodes = _gram_2d(omega, N, L, 16)
+    ref, ref_nodes = _per_run_gram_2d(omega, N, L, 16)
+    ref_check, _ = _per_run_gram_2d(omega, N, 2.0 * L, 16)
+    assert nodes == ref_nodes
+    assert np.max(np.abs(G - ref)) <= 1e-15
+    assert np.max(np.abs(G_check - ref_check)) <= 1e-15
+    assert abs(np.max(np.abs(G - G_check)) - np.max(np.abs(ref - ref_check))) <= 1e-15
+    R = truncation_radius(N)
+    slices = [sub.intervals_1d(-R, R) for a, b, sub in geometry.slice_pieces(omega, -R, R) if b - a > 1e-14]
+    kept = [iv.tobytes() for iv in slices if iv.size]
+    if isinstance(omega, geometry.BoxUnion) and len(set(kept)) == len(kept):
+        # every non-empty slice is one run, so both sums run in the same order
+        assert np.array_equal(G, ref) and np.array_equal(G_check, ref_check)
+
+
+@pytest.mark.parametrize("omega, slices", [(PERIODIC_2D, 1), (BOXES_2D, 2), (geometry.FullSpace(2), 1)])
+def test_one_assembly_and_two_tables_per_distinct_slice(omega, slices, monkeypatch):
+    tables = []
+    assemblies = []
+
+    def counted_table(kmax, x):
+        tables.append(x.size)
+        return hermite_function_table(kmax, x)
+
+    def counted_gram_2d(*args):
+        assemblies.append(args)
+        return _gram_2d(*args)
+
+    monkeypatch.setattr(spectral, "hermite_function_table", counted_table)
+    monkeypatch.setattr(spectral, "_gram_2d", counted_gram_2d)
+    gram_matrix(omega, 12)
+    assert len(assemblies) == 1
+    assert len(tables) == 2 * slices
+
+
+def _planted_symmetric(bottom, m=40, seed=5):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    A = (Q * np.concatenate([[bottom], np.linspace(0.01, 1.0, m - 1)])) @ Q.T
+    return (A + A.T) / 2.0
+
+
+def test_psd_gate_raises_below_threshold_and_quotes_eigvalsh():
+    A = _planted_symmetric(-2e-10)
+    floor = float(np.min(np.linalg.eigvalsh(A)))
+    assert floor == pytest.approx(-2e-10, rel=1e-3)
+    with pytest.raises(geometry.QuadratureError, match=f"min eigenvalue {floor:.3e}"):
+        _check_psd(A)
+
+
+def test_psd_gate_passes_just_inside_threshold():
+    A = _planted_symmetric(-5e-11)
+    assert np.min(np.linalg.eigvalsh(A)) < 0.0
+    _check_psd(A)
 
 
 def test_two_dim_ball_union_fails_refinement():
