@@ -24,7 +24,7 @@ from .hermite import (
     apply_position_derivative,
     evaluate,
 )
-from .quadrature import gauss_legendre
+from .quadrature import panel_nodes
 
 __all__ = [
     "BernsteinCheck",
@@ -391,7 +391,8 @@ def weight_seminorm(f: HermiteExpansion, r: float, beta=None) -> float:
 
     Integer r uses the exact expansion ||<x>^r g||^2 =
     sum_{g0 + |g| = r} r!/(g0! g!) ||x^g g||^2 through the ladder calculus;
-    non-integer r falls back to panel quadrature (1-D only).
+    non-integer r falls back to 64-node Gauss panels of length <= 0.5 on
+    [-R, R], beyond which the span is negligible (1-D only).
     """
     beta = tuple(int(b) for b in (beta if beta is not None else (0,) * f.dim))
     g = apply_position_derivative(f, (0,) * f.dim, beta)
@@ -410,12 +411,5 @@ def weight_seminorm(f: HermiteExpansion, r: float, beta=None) -> float:
     if f.dim != 1:
         raise ValueError("non-integer weight powers are supported in 1-D only")
     R = math.sqrt(4.0 * (g.degree + 1) + 20.0)
-    xs, ws = gauss_legendre(64)
-    edges = np.linspace(-R, R, int(4 * R) + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pts = (hi + lo) / 2 + (hi - lo) / 2 * xs
-        vals = evaluate(g, pts)
-        w = (1.0 + pts**2) ** r
-        total += (hi - lo) / 2 * float(np.sum(ws * w * np.abs(vals) ** 2))
-    return math.sqrt(total)
+    x, w = panel_nodes(np.array([[-R, R]]), 0.5, 64)
+    return math.sqrt(float(np.sum(w * (1.0 + x**2) ** r * np.abs(evaluate(g, x)) ** 2)))

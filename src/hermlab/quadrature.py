@@ -1,10 +1,14 @@
-"""Gauss-Legendre rules shared by the panel quadratures of the package."""
+"""Gauss-Legendre rules and the one composite Gauss-panel rule of the package.
+
+panel_nodes serves spectral's Gram assembly, geometry's intersection
+measures and bernstein's weighted norms.
+"""
 
 from functools import cache
 
 import numpy as np
 
-__all__ = ["gauss_legendre"]
+__all__ = ["gauss_legendre", "panel_nodes"]
 
 
 @cache
@@ -13,4 +17,25 @@ def gauss_legendre(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
+    return x, w
+
+
+def panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
+    """Composite Gauss-Legendre nodes/weights over an interval union.
+
+    Each interval [a, b] is cut into k = max(ceil((b - a) / panel_len), 1)
+    equal panels with edges j * ((b - a) / k) + a and the last edge pinned
+    to b, the edges np.linspace(a, b, k + 1) gives.
+    """
+    base_x, base_w = gauss_legendre(order)
+    iv = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    a, b = iv[:, 0], iv[:, 1]
+    k = np.maximum(np.ceil((b - a) / panel_len).astype(np.int64), 1)
+    owner = np.repeat(np.arange(k.size), k)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(k) - k, k)
+    step = ((b - a) / k)[owner]
+    lo = (j * step + a[owner])[:, None]
+    hi = np.where(j + 1 == k[owner], b[owner], (j + 1) * step + a[owner])[:, None]
+    x = ((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel()
+    w = ((hi - lo) / 2 * base_w[None, :]).ravel()
     return x, w

@@ -26,9 +26,11 @@ that share one slice of omega are pooled, and each distinct slice adds one
 separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
 rule, with one Hermite table per axis over both rules' nodes. Sets with
 piecewise slices (boxes, periodic patterns) are sliced once per piece
-between first-axis breakpoints; ball unions once per x-node. A Cholesky of
-G + 1e-10 I gates the 2-D Gram as PSD, and lambda_min is the bottom
-eigenvalue of a dense symmetric eigensolve.
+between first-axis breakpoints; ball unions once per x-node, with the
+returned x-rule on each piece's halves so that it differs from the check
+rule on every piece. Each block is the Hadamard product of two PSD
+matrices, so the 2-D Gram is PSD to rounding (Schur product theorem), and
+lambda_min is the bottom eigenvalue of a dense symmetric eigensolve.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -43,7 +45,7 @@ import numpy as np
 from . import indexing
 from .geometry import ControlSet, QuadratureError, slice_pieces
 from .kernels import hermite_function_table
-from .quadrature import gauss_legendre
+from .quadrature import panel_nodes
 
 __all__ = [
     "DegenerateRestrictionError",
@@ -57,6 +59,7 @@ __all__ = [
 ]
 
 _MAX_DEGREE_2D = 24
+_ORDER = 16  # Gauss nodes per panel, in both rules
 
 
 class DegenerateRestrictionError(RuntimeError):
@@ -101,28 +104,7 @@ def _panel_length(degree: int) -> float:
     return min(1.0, 12.0 / math.sqrt(2.0 * degree + 1.0)) / 2.0
 
 
-def _panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
-    """Composite Gauss-Legendre nodes/weights over an interval union.
-
-    Each interval [a, b] is cut into k = max(ceil((b - a) / panel_len), 1)
-    equal panels with edges j * ((b - a) / k) + a and the last edge pinned
-    to b, the edges np.linspace(a, b, k + 1) gives.
-    """
-    base_x, base_w = gauss_legendre(order)
-    iv = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
-    a, b = iv[:, 0], iv[:, 1]
-    k = np.maximum(np.ceil((b - a) / panel_len).astype(np.int64), 1)
-    owner = np.repeat(np.arange(k.size), k)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(k) - k, k)
-    step = ((b - a) / k)[owner]
-    lo = (j * step + a[owner])[:, None]
-    hi = np.where(j + 1 == k[owner], b[owner], (j + 1) * step + a[owner])[:, None]
-    x = ((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel()
-    w = ((hi - lo) / 2 * base_w[None, :]).ravel()
-    return x, w
-
-
-def _gram_1d(omega: ControlSet, degree: int, panel_len: float, order: int):
+def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     """(G, G_check, R, node count) of a 1-D set on panels of panel_len and 2 * panel_len.
 
     h_k(-x) = (-1)^k h_k(x), so on a set equal to its mirror image every
@@ -141,8 +123,8 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float, order: int):
         classes, weight = (slice(0, None, 2), slice(1, None, 2)), 2.0
     else:
         classes, weight = (slice(None),), 1.0
-    x_check, w_check = _panel_nodes(iv, 2.0 * panel_len, order)
-    x, w = _panel_nodes(iv, panel_len, order)
+    x_check, w_check = panel_nodes(iv, 2.0 * panel_len, _ORDER)
+    x, w = panel_nodes(iv, panel_len, _ORDER)
     table = hermite_function_table(degree, np.concatenate([x_check, x]))
     table *= np.sqrt(weight * np.concatenate([w_check, w]))
     n = x_check.size
@@ -176,7 +158,7 @@ def _triangle(B: np.ndarray) -> np.ndarray:
     return R
 
 
-def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int):
+def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
     """(G, G_check, node count): one separable block per distinct slice and rule.
 
     The x-pieces between omega's first-axis breakpoints are pooled by their
@@ -184,6 +166,7 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int):
     each). Each distinct non-empty slice adds Px[a1, a1] * My[a2, a2] of its
     x- and y-pairings to G, on panels of panel_len, and to G_check, on panels
     of 2 * panel_len, with one Hermite table per axis over both rules' nodes.
+    Without piecewise slices G's x-rule runs on each piece's halves.
     """
     R = truncation_radius(degree)
     alphas = indexing.multi_indices(2, degree)
@@ -197,16 +180,16 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int):
         for a, b, sub in pieces:
             iv = sub.intervals_1d(-R, R)
             spans.setdefault(iv.tobytes(), (iv, []))[1].append((a, b))
-        groups = [(iv, [_panel_nodes(np.array(ab), L, order) for L in lens]) for iv, ab in spans.values()]
+        groups = [(iv, [panel_nodes(np.array(ab), L, _ORDER) for L in lens]) for iv, ab in spans.values()]
     else:
-        groups = _node_slices(omega, pieces, lens, order, R)
+        groups = _node_slices(omega, pieces, panel_len, R)
     m = alphas.shape[0]
     G = (np.zeros((m, m)), np.zeros((m, m)))
     nodes = 0
     for iv, xs in groups:
         if iv.shape[0] == 0:
             continue
-        ys = [_panel_nodes(iv, L, order) for L in lens]
+        ys = [panel_nodes(iv, L, _ORDER) for L in lens]
         for g, px, my in zip(G, _pairings(degree, xs), _pairings(degree, ys)):
             block = px[ix1]
             block *= my[ix2]
@@ -215,15 +198,21 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float, order: int):
     return G[0], G[1], nodes
 
 
-def _node_slices(omega: ControlSet, pieces: list, lens: tuple, order: int, R: float) -> list:
-    """[(slice intervals, [(x, w) per rule])], pooling each rule's x-nodes by their own slice."""
+def _node_slices(omega: ControlSet, pieces: list, panel_len: float, R: float) -> list:
+    """[(slice intervals, [(x, w) per rule])], pooling each rule's x-nodes by their own slice.
+
+    The slices vary inside a piece, so the returned rule runs on each
+    piece's halves: it differs from the check rule even on a piece shorter
+    than one panel.
+    """
     edges = np.array([(a, b) for a, b, _ in pieces]).reshape(-1, 2)
-    rules = [_panel_nodes(edges, L, order) for L in lens]
+    halves = np.insert(edges, 1, edges.mean(axis=1), axis=1)[:, [0, 1, 1, 2]].reshape(-1, 2)
+    rules = [panel_nodes(halves, panel_len, _ORDER), panel_nodes(edges, 2.0 * panel_len, _ORDER)]
     found = {}
     for r, (x, _) in enumerate(rules):
         for i, xi in enumerate(x):
             iv = omega.slice_first(float(xi)).intervals_1d(-R, R)
-            found.setdefault(iv.tobytes(), (iv, [[] for _ in lens]))[1][r].append(i)
+            found.setdefault(iv.tobytes(), (iv, [[], []]))[1][r].append(i)
     return [(iv, [(x[i], w[i]) for (x, w), i in zip(rules, idx)]) for iv, idx in found.values()]
 
 
@@ -240,35 +229,17 @@ def _pairings(degree: int, parts: list) -> list:
     return out
 
 
-def _check_psd(G: np.ndarray) -> None:
-    """Raise QuadratureError unless min eig(G) >= -1e-10, tested by a Cholesky of G + 1e-10 I.
-
-    The two tests agree to within the m * eps * ||G|| rounding both carry.
-    eigvalsh runs only when the Cholesky fails, to decide and to quote the
-    eigenvalue.
-    """
-    shifted = G.copy()
-    shifted.flat[:: G.shape[0] + 1] += 1e-10
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        floor = float(np.min(np.linalg.eigvalsh(G)))
-        if floor < -1e-10:
-            raise QuadratureError(f"Gram matrix not PSD: min eigenvalue {floor:.3e}") from None
-
-
 def gram_matrix(
     omega: ControlSet,
     degree: int,
-    order: int = 16,
     fail_tol: float = 1e-7,
 ) -> GramMatrix:
     """Assemble the pairing matrix of the degree-N span over omega.
 
     The quadrature domain is truncated where the span's Gaussian envelope
-    drops below 1e-14. Two rules of Gauss panels with order nodes each are
-    assembled: the returned one, with panels of length
-    L = min(0.5, 6 / sqrt(2N + 1)), and a check rule with panels of 2L.
+    drops below 1e-14. Two rules of 16-node Gauss panels are assembled:
+    the returned one, with panels of length L = min(0.5, 6 / sqrt(2N + 1)),
+    and a check rule with panels of 2L.
     Their entrywise difference is reported as quad_tol; it reads at most
     1.1e-13 on the benchmark sets, while the returned entries are within
     4e-15 of an order-20 rule on panels of L/4.
@@ -281,9 +252,9 @@ def gram_matrix(
     pairing degrees of opposite parity is exactly zero and nodes counts each
     half-line node twice. Each 1-D call makes one Hermite table, over the
     nodes of both rules. In 2-D both rules come from one pass that adds one
-    separable block per distinct slice, and a Cholesky of G + 1e-10 I
-    checks that G is PSD (min eigenvalue >= -1e-10), raising
-    QuadratureError when it is not.
+    separable block per distinct slice; on a set without piecewise slices
+    the returned x-rule runs on each first-axis piece's halves, so it never
+    coincides with the check rule.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -294,18 +265,15 @@ def gram_matrix(
     panel_len = _panel_length(degree)
 
     if omega.dim == 1:
-        G, G_check, R, nodes = _gram_1d(omega, degree, panel_len, order)
+        G, G_check, R, nodes = _gram_1d(omega, degree, panel_len)
     else:
-        G, G_check, nodes = _gram_2d(omega, degree, panel_len, order)
+        G, G_check, nodes = _gram_2d(omega, degree, panel_len)
         R = None
     quad_tol = float(np.max(np.abs(G - G_check)))
     if quad_tol > fail_tol:
         raise QuadratureError(f"Gram quadrature unstable: refinement moved entries by {quad_tol:.3e}")
 
-    if R is None:
-        # a 1-D R^T R is PSD to within m * eps * ||G||, far inside the gate's threshold
-        _check_psd(G)
-    else:
+    if R is not None:
         R.setflags(write=False)
     G.setflags(write=False)
     return GramMatrix(

@@ -119,7 +119,7 @@ def test_weight_seminorm_fractional_consistent(rng):
     f = random_expansion(rng, dim=1, degree=5)
     exact = weight_seminorm(f, 1)
     quad = weight_seminorm(f, 1.0 + 1e-12)
-    assert quad == pytest.approx(exact, rel=1e-5)
+    assert quad == pytest.approx(exact, rel=1e-10)
 
 
 def test_weight_seminorm_monotone_in_order(rng):

@@ -108,13 +108,13 @@ def test_quarter_plane_quarters_the_disc():
 
 def test_ball_in_full_space_3d():
     val = intersection_measure(FullSpace(3), np.zeros(3), 1.1)
-    assert val == pytest.approx(4.0 / 3.0 * math.pi * 1.1**3, rel=1e-8)
+    assert val == pytest.approx(4.0 / 3.0 * math.pi * 1.1**3, rel=1e-12)
 
 
 def test_half_space_halves_the_ball_3d():
     omega = BoxUnion(3, np.array([[[0.0, 9.0], [-9.0, 9.0], [-9.0, 9.0]]]))
     val = intersection_measure(omega, np.zeros(3), 1.0, rel_tol=1e-9)
-    assert val == pytest.approx(2.0 / 3.0 * math.pi, rel=1e-8)
+    assert val == pytest.approx(2.0 / 3.0 * math.pi, rel=1e-12)
 
 
 # -- exact 2-D measures against quadrature of the column length -----------------
@@ -219,7 +219,8 @@ def test_ball_slab_measure_meets_rel_tol_3d(z, r, rel_tol):
     omega = BoxUnion(3, np.array([[(-math.inf, math.inf)] * 2 + [s] for s in slabs]))
     exact = sum(_cap_volume(r, b - z) - _cap_volume(r, a - z) for a, b in slabs)
     val = intersection_measure(omega, np.array([1.3, -2.7, z]), r, rel_tol)
-    assert abs(val - exact) <= rel_tol * 4.0 / 3.0 * math.pi * r**3
+    # exact to rounding: each panel's integrand is smooth up to its ends
+    assert abs(val - exact) <= 1e-12 * 4.0 / 3.0 * math.pi * r**3
 
 
 @pytest.mark.parametrize("rel_tol", [1e-5, 1e-6])
@@ -230,7 +231,7 @@ def test_slabs_across_first_axis_meet_rel_tol_3d(rel_tol):
     for x, r in ((0.1, 1.0), (-1.2, 2.3), (2.5, 0.4)):
         exact = sum(_cap_volume(r, b - x) - _cap_volume(r, a - x) for a, b in slabs)
         val = intersection_measure(omega, np.array([x, 0.4, -7.0]), r, rel_tol)
-        assert abs(val - exact) <= rel_tol * 4.0 / 3.0 * math.pi * r**3
+        assert abs(val - exact) <= 1e-12 * 4.0 / 3.0 * math.pi * r**3
 
 
 def _lens_area(r1, r2, d):
@@ -246,8 +247,8 @@ def _lens_area(r1, r2, d):
 
 def test_ball_union_measure_uses_quadrature_2d(monkeypatch):
     calls = []
-    rule = geometry._panel_midpoint
-    monkeypatch.setattr(geometry, "_panel_midpoint", lambda *a, **k: calls.append(1) or rule(*a, **k))
+    rule = geometry._panel_halving
+    monkeypatch.setattr(geometry, "_panel_halving", lambda *a, **k: calls.append(1) or rule(*a, **k))
     centers = np.array([[0.0, 0.0], [3.0, 1.0]])
     radii = np.array([1.5, 1.0])
     center, r = np.array([1.4, 0.3]), 1.6
@@ -255,6 +256,25 @@ def test_ball_union_measure_uses_quadrature_2d(monkeypatch):
     val = intersection_measure(BallUnion(2, centers, radii), center, r, rel_tol=1e-6)
     assert calls
     assert abs(val - exact) <= 1e-6 * math.pi * r * r
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the slice measure of a ball union kinks inside panels, so panel halving stops early",
+)
+def test_ball_union_measures_meet_rel_tol_2d():
+    centers = np.array([[0.0, 0.0], [3.0, 1.0]])
+    radii = np.array([1.5, 1.0])
+    omega = BallUnion(2, centers, radii)
+    rng = np.random.default_rng(3)
+    disks = [(rng.uniform([-1.5, -1.5], [4.5, 2.5]), float(rng.uniform(0.3, 2.0))) for _ in range(20)]
+    worst = 0.0
+    for rel_tol in (1e-5, 1e-6):
+        for center, r in disks:
+            exact = sum(_lens_area(r, rk, float(np.linalg.norm(center - ck))) for ck, rk in zip(centers, radii))
+            val = intersection_measure(omega, center, r, rel_tol)
+            worst = max(worst, abs(val - exact) / (rel_tol * math.pi * r * r))
+    assert worst <= 1.0
 
 
 @settings(deadline=None, max_examples=30)

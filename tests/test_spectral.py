@@ -6,14 +6,12 @@ from scipy.special import erf
 
 from hermlab import geometry, indexing, spectral
 from hermlab.kernels import hermite_function_table
-from hermlab.quadrature import gauss_legendre
+from hermlab.quadrature import gauss_legendre, panel_nodes
 from hermlab.spectral import (
     DegenerateRestrictionError,
     GramMatrix,
-    _check_psd,
     _gram_2d,
     _panel_length,
-    _panel_nodes,
     gram_matrix,
     growth_fit,
     spectral_constant,
@@ -95,7 +93,7 @@ def _tall_factor(omega, N, panel_len=None, order=16):
     R = truncation_radius(N)
     if panel_len is None:
         panel_len = _panel_length(N)
-    x, w = _panel_nodes(omega.intervals_1d(-R, R), panel_len, order)
+    x, w = panel_nodes(omega.intervals_1d(-R, R), panel_len, order)
     return (hermite_function_table(N, x) * np.sqrt(w)).T
 
 
@@ -138,7 +136,7 @@ def test_entries_match_finer_independent_rule(omega, N):
     if omega is GRADED_1D:
         # the mirror-symmetric set is integrated on x >= 0, each node counted twice
         half = _half_line(omega.intervals_1d(-truncation_radius(N), truncation_radius(N)))
-        assert G.nodes == 2 * _panel_nodes(half, _panel_length(N), 16)[0].size
+        assert G.nodes == 2 * panel_nodes(half, _panel_length(N), 16)[0].size
     else:
         assert G.nodes == _tall_factor(omega, N).shape[0]
 
@@ -253,7 +251,7 @@ def test_panel_nodes_match_linspace_panels():
         cases.append(np.sort(rng.uniform(-40.0, 40.0, 2 * n)).reshape(-1, 2))
     for iv in cases:
         for panel_len in (0.5, 6.0 / math.sqrt(401.0), 3.0 / math.sqrt(801.0), rng.uniform(0.01, 2.0)):
-            x, w = _panel_nodes(iv, panel_len, 16)
+            x, w = panel_nodes(iv, panel_len, 16)
             x_ref, w_ref = _panel_nodes_by_interval(iv, panel_len, 16)
             assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
 
@@ -270,7 +268,7 @@ def test_two_dim_full_space_gram():
     assert np.max(np.abs(G.entries - np.eye(G.size))) <= 1e-8
     # one slice: every x-node pairs with every y-node
     R = truncation_radius(6)
-    assert G.nodes == _panel_nodes(np.array([[-R, R]]), _panel_length(6), 16)[0].size ** 2
+    assert G.nodes == panel_nodes(np.array([[-R, R]]), _panel_length(6), 16)[0].size ** 2
 
 
 def test_quadrature_tolerance_reported():
@@ -313,14 +311,19 @@ def test_periodic_2d_lambda_min_is_bottom_and_constant_rises():
     assert all(b >= a for a, b in zip(constants, constants[1:]))
 
 
-def _per_run_gram_2d(omega, degree, panel_len, order):
-    """Reference 2-D assembly: one block per run of consecutive x-nodes sharing a slice."""
+def _per_run_gram_2d(omega, degree, panel_len, order, halves=False):
+    """Reference 2-D assembly: one block per run of consecutive x-nodes sharing a slice.
+
+    With halves the x-rule runs on each first-axis piece's two halves.
+    """
     R = truncation_radius(degree)
     alphas = indexing.multi_indices(2, degree)
     a1 = alphas[:, 0]
     a2 = alphas[:, 1]
     pieces = [(a, b, sub) for a, b, sub in geometry.slice_pieces(omega, -R, R) if b - a > 1e-14]
-    parts = [_panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
+    if halves:
+        pieces = [p for a, b, sub in pieces for p in ((a, (a + b) / 2.0, sub), ((a + b) / 2.0, b, sub))]
+    parts = [panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
     x = np.concatenate([p[0] for p in parts])
     wx = np.concatenate([p[1] for p in parts])
     if omega.piecewise_slices:
@@ -342,7 +345,7 @@ def _per_run_gram_2d(omega, degree, panel_len, order):
     G = np.zeros((alphas.shape[0],) * 2)
     nodes = 0
     for start, stop, iv in runs:
-        y, wy = _panel_nodes(iv, panel_len, order)
+        y, wy = panel_nodes(iv, panel_len, order)
         if y.size == 0:
             continue
         By = hermite_function_table(degree, y) * np.sqrt(wy)
@@ -381,8 +384,9 @@ GROUPED_CASES = (
 @pytest.mark.parametrize("omega, N", GROUPED_CASES)
 def test_grouped_2d_assembly_matches_per_run_reference(omega, N):
     L = _panel_length(N)
-    G, G_check, nodes = _gram_2d(omega, N, L, 16)
-    ref, ref_nodes = _per_run_gram_2d(omega, N, L, 16)
+    G, G_check, nodes = _gram_2d(omega, N, L)
+    # without piecewise slices the returned x-rule runs on each piece's halves
+    ref, ref_nodes = _per_run_gram_2d(omega, N, L, 16, halves=not omega.piecewise_slices)
     ref_check, _ = _per_run_gram_2d(omega, N, 2.0 * L, 16)
     assert nodes == ref_nodes
     assert np.max(np.abs(G - ref)) <= 1e-15
@@ -394,6 +398,14 @@ def test_grouped_2d_assembly_matches_per_run_reference(omega, N):
     if isinstance(omega, geometry.BoxUnion) and len(set(kept)) == len(kept):
         # every non-empty slice is one run, so both sums run in the same order
         assert np.array_equal(G, ref) and np.array_equal(G_check, ref_check)
+
+
+@pytest.mark.parametrize("omega, N", GROUPED_CASES)
+def test_2d_gram_is_psd_to_rounding(omega, N):
+    # each slice block is the Hadamard product of two PSD pairings (Schur product theorem)
+    for G in _gram_2d(omega, N, _panel_length(N))[:2]:
+        w = np.linalg.eigvalsh(G)
+        assert w[0] >= -G.shape[0] * EPS * w[-1]
 
 
 @pytest.mark.parametrize("omega, slices", [(PERIODIC_2D, 1), (BOXES_2D, 2), (geometry.FullSpace(2), 1)])
@@ -416,30 +428,17 @@ def test_one_assembly_and_two_tables_per_distinct_slice(omega, slices, monkeypat
     assert len(tables) == 2 * slices
 
 
-def _planted_symmetric(bottom, m=40, seed=5):
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
-    A = (Q * np.concatenate([[bottom], np.linspace(0.01, 1.0, m - 1)])) @ Q.T
-    return (A + A.T) / 2.0
-
-
-def test_psd_gate_raises_below_threshold_and_quotes_eigvalsh():
-    A = _planted_symmetric(-2e-10)
-    floor = float(np.min(np.linalg.eigvalsh(A)))
-    assert floor == pytest.approx(-2e-10, rel=1e-3)
-    with pytest.raises(geometry.QuadratureError, match=f"min eigenvalue {floor:.3e}"):
-        _check_psd(A)
-
-
-def test_psd_gate_passes_just_inside_threshold():
-    A = _planted_symmetric(-5e-11)
-    assert np.min(np.linalg.eigvalsh(A)) < 0.0
-    _check_psd(A)
-
-
 def test_two_dim_ball_union_fails_refinement():
     omega = geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [1.5, 1.0])
     with pytest.raises(geometry.QuadratureError, match="refinement moved entries"):
         gram_matrix(omega, 2)
+
+
+def test_small_ball_union_check_rule_differs_from_returned_rule():
+    # each first-axis piece that meets a ball is shorter than a panel, yet its slices vary
+    omega = geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [0.2, 0.1])
+    with pytest.raises(geometry.QuadratureError, match="refinement moved entries"):
+        gram_matrix(omega, 6)
 
 
 def test_growth_fit_recovers_exponential_law():
