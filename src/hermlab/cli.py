@@ -554,7 +554,11 @@ def _run_control(p, ws, rng):
     problem = control.ControlProblem(
         T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p.get("delta", 0.0)
     )
+    t0 = time.perf_counter()
     signal, trace = control.lebeau_robbiano_synthesize(problem, tol=p.get("tol", 1e-6))
+    ws.timings["synthesis_s"] = time.perf_counter() - t0
+    levels = [st["level"] for st in trace["stages"]]
+    ws.counters.update(stages=len(levels), max_level=max(levels, default=0))
     ws.write_json("trace.json", trace)
     rows = [
         (i, st["interval"][0], st["interval"][1], st["level"], st["cost"], st["residual"])

@@ -29,8 +29,10 @@ piecewise slices (boxes, periodic patterns) are sliced once per piece
 between first-axis breakpoints; ball unions once per x-node, with the
 returned x-rule on each piece's halves so that it differs from the check
 rule on every piece. Each block is the Hadamard product of two PSD
-matrices, so the 2-D Gram is PSD to rounding (Schur product theorem), and
-lambda_min is the bottom eigenvalue of a dense symmetric eigensolve.
+matrices, so the 2-D Gram is PSD to rounding (Schur product theorem). Its
+lambda_min is the bottom eigenvalue of the tridiagonal matrix left by one
+Householder reduction, found by bisection with the top one, and the bottom
+vector comes from inverse iteration mapped back through the reflectors.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -169,9 +171,7 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
     Without piecewise slices G's x-rule runs on each piece's halves.
     """
     R = truncation_radius(degree)
-    alphas = indexing.multi_indices(2, degree)
-    ix1 = np.ix_(alphas[:, 0], alphas[:, 0])
-    ix2 = np.ix_(alphas[:, 1], alphas[:, 1])
+    a1, a2 = indexing.multi_indices(2, degree).T
     lens = (panel_len, 2.0 * panel_len)
     pieces = [(a, b, sub) for a, b, sub in slice_pieces(omega, -R, R) if b - a > 1e-14]
     if omega.piecewise_slices:
@@ -183,7 +183,7 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
         groups = [(iv, [panel_nodes(np.array(ab), L, _ORDER) for L in lens]) for iv, ab in spans.values()]
     else:
         groups = _node_slices(omega, pieces, panel_len, R)
-    m = alphas.shape[0]
+    m = a1.size
     G = (np.zeros((m, m)), np.zeros((m, m)))
     nodes = 0
     for iv, xs in groups:
@@ -191,8 +191,8 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
             continue
         ys = [panel_nodes(iv, L, _ORDER) for L in lens]
         for g, px, my in zip(G, _pairings(degree, xs), _pairings(degree, ys)):
-            block = px[ix1]
-            block *= my[ix2]
+            block = px[a1][:, a1]
+            block *= my[a2][:, a2]
             g += block
         nodes += xs[0][0].size * ys[0][0].size
     return G[0], G[1], nodes
@@ -317,10 +317,13 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
     lambda_err = (s_min + m eps s_max)^2 - s_min^2, which for small s_min
     is far below machine epsilon times ||G||. A set with fewer nodes than the m
     basis functions leaves zero rows in R, whose singular values are zero.
-    Otherwise (2-D) lambda_min is the bottom eigenvalue of a dense symmetric
-    eigensolve of the entries, with the backward error lambda_err = m * eps
-    * lambda_top (method "dense-eigh"). floor is set when lambda_min <=
-    lambda_err.
+    Otherwise (2-D) the entries are reduced to a tridiagonal T = Q^T G Q by
+    one Householder reduction (LAPACK dsytrd); bisection finds T's bottom
+    and top eigenvalues to relative accuracy, inverse iteration T's bottom
+    vector, and the reflectors map it back to the extremizer (dormqr). Only
+    these two of the m eigenvalues are computed. The reduction's backward
+    error gives lambda_err = m * eps * lambda_top (method "dense-eigh").
+    floor is set when lambda_min <= lambda_err.
     """
     m = G.size
     eps = float(np.finfo(np.float64).eps)
@@ -345,8 +348,18 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         lam_err = (s_min + m * eps * s_max) ** 2 - s_min**2
         method = "factor-svd"
     else:
-        w, V = np.linalg.eigh(G.entries)
-        lam, vec, top = float(w[0]), V[:, 0], float(w[-1])
+        from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+        from scipy.linalg.lapack import dormqr, dsytrd, dsytrd_lwork
+
+        lwork, _ = dsytrd_lwork(m, lower=1)
+        qt, d, e, tau, _ = dsytrd(G.entries, lower=1, lwork=int(lwork))
+        tol = 2.0 * np.finfo(np.float64).tiny  # bisect to relative accuracy, not eps * ||T||
+        w, V = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=tol)
+        lam = float(w[0])
+        top = float(eigvalsh_tridiagonal(d, e, select="i", select_range=(m - 1, m - 1), tol=tol)[0])
+        if m > 1:
+            V[1:] = dormqr("L", "N", qt[1:, :-1], tau, V[1:], 1)[0]
+        vec = V[:, 0]
         lam_err = m * eps * top
         method = "dense-eigh"
     if lam <= 0.0:

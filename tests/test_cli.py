@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import os
@@ -390,6 +391,25 @@ def test_control_run_manifest_lists_trace(tmp_path):
     assert {"stages", "total_cost", "terminal_residual"} <= set(trace)
     for stage in trace["stages"]:
         assert {"interval", "level", "cost", "residual"} <= set(stage)
+
+
+def test_control_run_manifest_counts_stages_and_times_synthesis(tmp_path):
+    cfg = {
+        "kind": "control-run",
+        "seed": 4,
+        "parameters": {
+            "s": 1.0,
+            "N": 10,
+            "T": 1.0,
+            "omega": {"type": "periodic", "period": 2.0, "kept": 0.5},
+        },
+    }
+    manifest = run(cfg, out_override=str(tmp_path))
+    with open(tmp_path / "cost.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert manifest["counters"]["stages"] == len(rows) > 0
+    assert manifest["counters"]["max_level"] == max(int(r["level"]) for r in rows)
+    assert 0.0 <= manifest["timings"]["synthesis_s"] <= manifest["metrics"]["wall_time_s"]
 
 
 def test_load_config_round_trip(tmp_path):

@@ -408,6 +408,44 @@ def test_2d_gram_is_psd_to_rounding(omega, N):
         assert w[0] >= -G.shape[0] * EPS * w[-1]
 
 
+def _unchecked_gram_2d(omega, N):
+    """The 2-D Gram without the quadrature check, so the solve is tested on every set."""
+    entries, _, nodes = _gram_2d(omega, N, _panel_length(N))
+    return GramMatrix(N, 2, entries, None, 0.0, truncation_radius(N), nodes)
+
+
+@pytest.mark.parametrize("omega, N", GROUPED_CASES + [(PERIODIC_2D, 0)])
+def test_2d_solve_matches_eigvalsh_and_certifies_extremizer(omega, N):
+    G = _unchecked_gram_2d(omega, N)
+    w = np.linalg.eigvalsh(G.entries)
+    try:
+        res = spectral_constant(G)
+    except DegenerateRestrictionError:
+        # a raise is rounding noise at the floor, never a resolved eigenvalue
+        assert w[0] <= G.size * EPS * w[-1]
+        return
+    assert abs(res.lambda_min - w[0]) <= res.lambda_err
+    assert abs(res.condition * res.lambda_min - w[-1]) <= res.lambda_err
+    v = res.extremizer
+    assert v.shape == (G.size,)
+    assert abs(np.linalg.norm(v) - 1.0) <= G.size * EPS
+    assert abs(v @ G.entries @ v - res.lambda_min) <= res.lambda_err
+
+
+def test_2d_solve_makes_no_full_eigendecomposition(monkeypatch):
+    import scipy.linalg
+
+    G = gram_matrix(PERIODIC_2D, 12)
+
+    def full_eigensolve(*args, **kwargs):
+        raise AssertionError("the 2-D solve computed every eigenpair")
+
+    monkeypatch.setattr(np.linalg, "eigh", full_eigensolve)
+    monkeypatch.setattr(scipy.linalg, "eigh", full_eigensolve)
+    res = spectral_constant(G)
+    assert res.method == "dense-eigh" and res.lambda_min > res.lambda_err
+
+
 @pytest.mark.parametrize("omega, slices", [(PERIODIC_2D, 1), (BOXES_2D, 2), (geometry.FullSpace(2), 1)])
 def test_one_assembly_and_two_tables_per_distinct_slice(omega, slices, monkeypatch):
     tables = []
