@@ -46,8 +46,14 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     out[0] = p * row
     # |h_k| <= pi^{-1/4} (Cramer), so |p_k| can pass 2^512 only where x^2/2 > 512 ln 2
     far = np.flatnonzero(half > _RESCALE * _LN2_HI)
+    scratch = np.empty_like(x)
     for k in range(kmax):
-        p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1.0)) * p_prev, p
+        # p_{k+1} overwrites p_{k-1}: a x p_k + (-b p_{k-1}) rounds as a x p_k - b p_{k-1}
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=scratch)
+        scratch *= p
+        p_prev *= -math.sqrt(k / (k + 1.0))
+        p_prev += scratch
+        p, p_prev = p_prev, p
         big = far[np.abs(p[far]) > 2.0**_RESCALE] if far.size else far
         if big.size:
             p[big] = np.ldexp(p[big], -_RESCALE)

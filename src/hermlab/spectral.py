@@ -20,8 +20,10 @@ columns are integrated on x >= 0 with doubled weights and factored apart,
 and each half-size triangle sits on its own rows and columns of R. The
 nodes of both rules of a 1-D Gram go through one Hermite table. lambda_min
 is the square of the smallest singular value of R (equal to that of B),
-taken block by block when R splits by parity, which stays accurate far
-below the eps*||G|| floor of a direct eigensolve. In 2-D the x-pieces
+from the singular values of R alone, taken block by block when R splits
+by parity, which stays accurate far below the eps*||G|| floor of a direct
+eigensolve; the bottom vector comes from inverse iteration on R, two
+triangular solves per step. In 2-D the x-pieces
 that share one slice of omega are pooled, and each distinct slice adds one
 separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
 rule, with one Hermite table per axis over both rules' nodes. Sets with
@@ -128,15 +130,18 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     x_check, w_check = panel_nodes(iv, 2.0 * panel_len, _ORDER)
     x, w = panel_nodes(iv, panel_len, _ORDER)
     table = hermite_function_table(degree, np.concatenate([x_check, x]))
-    table *= np.sqrt(weight * np.concatenate([w_check, w]))
     n = x_check.size
+    check = table[:, :n]
+    check *= np.sqrt(weight * w_check)
+    sqrt_w = np.sqrt(weight * w)
     m = degree + 1
     G_check = np.zeros((m, m))
     F = np.zeros((m, m))
     for p in classes:
-        B = table[p, :n]
+        B = check[p]
         G_check[p, p] = B @ B.T
-        F[p, p] = _triangle(np.ascontiguousarray(table[p, n:]).T)
+        # the weighted product is the one contiguous block dgeqrt overwrites
+        F[p, p] = _triangle((table[p, n:] * sqrt_w).T)
     return F.T @ F, G_check, F, int(weight) * x.size
 
 
@@ -299,54 +304,89 @@ class SpectralResult:
     lambda_min: float
     extremizer: np.ndarray = field(repr=False)
     condition: float
-    method: str
     lambda_err: float
     floor: bool
+
+
+_MAX_STEPS = 100  # inverse-iteration steps before the bottom vector falls back to a full SVD
+
+
+def _bottom_vector(T: np.ndarray, lam: float, lam_err: float) -> np.ndarray:
+    """Unit x with | ||T x||^2 - lam | <= lam_err / 2, for the upper triangle T with s_min(T)^2 = lam > 0.
+
+    Inverse iteration x <- T^-1 T^-T x from the all-ones vector, two
+    triangular solves (LAPACK dtrtrs) per step, stops at the first certified
+    x. It converges like (s_min / s_next)^2 per step, so a bottom pair too
+    close for _MAX_STEPS steps, or a triangle with an exact zero on its
+    diagonal, takes the bottom right singular vector of a full SVD instead.
+    """
+    from scipy.linalg.lapack import dtrtrs
+
+    x = np.full(T.shape[0], T.shape[0] ** -0.5)
+    for _ in range(_MAX_STEPS):
+        y, info = dtrtrs(T, x, trans=1)
+        if info == 0:
+            x, info = dtrtrs(T, y)
+        if info != 0:
+            break
+        x /= np.linalg.norm(x)
+        Tx = T @ x
+        if abs(float(Tx @ Tx) - lam) <= lam_err / 2.0:
+            return x
+    return np.linalg.svd(T)[2][-1]
 
 
 def spectral_constant(G: GramMatrix) -> SpectralResult:
     """C_N(omega) = lambda_min(G)^{-1/2} with the extremal coefficient vector.
 
     When the triangular factor R is available (1-D), lambda_min is the
-    squared smallest singular value of R, from its SVD (method
-    "factor-svd"). When R's blocks between even and odd indices are exactly
-    zero, as gram_matrix leaves them on a mirror-symmetric set, the SVD runs
-    on the even and the odd diagonal block apart: s_min and s_max are taken
-    over both, and the extremizer is zero on the other parity. Each
-    singular value is then good to m * eps * s_max, so
-    lambda_err = (s_min + m eps s_max)^2 - s_min^2, which for small s_min
-    is far below machine epsilon times ||G||. A set with fewer nodes than the m
-    basis functions leaves zero rows in R, whose singular values are zero.
-    Otherwise (2-D) the entries are reduced to a tridiagonal T = Q^T G Q by
-    one Householder reduction (LAPACK dsytrd); bisection finds T's bottom
-    and top eigenvalues to relative accuracy, inverse iteration T's bottom
-    vector, and the reflectors map it back to the extremizer (dormqr). Only
-    these two of the m eigenvalues are computed. The reduction's backward
-    error gives lambda_err = m * eps * lambda_top (method "dense-eigh").
-    floor is set when lambda_min <= lambda_err.
+    squared smallest singular value of R, from R's singular values alone
+    (LAPACK dgesdd without vectors), and the extremizer is R's bottom right
+    singular vector by inverse iteration on R, stopped once
+    | ||R v||^2 - lambda_min | <= lambda_err / 2. When R's blocks between
+    even and odd indices are exactly zero, as gram_matrix leaves them on a
+    mirror-symmetric set, the singular values of the even and the odd
+    diagonal block are taken apart: s_min and s_max are taken over both, the
+    iteration runs on the block holding s_min, and the extremizer is zero on
+    the other parity. Each singular value is then good to m * eps * s_max,
+    so lambda_err = (s_min + m eps s_max)^2 - s_min^2, which for small s_min
+    is far below machine epsilon times ||G||. A set with fewer nodes than
+    the m basis functions leaves zero rows in R, whose singular values are
+    zero. Otherwise (2-D) the entries are reduced to a tridiagonal
+    T = Q^T G Q by one Householder reduction (LAPACK dsytrd); bisection finds
+    T's bottom and top eigenvalues to relative accuracy, inverse iteration
+    T's bottom vector, and the reflectors map it back to the extremizer
+    (dormqr). Only these two of the m eigenvalues are computed. The
+    reduction's backward error gives lambda_err = m * eps * lambda_top.
+    Raises DegenerateRestrictionError when lambda_min <= 0; floor is set
+    when lambda_min <= lambda_err.
     """
     m = G.size
     eps = float(np.finfo(np.float64).eps)
     if G.factor is not None:
+        from scipy.linalg.lapack import dgesdd
+
         F = G.factor
         if F[0::2, 1::2].any() or F[1::2, 0::2].any():
             classes = (slice(None),)
         else:
             classes = (slice(0, None, 2), slice(1, None, 2))
-        s_min, s_max, vec = math.inf, 0.0, None
+        s_min, s_max, bottom = math.inf, 0.0, None
         for p in classes:
             if F[p, p].size == 0:
                 continue
-            _, s, Vt = np.linalg.svd(F[p, p])
+            _, s, _, info = dgesdd(F[p, p], compute_uv=0)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dgesdd failed with info={info}")
             s_max = max(s_max, float(s[0]))
             if s[-1] < s_min:
-                s_min = float(s[-1])
-                vec = np.zeros(m)
-                vec[p] = Vt[-1]
+                s_min, bottom = float(s[-1]), p
         lam = s_min**2
         top = s_max**2
         lam_err = (s_min + m * eps * s_max) ** 2 - s_min**2
-        method = "factor-svd"
+        vec = np.zeros(m)
+        if lam > 0.0:
+            vec[bottom] = _bottom_vector(np.asfortranarray(F[bottom, bottom]), lam, lam_err)
     else:
         from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
         from scipy.linalg.lapack import dormqr, dsytrd, dsytrd_lwork
@@ -361,7 +401,6 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
             V[1:] = dormqr("L", "N", qt[1:, :-1], tau, V[1:], 1)[0]
         vec = V[:, 0]
         lam_err = m * eps * top
-        method = "dense-eigh"
     if lam <= 0.0:
         raise DegenerateRestrictionError(
             f"restriction form degenerate at quadrature resolution (lambda_min={lam:.3e})"
@@ -371,7 +410,6 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         lambda_min=lam,
         extremizer=vec,
         condition=top / lam,
-        method=method,
         lambda_err=lam_err,
         floor=lam <= lam_err,
     )

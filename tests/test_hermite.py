@@ -180,6 +180,35 @@ def test_high_degree_table_matches_mpmath(k):
             assert table[k, j] == pytest.approx(ref, rel=1e-12)
 
 
+def _table_with_temporaries(kmax, x):
+    """The Hermite table through the recurrence written with a fresh array per operation."""
+    out = np.empty((kmax + 1, x.size))
+    half = 0.5 * x * x
+    E = np.zeros(x.size, dtype=np.int64)
+    row = np.exp(-half)
+    p_prev = np.zeros_like(x)
+    p = np.full_like(x, np.pi**-0.25)
+    out[0] = p * row
+    far = np.flatnonzero(half > kernels._RESCALE * kernels._LN2_HI)
+    for k in range(kmax):
+        p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1.0)) * p_prev, p
+        big = far[np.abs(p[far]) > 2.0**kernels._RESCALE] if far.size else far
+        if big.size:
+            p[big] = np.ldexp(p[big], -kernels._RESCALE)
+            p_prev[big] = np.ldexp(p_prev[big], -kernels._RESCALE)
+            E[big] += kernels._RESCALE
+            row[big] = np.exp((E[big] * kernels._LN2_HI - half[big]) + E[big] * kernels._LN2_LO)
+        np.multiply(p, row, out=out[k + 1])
+    return out
+
+
+@pytest.mark.parametrize("kmax", [400, 1000])
+def test_in_place_recurrence_is_bitwise_equal(kmax):
+    # past |x| = 26.6 the rescaling runs; 1000 degrees rescale out to |x| = 60
+    x = np.linspace(-60.0, 60.0, 1201)
+    assert np.array_equal(kernels.hermite_function_table(kmax, x), _table_with_temporaries(kmax, x))
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=12), st.floats(min_value=-4, max_value=4))
 def test_pointwise_bound(k, x):

@@ -164,6 +164,70 @@ def test_parity_blocks_match_full_line_factor(N):
     assert abs(float(Rv @ Rv) / float(v @ v) - res.lambda_min) <= res.lambda_err
 
 
+def _forbid_full_svd(monkeypatch):
+    import scipy.linalg
+
+    def full_svd(*args, **kwargs):
+        raise AssertionError("the 1-D solve formed singular vectors")
+
+    monkeypatch.setattr(np.linalg, "svd", full_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", full_svd)
+
+
+def test_1d_solve_makes_no_full_svd(monkeypatch):
+    G = gram_matrix(GRADED_1D, 150)
+    _forbid_full_svd(monkeypatch)
+    res = spectral_constant(G)
+    assert res.lambda_min > res.lambda_err and not res.floor
+
+
+@pytest.mark.parametrize(
+    "omega, Ns",
+    [
+        (GRADED_1D, range(25, 401, 25)),
+        (PERIODIC_1D, (150, 200)),
+        (geometry.PeriodicPattern(1, 2.0, 0.5), (80,)),
+    ],
+)
+def test_inverse_iteration_certifies_extremizer(omega, Ns, monkeypatch):
+    # PeriodicPattern(1, 2, 0.5) at N = 80 takes the most steps of the measured sets
+    Gs = [gram_matrix(omega, N) for N in Ns]
+    _forbid_full_svd(monkeypatch)
+    for N, G in zip(Ns, Gs):
+        res = spectral_constant(G)
+        v = res.extremizer
+        Rv = np.asarray(G.factor) @ v
+        assert abs(float(Rv @ Rv) / float(v @ v) - res.lambda_min) <= res.lambda_err
+        # the periodic constants past N = 125 are rounding noise and stay flagged
+        assert res.floor == (omega is PERIODIC_1D)
+
+
+def test_near_degenerate_bottom_pair_falls_back_to_svd(monkeypatch):
+    # s_min^2 and the next squared singular value differ by 2e-6: far above lambda_err,
+    # and inverse iteration shrinks the second component by only (1 + 1e-6)^-2 per step
+    rng = np.random.default_rng(5)
+    m = 30
+    s = np.concatenate([[1.0, 1.0 + 1e-6], np.linspace(2.0, 5.0, m - 2)])
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    R = np.linalg.qr((U * s) @ V.T, mode="r")
+    G = GramMatrix(m - 1, 1, R.T @ R, R, 0.0, truncation_radius(m - 1), m)
+    full_svd = np.linalg.svd
+    calls = []
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return full_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    res = spectral_constant(G)
+    assert calls == [(m, m)]
+    assert abs(res.lambda_min - 1.0) <= res.lambda_err
+    v = res.extremizer
+    Rv = R @ v
+    assert abs(float(Rv @ Rv) / float(v @ v) - res.lambda_min) <= res.lambda_err
+
+
 def test_asymmetric_by_one_ulp_takes_general_path():
     boxes = GRADED_1D.boxes.copy()
     i = int(np.argmin(np.abs(boxes[:, 0, 0])))  # the cell that starts at the origin
@@ -443,7 +507,7 @@ def test_2d_solve_makes_no_full_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", full_eigensolve)
     monkeypatch.setattr(scipy.linalg, "eigh", full_eigensolve)
     res = spectral_constant(G)
-    assert res.method == "dense-eigh" and res.lambda_min > res.lambda_err
+    assert res.lambda_min > res.lambda_err
 
 
 @pytest.mark.parametrize("omega, slices", [(PERIODIC_2D, 1), (BOXES_2D, 2), (geometry.FullSpace(2), 1)])
