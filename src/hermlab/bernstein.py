@@ -24,6 +24,7 @@ from .hermite import (
     apply_position_derivative,
     evaluate,
 )
+from .indexing import _compositions
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -363,15 +364,6 @@ def harmonic_power_expand(k: int, dim: int) -> OperatorExpansion:
             terms[key] = terms.get(key, 0.0) + coef
     terms = {kk: v for kk, v in terms.items() if v != 0.0}
     return OperatorExpansion(k=k, dim=dim, terms=terms)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def iterated_oscillator_apply(f: HermiteExpansion, k: int) -> HermiteExpansion:

@@ -91,110 +91,39 @@ class ConfigError(ValueError):
         self.diagnostics = list(diagnostics)
 
 
-# -- validation ---------------------------------------------------------------
+# -- validation: the envelope, then the inputs built -------------------------
 
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_density(spec, field, out):
-    if not isinstance(spec, dict):
-        out.append(Diagnostic(field, "density spec must be an object"))
-        return
-    kind = spec.get("kind")
-    if kind == "constant":
-        if not _is_num(spec.get("m")) or spec.get("m") <= 0:
-            out.append(Diagnostic(field + ".m", "constant density needs m > 0"))
-    elif kind == "power":
-        if not _is_num(spec.get("R")) or spec.get("R") <= 0:
-            out.append(Diagnostic(field + ".R", "power density needs R > 0"))
-        eps = spec.get("eps")
-        if not _is_num(eps) or not 0 < eps <= 1:
-            out.append(Diagnostic(field + ".eps", "ε must lie in (0,1]"))
-    elif kind == "tabulated":
-        grid, values = spec.get("grid"), spec.get("values")
-        if not isinstance(grid, list) or not isinstance(values, list) or len(grid) != len(values) or len(grid) < 2:
-            out.append(Diagnostic(field, "tabulated density needs matching grid/values lists"))
-    else:
-        out.append(Diagnostic(field + ".kind", "density kind must be constant|power|tabulated"))
+def _is_int(x, minimum) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and (minimum is None or x >= minimum)
 
 
-def _check_omega(spec, field, out):
-    if not isinstance(spec, dict):
-        out.append(Diagnostic(field, "sensor set spec must be an object"))
-        return
-    t = spec.get("type")
-    if t == "full":
-        if not isinstance(spec.get("dim", 1), int) or spec.get("dim", 1) < 1:
-            out.append(Diagnostic(field + ".dim", "dim must be a positive integer"))
-    elif t == "intervals":
-        iv = spec.get("intervals")
-        if not isinstance(iv, list) or not iv or any(len(p) != 2 for p in iv):
-            out.append(Diagnostic(field + ".intervals", "need a non-empty list of [a, b] pairs"))
-    elif t == "periodic":
-        if not _is_num(spec.get("period")) or spec.get("period") <= 0:
-            out.append(Diagnostic(field + ".period", "period must be positive"))
-        kept = spec.get("kept")
-        if not _is_num(kept) or not 0 < kept <= 1:
-            out.append(Diagnostic(field + ".kept", "kept fraction must lie in (0, 1]"))
-    elif t == "boxes":
-        if not isinstance(spec.get("boxes"), list) or not spec.get("boxes"):
-            out.append(Diagnostic(field + ".boxes", "need a non-empty list of boxes"))
-    elif t == "balls":
-        c, r = spec.get("centers"), spec.get("radii")
-        if not isinstance(c, list) or not isinstance(r, list) or len(c) != len(r) or not c:
-            out.append(Diagnostic(field, "need matching centers/radii lists"))
-    elif t == "graded":
-        _check_density(spec.get("density"), field + ".density", out)
-        g = spec.get("gamma")
-        if not _is_num(g) or not 0 < g <= 1:
-            out.append(Diagnostic(field + ".gamma", "gamma must lie in (0, 1]"))
-        if not _is_num(spec.get("extent")) or spec.get("extent") <= 0:
-            out.append(Diagnostic(field + ".extent", "extent must be positive"))
-    else:
-        out.append(
-            Diagnostic(field + ".type", "type must be full|intervals|periodic|boxes|balls|graded")
-        )
+# Integer parameters per kind as (key, minimum, default); a None default marks
+# a required key, and a key ending in _values holds a non-empty list. The
+# range of a dim is left to the constructor that takes it.
+_INTEGERS = {
+    "spectral-scan": (("N_values", 0, None),),
+    "bernstein-check": (("N", 1, None), ("count", 1, None), ("max_order", 1, None), ("dim", 1, 1)),
+    "covering": (("dim", None, 1),),
+    "dissipation": (("k_values", 0, None), ("degree", 0, None), ("count", 1, 1), ("dim", None, 1)),
+    "control-run": (("N", 0, None), ("dim", None, 1)),
+    "singular-space": (),
+}
 
 
-def _check_s_delta(params, field, out, need_delta=False):
-    s = params.get("s")
-    if not _is_num(s):
-        out.append(Diagnostic(field + ".s", "s must be a number"))
-    elif s <= 0.5:
-        out.append(Diagnostic(field + ".s", "s must exceed 1/2"))
-    elif s > 1:
-        out.append(Diagnostic(field + ".s", "s must not exceed 1"))
-    if need_delta or "delta" in params:
-        d = params.get("delta", 0.0)
-        if not _is_num(d):
-            out.append(Diagnostic(field + ".delta", "delta must be a number"))
-        elif _is_num(s) and 0.5 < s <= 1 and not 0 <= d < 2 * s - 1:
-            out.append(Diagnostic(field + ".delta", "δ < 2s−1 required"))
-
-
-def _check_int_list(values, field, out, minimum=0):
-    if not isinstance(values, list) or not values:
-        out.append(Diagnostic(field, "need a non-empty list of integers"))
-        return False
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < minimum for v in values):
-        out.append(Diagnostic(field, f"entries must be integers >= {minimum}"))
-        return False
-    return True
-
-
-def validate(config) -> list:
-    """Total schema check; returns a list of Diagnostic, empty iff runnable."""
-    out = []
+def _check_envelope(config) -> list:
+    """The rules no library code owns: the config's shape and its integers."""
     if not isinstance(config, dict):
         return [Diagnostic("$", "config must be a JSON object")]
     kind = config.get("kind")
     if kind not in KINDS:
-        out.append(Diagnostic("kind", "kind must be one of " + "|".join(KINDS)))
-        return out
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        return [Diagnostic("kind", "kind must be one of " + "|".join(KINDS))]
+    out = []
+    if not _is_int(config.get("seed", 0), 0):
         out.append(Diagnostic("seed", "seed must be a non-negative integer"))
     if "output_dir" in config and not isinstance(config["output_dir"], str):
         out.append(Diagnostic("output_dir", "output_dir must be a path string"))
@@ -218,79 +147,95 @@ def validate(config) -> list:
     if not isinstance(p, dict):
         out.append(Diagnostic("parameters", "parameters object required"))
         return out
-    pf = "parameters"
-
-    for tol_key in ("tol", "rel_tol"):
-        if tol_key in p and (not _is_num(p[tol_key]) or p[tol_key] <= 0):
-            out.append(Diagnostic(f"{pf}.{tol_key}", "tolerances must be positive"))
-
-    if kind == "spectral-scan":
-        _check_int_list(p.get("N_values"), pf + ".N_values", out)
-        _check_omega(p.get("omega"), pf + ".omega", out)
-        if "epsilon" in p:
-            e = p["epsilon"]
-            if not _is_num(e) or not 0 < e <= 1:
-                out.append(Diagnostic(pf + ".epsilon", "ε must lie in (0,1]"))
-    elif kind == "bernstein-check":
-        for key in ("N", "count", "max_order"):
-            v = p.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                out.append(Diagnostic(f"{pf}.{key}", f"{key} must be a positive integer"))
-        if not isinstance(p.get("dim", 1), int) or p.get("dim", 1) < 1:
-            out.append(Diagnostic(pf + ".dim", "dim must be a positive integer"))
-    elif kind == "covering":
-        _check_density(p.get("density"), pf + ".density", out)
-        if not _is_num(p.get("extent")) or p.get("extent") <= 0:
-            out.append(Diagnostic(pf + ".extent", "extent must be positive"))
-        if not isinstance(p.get("dim", 1), int) or not 1 <= p.get("dim", 1) <= 3:
-            out.append(Diagnostic(pf + ".dim", "dim must be 1, 2, or 3"))
-    elif kind == "dissipation":
-        _check_s_delta(p, pf, out)
-        _check_int_list(p.get("k_values"), pf + ".k_values", out)
-        tv = p.get("t_values")
-        if not isinstance(tv, list) or not tv or any(not _is_num(t) or t <= 0 for t in tv):
-            out.append(Diagnostic(pf + ".t_values", "need a non-empty list of positive times"))
-        if not isinstance(p.get("degree"), int) or p.get("degree") < 0:
-            out.append(Diagnostic(pf + ".degree", "degree must be a non-negative integer"))
-        if not isinstance(p.get("count", 1), int) or p.get("count", 1) < 1:
-            out.append(Diagnostic(pf + ".count", "count must be a positive integer"))
-    elif kind == "control-run":
-        _check_s_delta(p, pf, out, need_delta=True)
-        _check_omega(p.get("omega"), pf + ".omega", out)
-        if not isinstance(p.get("N"), int) or p.get("N") < 0:
-            out.append(Diagnostic(pf + ".N", "N must be a non-negative integer"))
-        if not _is_num(p.get("T")) or p.get("T") <= 0:
-            out.append(Diagnostic(pf + ".T", "T must be positive"))
-        f0 = p.get("f0", {"type": "random"})
-        if not isinstance(f0, dict) or f0.get("type") not in ("random", "basis", "coeffs"):
-            out.append(Diagnostic(pf + ".f0.type", "f0 type must be random|basis|coeffs"))
-    elif kind == "singular-space":
-        names = p.get("names")
-        forms = p.get("forms")
-        if names is None and forms is None:
-            out.append(Diagnostic(pf, "need names (catalog keys) or forms (matrices)"))
-        if names is not None:
-            known = set(symbols.catalog())
-            if not isinstance(names, list) or not names:
-                out.append(Diagnostic(pf + ".names", "names must be a non-empty list"))
-            else:
-                for i, n in enumerate(names):
-                    if n not in known:
-                        out.append(
-                            Diagnostic(f"{pf}.names[{i}]", "unknown form; known: " + " ".join(sorted(known)))
-                        )
+    if "tol" in p and (not _is_num(p["tol"]) or p["tol"] <= 0):
+        out.append(Diagnostic("parameters.tol", "tol must be positive"))
+    for key, minimum, default in _INTEGERS[kind]:
+        v = p.get(key, default)
+        bound = "" if minimum is None else f" >= {minimum}"
+        if key.endswith("_values"):
+            if not isinstance(v, list) or not v or not all(_is_int(x, minimum) for x in v):
+                out.append(Diagnostic(f"parameters.{key}", f"need a non-empty list of integers{bound}"))
+        elif not _is_int(v, minimum):
+            out.append(Diagnostic(f"parameters.{key}", f"{key} must be an integer{bound}"))
+    if kind == "singular-space" and "names" not in p and "forms" not in p:
+        out.append(Diagnostic("parameters", "need names (catalog keys) or forms (matrices)"))
     return out
+
+
+def _prepare(config):
+    """Check a config and build its run's inputs with the library constructors.
+
+    Returns (diagnostics, inputs). After the envelope checks, each input is
+    built by the function its runner would call; its ValueError, or the
+    TypeError, KeyError or IndexError of a malformed spec, becomes one
+    Diagnostic addressed by the field being built. inputs holds the seeded
+    rng and the built objects, and is None unless diagnostics is empty.
+    """
+    out = _check_envelope(config)
+    if out:
+        return out, None
+    kind, p = config["kind"], config["parameters"]
+    rng = np.random.default_rng(config.get("seed", 0))
+    inputs = {"rng": rng}
+
+    def build(field, make):
+        try:
+            return make()
+        except KeyError as exc:
+            out.append(Diagnostic(field, f"key {exc} not found"))
+        except (ValueError, TypeError, IndexError) as exc:
+            out.append(Diagnostic(field, str(exc)))
+
+    if kind in ("dissipation", "control-run"):
+        spec = inputs["spec"] = build("parameters", lambda: EvolutionSpec(s=p["s"], dim=p.get("dim", 1)))
+    if kind == "spectral-scan":
+        inputs["omega"] = build("parameters.omega", lambda: _build_omega(p["omega"]))
+        if "epsilon" in p:  # growth_fit's own check runs only after the scan
+            build("parameters.epsilon", lambda: spectral._check_epsilon(p["epsilon"]))
+    elif kind == "covering":
+        inputs["rho"] = build("parameters.density", lambda: _build_density(p["density"]))
+        inputs["box"] = build(
+            "parameters.extent", lambda: [(-float(p["extent"]), float(p["extent"]))] * p.get("dim", 1)
+        )
+    elif kind == "dissipation":
+        inputs["t_values"] = build("parameters.t_values", lambda: [float(t) for t in p["t_values"]])
+    elif kind == "control-run":
+        omega = build("parameters.omega", lambda: _build_omega(p["omega"]))
+        if spec is not None:
+            f0 = build("parameters.f0", lambda: _build_f0(p.get("f0", {"type": "random"}), spec.dim, p["N"], rng))
+            # the delta rule on its own field; ControlProblem applies it again
+            build("parameters.delta", lambda: control.reference_blowup_exponent(spec.s, p.get("delta", 0.0)))
+        if not out:
+            inputs["problem"] = build(
+                "parameters",
+                lambda: control.ControlProblem(
+                    T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p.get("delta", 0.0)
+                ),
+            )
+    elif kind == "singular-space":
+        catalog = symbols.catalog()
+        inputs["named"] = build("parameters.names", lambda: [(n, catalog[n]) for n in p.get("names", [])])
+        inputs["forms"] = build("parameters.forms", lambda: [_build_form(Q) for Q in p.get("forms", [])])
+    return out, (None if out else inputs)
+
+
+def validate(config) -> list:
+    """Total check by building the run's inputs; returns Diagnostics, empty iff they all build."""
+    return _prepare(config)[0]
 
 
 # -- config -> objects --------------------------------------------------------
 
 
 def _build_density(spec) -> geometry.DensityFn:
-    if spec["kind"] == "constant":
+    kind = spec["kind"]
+    if kind == "constant":
         return geometry.DensityFn.constant(spec["m"])
-    if spec["kind"] == "power":
+    if kind == "power":
         return geometry.DensityFn.power(spec["R"], spec["eps"])
-    return geometry.DensityFn.tabulated(spec["grid"], spec["values"])
+    if kind == "tabulated":
+        return geometry.DensityFn.tabulated(spec["grid"], spec["values"])
+    raise ValueError("density kind must be constant|power|tabulated")
 
 
 def _build_omega(spec) -> geometry.ControlSet:
@@ -312,7 +257,25 @@ def _build_omega(spec) -> geometry.ControlSet:
         centers = np.asarray(spec["centers"], dtype=np.float64)
         centers = centers.reshape(centers.shape[0], -1)
         return geometry.BallUnion(centers.shape[1], centers, np.asarray(spec["radii"], dtype=np.float64))
-    return geometry.graded_cells(_build_density(spec["density"]), spec["gamma"], spec["extent"])
+    if t == "graded":
+        return geometry.graded_cells(_build_density(spec["density"]), spec["gamma"], spec["extent"])
+    raise ValueError("type must be full|intervals|periodic|boxes|balls|graded")
+
+
+def _build_f0(spec_f0, dim, N, rng) -> HermiteExpansion:
+    kind = spec_f0["type"]
+    if kind == "random":
+        return random_expansion(rng, dim=dim, degree=N)
+    if kind == "basis":
+        return basis_state(dim, N, tuple(spec_f0["alpha"]))
+    if kind == "coeffs":
+        return HermiteExpansion(dim, N, np.asarray(spec_f0["coeffs"], dtype=np.float64))
+    raise ValueError("f0 type must be random|basis|coeffs")
+
+
+def _build_form(rows) -> symbols.QuadraticForm:
+    Q = np.array([[complex(*c) if isinstance(c, list) else complex(c) for c in row] for row in rows])
+    return symbols.QuadraticForm(Q.shape[0] // 2, Q)
 
 
 def _omega_hash(omega: geometry.ControlSet) -> str:
@@ -422,8 +385,8 @@ def _gnuplot(csv_name, title, xlabel, ylabel, using, logy=False, extra=""):
 # -- per-kind runners ---------------------------------------------------------
 
 
-def _run_spectral_scan(p, ws, rng):
-    omega = _build_omega(p["omega"])
+def _run_spectral_scan(p, inputs, ws):
+    omega = inputs["omega"]
     ws.omega_hash = _omega_hash(omega)
     rows = []
     nodes = 0
@@ -462,14 +425,14 @@ def _run_spectral_scan(p, ws, rng):
     return metrics
 
 
-def _run_bernstein_check(p, ws, rng):
+def _run_bernstein_check(p, inputs, ws):
     dim, N = p.get("dim", 1), p["N"]
     pairs = bernstein._index_pairs(dim, p["max_order"])
     rows = []
     worst = 0.0
     violations = 0
     for i in range(p["count"]):
-        f = random_expansion(rng, dim=dim, degree=N)
+        f = random_expansion(inputs["rng"], dim=dim, degree=N)
         for a, b in pairs:
             chk = bernstein.crude_bernstein_check(f, a, b)
             worst = max(worst, chk.ratio)
@@ -484,12 +447,9 @@ def _run_bernstein_check(p, ws, rng):
     return {"violations": violations, "max_ratio": worst, "rows": len(rows)}
 
 
-def _run_covering(p, ws, rng):
-    rho = _build_density(p["density"])
+def _run_covering(p, inputs, ws):
     dim = p.get("dim", 1)
-    L = float(p["extent"])
-    box = [(-L, L)] * dim
-    cov = geometry.covering_generate(rho, box)
+    cov = geometry.covering_generate(inputs["rho"], inputs["box"])
     header = [f"x{i+1}" for i in range(dim)] + ["radius"]
     rows = [tuple(c) + (r,) for c, r in zip(cov.centers, cov.radii)]
     ws.write_csv("covering.csv", header, rows)
@@ -505,8 +465,8 @@ def _run_covering(p, ws, rng):
     }
 
 
-def _run_dissipation(p, ws, rng):
-    spec = EvolutionSpec(s=p["s"], dim=p.get("dim", 1))
+def _run_dissipation(p, inputs, ws):
+    spec, rng = inputs["spec"], inputs["rng"]
     degree = p["degree"]
     rows = []
     worst = 0.0
@@ -515,16 +475,16 @@ def _run_dissipation(p, ws, rng):
         if k + 1 <= degree:
             alpha = (k + 1,) + (0,) * (spec.dim - 1)
             pure = basis_state(spec.dim, degree, alpha)
-            for t in p["t_values"]:
-                rep = semigroup.dissipation_tail(pure, k=k, t=float(t), spec=spec)
+            for t in inputs["t_values"]:
+                rep = semigroup.dissipation_tail(pure, k=k, t=t, spec=spec)
                 sharp_gap = max(sharp_gap, abs(rep.tail_norm - rep.bound))
         for i in range(p.get("count", 1)):
             f = random_expansion(rng, dim=spec.dim, degree=degree)
-            for t in p["t_values"]:
-                rep = semigroup.dissipation_tail(f, k=k, t=float(t), spec=spec)
+            for t in inputs["t_values"]:
+                rep = semigroup.dissipation_tail(f, k=k, t=t, spec=spec)
                 ratio = rep.tail_norm / rep.bound if rep.bound > 0 else 0.0
                 worst = max(worst, ratio)
-                rows.append((k, float(t), i, rep.tail_norm, rep.bound, rep.weak_bound, ratio))
+                rows.append((k, t, i, rep.tail_norm, rep.bound, rep.weak_bound, ratio))
     ws.write_csv(
         "dissipation.csv",
         ["k", "t", "sample", "tail_norm", "bound", "weak_bound", "ratio"],
@@ -537,23 +497,9 @@ def _run_dissipation(p, ws, rng):
     return {"max_ratio": worst, "sharp_gap": sharp_gap, "rows": len(rows)}
 
 
-def _build_f0(spec_f0, dim, N, rng) -> HermiteExpansion:
-    kind = spec_f0.get("type", "random")
-    if kind == "random":
-        return random_expansion(rng, dim=dim, degree=N)
-    if kind == "basis":
-        return basis_state(dim, N, tuple(spec_f0["alpha"]))
-    return HermiteExpansion(dim, N, np.asarray(spec_f0["coeffs"], dtype=np.float64))
-
-
-def _run_control(p, ws, rng):
-    spec = EvolutionSpec(s=p["s"], dim=p.get("dim", 1))
-    omega = _build_omega(p["omega"])
-    ws.omega_hash = _omega_hash(omega)
-    f0 = _build_f0(p.get("f0", {"type": "random"}), spec.dim, p["N"], rng)
-    problem = control.ControlProblem(
-        T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p.get("delta", 0.0)
-    )
+def _run_control(p, inputs, ws):
+    problem = inputs["problem"]
+    ws.omega_hash = _omega_hash(problem.omega)
     t0 = time.perf_counter()
     signal, trace = control.lebeau_robbiano_synthesize(problem, tol=p.get("tol", 1e-6))
     ws.timings["synthesis_s"] = time.perf_counter() - t0
@@ -569,7 +515,7 @@ def _run_control(p, ws, rng):
         "cost.gp",
         _gnuplot("cost.csv", "stage control cost", "t_start", "cost", "2:5", logy=True),
     )
-    f0n = f0.norm()
+    f0n = problem.f0.norm()
     return {
         "total_cost": trace["total_cost"],
         "terminal_residual_rel": trace["terminal_residual"] / f0n if f0n else 0.0,
@@ -579,15 +525,9 @@ def _run_control(p, ws, rng):
     }
 
 
-def _run_singular_space(p, ws, rng):
+def _run_singular_space(p, inputs, ws):
     tol = p.get("tol", 1e-10)
-    cat = symbols.catalog()
-    todo = []
-    for name in p.get("names", []):
-        todo.append((name, cat[name]))
-    for i, m in enumerate(p.get("forms", [])):
-        Q = np.array([[complex(*c) if isinstance(c, list) else complex(c) for c in row] for row in m])
-        todo.append((f"form{i}", symbols.QuadraticForm(Q.shape[0] // 2, Q)))
+    todo = inputs["named"] + [(f"form{i}", q) for i, q in enumerate(inputs["forms"])]
     rows = []
     reports = {}
     for name, q in todo:
@@ -629,20 +569,19 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
     threads caps the BLAS/OpenMP pools; threads_applied records whether the
     cap took effect.
     """
-    diags = validate(config)
+    if seed_override is not None and isinstance(config, dict):
+        config = dict(config, seed=seed_override)
+    diags, inputs = _prepare(config)
     if diags:
         raise ConfigError(diags)
-    if seed_override is not None:
-        config = dict(config, seed=seed_override)
     outdir = out_override or config.get("output_dir") or "."
     os.makedirs(outdir, exist_ok=True)
     threads_applied = _apply_thread_cap(threads)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
     ws = _Workspace(outdir)
-    rng = np.random.default_rng(config.get("seed", 0))
     try:
-        metrics = _RUNNERS[config["kind"]](config["parameters"], ws, rng)
+        metrics = _RUNNERS[config["kind"]](config["parameters"], inputs, ws)
     except BaseException:
         ws.cleanup()
         raise
@@ -726,26 +665,25 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if config.get("kind") not in (None, args.kind):
-        print(
-            f"error: config kind {config.get('kind')!r} does not match subcommand {args.kind!r}",
-            file=sys.stderr,
-        )
-        return 2
-    config.setdefault("kind", args.kind)
-
-    diags = validate(config)
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
-        return 2
+    if isinstance(config, dict):
+        if config.get("kind") not in (None, args.kind):
+            print(
+                f"error: config kind {config.get('kind')!r} does not match subcommand {args.kind!r}",
+                file=sys.stderr,
+            )
+            return 2
+        config.setdefault("kind", args.kind)
 
     try:
         manifest = run(config, out_override=args.out, seed_override=args.seed, threads=args.threads)
+    except ConfigError as exc:
+        for d in exc.diagnostics:
+            print(f"error: {d}", file=sys.stderr)
+        return 2
     except (
+        ValueError,
         control.ControlError,
         geometry.CoverageError,
-        geometry.InvalidDensityError,
         geometry.QuadratureError,
         spectral.DegenerateRestrictionError,
     ) as exc:

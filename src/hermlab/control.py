@@ -81,8 +81,9 @@ class ControlProblem:
             raise ValueError("initial state dimension mismatch")
         if self.f0.degree > self.N:
             raise ValueError("initial state must lie in the degree-N span")
-        if not 0 <= self.delta < 2 * self.spec.s - 1:
-            raise ValueError("δ < 2s−1 required")
+        if self.omega.dim != self.spec.dim:
+            raise ValueError(f"sensor set has dim {self.omega.dim}, spec has dim {self.spec.dim}")
+        reference_blowup_exponent(self.spec.s, self.delta)  # raises unless 0 <= δ < 2s−1
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,8 @@ class PeriodicPattern(ControlSet):
             raise ValueError("period must be positive")
         if not 0 < self.kept <= 1:
             raise ValueError("kept fraction must lie in (0, 1]")
+        if not math.isfinite(self.offset):
+            raise ValueError("offset must be finite")
 
     def contains(self, points):
         pts = self._points(points)
@@ -454,15 +456,23 @@ class BallUnion(ControlSet):
         return edges[(edges > lo) & (edges < hi)]
 
 
+_MAX_CELLS = 100_000  # per side; the marching loop is pure Python
+
+
 def graded_cells(rho: DensityFn, gamma: float, extent: float) -> BoxUnion:
     """1-D thick set tailored to a density: graded cells of width rho.
 
     Marching from the origin in both directions, each cell [a, a + rho(a))
     keeps its leading gamma fraction, so every ball B(x, rho(x)) meets the
-    kept part in roughly a gamma fraction of its length.
+    kept part in roughly a gamma fraction of its length. Each side has at
+    most extent / rho.m cells, which must not exceed _MAX_CELLS.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
+    if not extent > 0:
+        raise ValueError("extent must be positive")
+    if extent / rho.m > _MAX_CELLS:
+        raise ValueError(f"extent / rho.m = {extent / rho.m:.3g} exceeds the cell cap {_MAX_CELLS}")
     kept = []
     a = 0.0
     while a < extent:

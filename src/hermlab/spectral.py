@@ -426,6 +426,11 @@ class GrowthFitReport:
     r2: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon <= 1:
+        raise ValueError("ε must lie in (0,1]")
+
+
 def growth_fit(pairs, epsilon: float) -> GrowthFitReport:
     """Fit log C_N = A + B N^{1-eps/2} over (N, C_N) pairs.
 
@@ -442,8 +447,7 @@ def growth_fit(pairs, epsilon: float) -> GrowthFitReport:
         raise ValueError("N values must be strictly increasing")
     if np.any(Cs <= 0):
         raise ValueError("C_N values must be positive")
-    if not 0 < epsilon <= 1:
-        raise ValueError("ε must lie in (0,1]")
+    _check_epsilon(epsilon)
     x = Ns ** (1.0 - epsilon / 2.0)
     y = np.log(Cs)
     slope, intercept = np.polyfit(x, y, 1)

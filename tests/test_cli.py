@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -313,6 +314,70 @@ def test_main_reports_quadrature_failure_cleanly(tmp_path, capsys):
     assert err.startswith("error: run failed:")
     assert "Traceback" not in err
     assert not (tmp_path / "balls" / "manifest.json").exists()
+
+
+def _scan_probe(omega, N_values=(4,), **extra):
+    return {"kind": "spectral-scan", "parameters": dict({"N_values": list(N_values), "omega": omega}, **extra)}
+
+
+def _control_probe(**extra):
+    omega = {"type": "periodic", "period": 2.0, "kept": 0.5}
+    return {"kind": "control-run", "parameters": dict({"s": 1.0, "N": 4, "T": 1.0, "omega": omega}, **extra)}
+
+
+# (config, exit code): 2 where a library constructor rejects an input while
+# the config is validated, 1 where only the run itself can find the fault
+_PROBES = {
+    "boxes-of-mixed-dimension": (_scan_probe({"type": "boxes", "boxes": [[[0, 1]], [[0, 1], [0, 1]]]}), 2),
+    "reversed-interval": (_scan_probe({"type": "intervals", "intervals": [[2, 1]]}), 2),
+    "negative-radius": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [-1.0]}), 2),
+    "full-space-3d": (_scan_probe({"type": "full", "dim": 3}), 1),
+    "periodic-2d-above-degree-cap": (_scan_probe({"type": "periodic", "dim": 2, "period": 4.0, "kept": 0.25}, [30]), 1),
+    "periodic-dim-0": (_scan_probe({"type": "periodic", "dim": 0, "period": 4.0, "kept": 0.25}), 1),
+    "string-interval": (_scan_probe({"type": "intervals", "intervals": [["a", "b"]]}), 2),
+    "string-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "offset": "x"}), 2),
+    "unsorted-scan-with-epsilon": (_scan_probe({"type": "full"}, [4, 2, 8, 6, 10], epsilon=0.5), 1),
+    "graded-beyond-cell-cap": (
+        _scan_probe({"type": "graded", "density": {"kind": "constant", "m": 0.5}, "gamma": 0.5, "extent": 1e9}),
+        2,
+    ),
+    "tabulated-string-grid": (
+        {
+            "kind": "covering",
+            "parameters": {"density": {"kind": "tabulated", "grid": [0, "x"], "values": [1, 1]}, "extent": 5.0},
+        },
+        2,
+    ),
+    "basis-index-above-N": (_control_probe(f0={"type": "basis", "alpha": [9]}), 2),
+    "coeffs-too-short": (_control_probe(f0={"type": "coeffs", "coeffs": [1.0, 0.0]}), 2),
+    "sensor-set-2d-spec-1d": (_control_probe(omega={"type": "periodic", "dim": 2, "period": 2.0, "kept": 0.5}), 2),
+    "dissipation-dim-0": (
+        {
+            "kind": "dissipation",
+            "parameters": {"s": 1.0, "dim": 0, "k_values": [2], "t_values": [0.1], "degree": 5},
+        },
+        2,
+    ),
+    "ragged-form": ({"kind": "singular-space", "parameters": {"forms": [[[1, 0], [0]]]}}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBES))
+def test_validated_config_runs_or_fails_in_one_line(tmp_path, capsys, name):
+    cfg, expected = _PROBES[name]
+    path = _write(tmp_path, "probe.json", cfg)
+    t0 = time.perf_counter()
+    code = main([cfg["kind"], "--config", path, "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - t0 < 5.0
+    lines = capsys.readouterr().err.splitlines()
+    assert code == expected
+    assert "Traceback" not in "\n".join(lines)
+    assert (validate(cfg) == []) == (expected == 1)
+    if expected == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: run failed: ")
+    else:
+        assert lines and all(line.startswith("error: parameters") for line in lines)
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_main_rejects_kind_mismatch(tmp_path, capsys):

@@ -132,6 +132,13 @@ def test_problem_validation():
         ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=1, f0=f0)
 
 
+def test_problem_rejects_sensor_set_of_other_dimension():
+    f0 = basis_state(1, 2, (2,))
+    stripes_2d = geometry.PeriodicPattern(dim=2, period=2.0, kept=0.5)
+    with pytest.raises(ValueError, match="sensor set has dim 2, spec has dim 1"):
+        ControlProblem(T=1.0, omega=stripes_2d, spec=HEAT, N=4, f0=f0)
+
+
 def test_lr_synthesis_steers_to_zero(rng):
     spec = EvolutionSpec(s=0.75, dim=1)
     f0 = random_expansion(rng, dim=1, degree=8)

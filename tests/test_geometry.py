@@ -350,6 +350,21 @@ def test_graded_cells_rejects_bad_fraction():
         graded_cells(DensityFn.constant(1.0), gamma=0.0, extent=5.0)
 
 
+@pytest.mark.parametrize(
+    "extent, match",
+    [(0.0, "must be positive"), (-3.0, "must be positive"), (math.nan, "must be positive"), (1e9, "cell cap")],
+)
+def test_graded_cells_rejects_bad_extent(extent, match):
+    # 1e9 at rho = 0.5 is 2e9 cells per side: it must raise before marching
+    with pytest.raises(ValueError, match=match):
+        graded_cells(DensityFn.constant(0.5), gamma=0.5, extent=extent)
+
+
+def test_periodic_pattern_rejects_non_finite_offset():
+    with pytest.raises(ValueError, match="offset must be finite"):
+        PeriodicPattern(dim=1, period=2.0, kept=0.5, offset=math.inf)
+
+
 # -- coverings -----------------------------------------------------------------
 
 
