@@ -522,6 +522,7 @@ def _run_control(p, inputs, ws):
         "verified_residual_rel": trace["verified_residual"] / f0n if f0n else 0.0,
         "stages": len(trace["stages"]),
         "worst_condition": signal.condition,
+        "reference_exponent": control.reference_blowup_exponent(problem.spec.s, problem.delta),
     }
 
 

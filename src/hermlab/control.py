@@ -60,9 +60,10 @@ class ControlError(RuntimeError):
 class ControlProblem:
     """Null-control instance on the degree-N span.
 
-    delta is the density-growth exponent used only for reporting the
-    predicted cost blow-up power; the synthesis itself needs delta < 2s - 1
-    so the spectral growth rate stays below the dissipation rate.
+    delta is the density-growth exponent. The synthesis does not read it;
+    a control run reports the predicted cost blow-up power
+    reference_blowup_exponent(s, delta), which needs delta < 2s - 1 so the
+    spectral growth rate stays below the dissipation rate.
     """
 
     T: float

@@ -6,19 +6,20 @@ A control set omega is a union of boxes, balls, or a periodic pattern;
 thickness of omega with respect to rho is the worst-case volume fraction
 |omega cap B(x, rho(x))| / |B(x, rho(x))| over ball centers x.
 
-Measures are exact interval arithmetic in 1-D. Boxes, periodic patterns
-and the full space have slices that stay the same between consecutive
-first-axis breakpoints (``piecewise_slices``); in 2-D such a set cut to the
-disk's bounding square is a union of disjoint rectangles, and the disk's
-area inside each has a closed form, so those measures are exact. Otherwise
-the ball is sliced along the first axis and the slice measure integrated
-by Gauss panels, halved until two sums agree, under the substitution
-x = c + r sin(theta), which absorbs the square-root behaviour at the ball's
-rim. Panels split at the set's own breakpoints and, in 3-D over piecewise
-slices, where the slice disk becomes tangent to an edge line or passes
-through a corner of the slice's rectangles, so each panel's integrand is
-analytic inside; the slice measure itself is then the exact 2-D one, and a
-cubic substitution that flattens each panel's ends makes it smooth there.
+Every 1-D and 2-D measure is exact. Boxes, periodic patterns and the full
+space have slices that stay the same between consecutive first-axis
+breakpoints (``piecewise_slices``); in 2-D such a set cut to the disk's
+bounding square is a union of disjoint rectangles, and the disk's area
+inside each has a closed form; inside a union of disks it comes from
+Green's theorem over the boundary arcs. Only 3-D uses panel halving: the
+exact 2-D slice measure is integrated along the first axis by Gauss panels,
+halved until two sums agree, under the substitution x = c + r sin(theta),
+which absorbs the square-root behaviour at the ball's rim. Panels split at
+the set's own breakpoints and where the slice measure stops being analytic:
+where the slice disk becomes tangent to an edge line or passes through a
+corner of the slice's rectangles, or where two slice circles of a ball
+union touch. A cubic substitution that flattens each panel's ends makes the
+integrand smooth there.
 
 The covering generator picks centers greedily from a fine grid, keeping a
 candidate only when it is at least a third of the summed radii away from
@@ -30,7 +31,6 @@ grid points each ball holds.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -107,20 +107,13 @@ def _clip_intervals(iv: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.column_stack([a[keep], b[keep]])
 
 
-def _total_length(iv: np.ndarray) -> float:
-    iv = np.asarray(iv, dtype=np.float64).reshape(-1, 2)
-    return float(np.sum(iv[:, 1] - iv[:, 0])) if iv.size else 0.0
-
-
-def _as_box(box, dim=None) -> np.ndarray:
+def _as_box(box) -> np.ndarray:
     """Normalize box bounds to an (n, 2) array."""
     arr = np.asarray(box, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2 or np.any(arr[:, 1] <= arr[:, 0]):
         raise ValueError("box must be ((lo, hi), ...) with lo < hi per axis")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"box has {arr.shape[0]} axes, expected {dim}")
     return arr
 
 
@@ -270,11 +263,15 @@ class ControlSet:
     where the slice structure jumps. `piecewise_slices` is set on the
     classes whose slice is the same at every point strictly between two
     consecutive breakpoints, so one `slice_first` call per piece (see
-    `slice_pieces`) describes the whole set.
+    `slice_pieces`) describes the whole set. Every set has dim >= 1.
     """
 
     dim: int
     piecewise_slices = False
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dimension must be at least 1")
 
     def contains(self, points) -> np.ndarray:
         raise NotImplementedError
@@ -325,6 +322,7 @@ class BoxUnion(ControlSet):
     piecewise_slices = True
 
     def __post_init__(self):
+        super().__post_init__()
         b = np.asarray(self.boxes, dtype=np.float64).reshape(-1, self.dim, 2)
         if np.any(b[:, :, 1] < b[:, :, 0]):
             raise ValueError("each box needs lo <= hi per axis")
@@ -373,6 +371,7 @@ class PeriodicPattern(ControlSet):
     piecewise_slices = True
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.period > 0:
             raise ValueError("period must be positive")
         if not 0 < self.kept <= 1:
@@ -420,6 +419,7 @@ class BallUnion(ControlSet):
     radii: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        super().__post_init__()
         c = np.asarray(self.centers, dtype=np.float64).reshape(-1, self.dim)
         r = np.asarray(self.radii, dtype=np.float64).reshape(-1)
         if c.shape[0] != r.shape[0]:
@@ -510,10 +510,6 @@ def ball_volume(dim: int, radius: float) -> float:
     return _UNIT_BALL_VOLUME[dim] * radius**dim
 
 
-def _measure_1d(omega: ControlSet, center: float, radius: float) -> float:
-    return _total_length(omega.intervals_1d(center - radius, center + radius))
-
-
 def _rectangles(omega: ControlSet, center, radius: float) -> np.ndarray:
     """A 2-D set with piecewise slices, cut to the square center +- radius.
 
@@ -573,6 +569,38 @@ def _disk_rect_area(rects: np.ndarray, radius) -> np.ndarray:
     return np.sum(np.where(const + rims * s_mid > 0.0, part, 0.0), axis=(-2, -1))
 
 
+def _disk_union_area(c0, r0: float, centers: np.ndarray, radii: np.ndarray) -> float:
+    """Area of B(c0, r0) inside the union of the disks B(centers[k], radii[k]), by Green's theorem.
+
+    The boundary is made of counter-clockwise arcs: the probe circle's arcs
+    inside the union, and each union circle's arcs inside the probe and in
+    no other union disk (repeated disks count once), cut where circles cross.
+    An arc of radius r about (cx, cy) from angle t0 to t1 adds
+    (r^2 (t1 - t0) + r (cx (sin t1 - sin t0) - cy (cos t1 - cos t0))) / 2.
+    """
+    disks = np.unique(np.column_stack([centers - c0, radii]), axis=0)
+    if np.any(np.hypot(disks[:, 0], disks[:, 1]) + r0 <= disks[:, 2]):
+        return math.pi * r0 * r0
+    circles = np.vstack([[0.0, 0.0, r0], disks])
+    arcs = []
+    for i, (cx, cy, r) in enumerate(circles):
+        others = np.delete(circles, i, axis=0)
+        dx, dy, ro = others[:, 0] - cx, others[:, 1] - cy, others[:, 2]
+        d = np.hypot(dx, dy)
+        cut = (d < r + ro) & (d > np.abs(r - ro))
+        alpha = np.arccos(np.clip((d[cut] ** 2 + r * r - ro[cut] ** 2) / (2.0 * d[cut] * r), -1.0, 1.0))
+        phi = np.arctan2(dy[cut], dx[cut])
+        t0 = np.sort(np.mod(np.concatenate([[0.0], phi - alpha, phi + alpha]), 2.0 * math.pi))
+        t1 = np.append(t0[1:], t0[0] + 2.0 * math.pi)
+        mid = (t0 + t1) / 2.0
+        on_arc = (r * np.cos(mid)[:, None] - dx) ** 2 + (r * np.sin(mid)[:, None] - dy) ** 2 < ro * ro
+        # a disk that does not cross this circle holds all of it or none of it, tangent points aside
+        inside = np.where(cut, on_arc, d + r <= ro)
+        keep = inside.any(axis=1) if i == 0 else inside[:, 0] & ~inside[:, 1:].any(axis=1)
+        arcs += list(keep * (r * r * (t1 - t0) + r * (cx * (np.sin(t1) - np.sin(t0)) - cy * (np.cos(t1) - np.cos(t0)))))
+    return math.fsum(arcs) / 2.0
+
+
 def _kink_radii(rects: np.ndarray, radius: float) -> np.ndarray:
     """Disk radii in (0, radius) where the disk's area inside rects is not analytic.
 
@@ -588,31 +616,50 @@ def _kink_radii(rects: np.ndarray, radius: float) -> np.ndarray:
 _MAX_PANELS = 1 << 11  # of 16 nodes each
 
 
-def _panel_halving(g, t0: float, t1: float, atol: float):
-    """(sum, converged) of 16-node Gauss rules on k = 1, 2, 4, ... equal panels of [t0, t1].
+def _panel_halving(f, t0: float, t1: float, atol: float):
+    """(sum, converged) of the integral of f over [t0, t1], by 16-node Gauss rules on k = 1, 2, 4, ... equal panels.
 
-    Returns the finer of the first two successive sums that agree to atol.
-    g maps an array of nodes to the array of integrand values.
+    Each node s is mapped to theta = t0 + (t1 - t0) (3u^2 - 2u^3), with
+    u = (s - t0) / (t1 - t0), which flattens both ends: an f that goes like
+    |theta - t|^{3/2} at an end t is smooth in s. Returns the finer of the
+    first two successive sums that agree to atol. f maps an array of thetas
+    to the array of integrand values.
     """
     prev, k = None, 1
     while k <= _MAX_PANELS:
         # (t1 - t0) / k is exact for k a power of two, so the rule has k panels
         x, w = panel_nodes(np.array([[t0, t1]]), (t1 - t0) / k, 16)
-        cur = math.fsum(w * g(x))
+        u = (x - t0) / (t1 - t0)
+        cur = math.fsum(w * (f(t0 + (t1 - t0) * u * u * (3.0 - 2.0 * u)) * 6.0 * u * (1.0 - u)))
         if prev is not None and abs(cur - prev) <= atol:
             return cur, True
         prev, k = cur, 2 * k
     return prev, False
 
 
-def _rim_panels(omega: ControlSet, c: np.ndarray, radius: float, rel_tol: float) -> list:
-    """Panels (theta0, theta1, g) of the first-axis integral under x = c0 + r sin(theta).
+def _tangent_slices(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """First coordinates where the slices of two of the spheres B(centers[k], radii[k]) touch.
 
-    g(theta) is the slice measure times the jacobian r cos(theta). Over
-    piecewise slices (3-D) the slice measure is the exact 2-D one, the
-    panels also split where it stops being analytic, and their ends are
-    flattened; otherwise each node takes its own slice and the panels split
-    at the set's breakpoints.
+    Two crossing spheres meet in a circle, and their slice circles touch at
+    its slices, so these are the circle's ends along the first axis.
+    """
+    v = centers[None, :, :] - centers[:, None, :]
+    d = np.linalg.norm(v, axis=-1)
+    i, j = np.nonzero((d > np.abs(radii[:, None] - radii)) & (d < radii[:, None] + radii))
+    d, n0 = d[i, j], v[i, j, 0] / d[i, j]
+    h = (d * d + radii[i] ** 2 - radii[j] ** 2) / (2.0 * d)  # from sphere i's center to the circle's plane
+    mid = centers[i, 0] + h * n0
+    w = np.sqrt(np.maximum(radii[i] ** 2 - h * h, 0.0) * np.maximum(1.0 - n0 * n0, 0.0))
+    return np.concatenate([mid - w, mid + w])
+
+
+def _rim_panels(omega: ControlSet, c: np.ndarray, radius: float) -> list:
+    """Panels (theta0, theta1, f) of the first-axis integral under x = c0 + r sin(theta).
+
+    f(theta) is the exact 2-D slice measure times the jacobian r cos(theta).
+    The panels split at the set's breakpoints and where f stops being
+    analytic: over piecewise slices where the slice disk touches an edge line
+    or a corner, and for ball unions where two slice circles touch.
     """
     c0 = float(c[0])
     rest = c[1:]
@@ -632,53 +679,38 @@ def _rim_panels(omega: ControlSet, c: np.ndarray, radius: float, rel_tol: float)
             ts = np.concatenate([[ta, tb], -half, half])
             ts = np.unique(ts[(ts >= ta) & (ts <= tb)])
 
-            def g(s, t0, t1, rects=rects):
-                # theta = t0 + (t1 - t0) (3u^2 - 2u^3), u = (s - t0) / (t1 - t0): the slice
-                # measure goes like |theta - t|^{3/2} at a tangency t, which is smooth in u
-                u = (s - t0) / (t1 - t0)
-                chord = radius * np.cos(t0 + (t1 - t0) * u * u * (3.0 - 2.0 * u))
-                return _disk_rect_area(rects, chord) * chord * 6.0 * u * (1.0 - u)
+            def f(t, rects=rects):
+                chord = radius * np.cos(t)
+                return _disk_rect_area(rects, chord) * chord
 
-            panels += [(t0, t1, partial(g, t0=t0, t1=t1)) for t0, t1 in zip(ts[:-1], ts[1:])]
+            panels += [(t0, t1, f) for t0, t1 in zip(ts[:-1], ts[1:])]
         return panels
 
-    inner_tol = rel_tol / 4.0
+    def f(ts):
+        chords = radius * np.cos(ts)
+        xs = c0 + radius * np.sin(ts)
+        return np.array([intersection_measure(omega.slice_first(x), rest, h) * h for x, h in zip(xs, chords)])
 
-    def g_one(t) -> float:
-        x = c0 + radius * math.sin(t)
-        chord = radius * math.cos(t)
-        if chord <= 0:
-            return 0.0
-        sub = omega.slice_first(x)
-        if sub.dim == 1:
-            inner = _measure_1d(sub, float(rest[0]), chord)
-        else:
-            inner = intersection_measure(sub, rest, chord, inner_tol)
-        # jacobian of x = c0 + r sin(theta)
-        return inner * radius * math.cos(t)
-
-    def g(ts):
-        return np.array([g_one(t) for t in ts])
-
-    breaks = np.asarray(omega.breakpoints_first(c0 - radius, c0 + radius), dtype=np.float64)
-    ts = np.unique(np.concatenate([[-math.pi / 2, math.pi / 2], theta(breaks)]))
-    return [(t0, t1, g) for t0, t1 in zip(ts[:-1], ts[1:])]
+    # theta clips kinks outside the ball to the ends +-pi/2
+    touch = _tangent_slices(np.vstack([c, omega.centers]), np.append(radius, omega.radii))
+    kinks = np.append(omega.breakpoints_first(c0 - radius, c0 + radius), touch)
+    ts = np.unique(np.concatenate([[-math.pi / 2, math.pi / 2], theta(kinks)]))
+    return [(t0, t1, f) for t0, t1 in zip(ts[:-1], ts[1:])]
 
 
 def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: float = 1e-6) -> float:
     """Lebesgue measure of omega intersected with the ball B(center, radius).
 
-    Exact for one-dimensional sets, and in 2-D for sets with piecewise
-    slices (boxes, periodic patterns, the full space): the disk's area
-    inside each rectangle of omega has a closed form. Otherwise (2-D balls,
-    and 3-D) the first axis is integrated with the rim-absorbing
-    substitution x = c + r sin(theta), on each panel by 16-node Gauss rules
-    on 1, 2, 4, ... equal sub-panels until two successive sums agree; the
-    result carries relative error about rel_tol where the integrand is
-    smooth, and can miss it where a ball union's slice measure kinks.
-    In 3-D over piecewise slices the slice measure is the exact 2-D one, the
-    panels split where the slice disk touches an edge line or a corner and
-    their ends are flattened, so slab measures are exact to rounding.
+    Every 1-D and 2-D measure is exact, and rel_tol is read only in 3-D.
+    In 2-D the disk's area inside each rectangle of a set with piecewise
+    slices (boxes, periodic patterns, the full space), and inside a union of
+    disks, has a closed form. In 3-D the first axis is integrated with the
+    rim-absorbing substitution x = c + r sin(theta), on each panel by
+    16-node Gauss rules on 1, 2, 4, ... equal sub-panels until two
+    successive sums agree, over the exact 2-D slice measure; the result
+    carries relative error about rel_tol. The panels split wherever the
+    slice measure stops being analytic (see _rim_panels) and their ends are
+    flattened, so slab measures are exact to rounding.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -686,26 +718,26 @@ def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: floa
     if c.size != omega.dim:
         raise ValueError(f"center has {c.size} coordinates, set has dim {omega.dim}")
     if omega.dim == 1:
-        return _measure_1d(omega, float(c[0]), radius)
+        iv = omega.intervals_1d(c[0] - radius, c[0] + radius)
+        return float(np.sum(iv[:, 1] - iv[:, 0]))
     if omega.dim not in (2, 3):
         raise ValueError(f"dimension {omega.dim} unsupported (1, 2, or 3)")
 
     scale = ball_volume(omega.dim, radius)
     if omega.dim == 2 and omega.piecewise_slices:
         total = float(_disk_rect_area(_rectangles(omega, c, radius), radius))
-        return min(max(total, 0.0), scale)
-
-    total = 0.0
-    converged_all = True
-    for t0, t1, g in _rim_panels(omega, c, radius, rel_tol):
-        if t1 - t0 <= 1e-14:
-            continue
-        atol = rel_tol * scale * max((t1 - t0) / math.pi, 1e-3)
-        val, ok = _panel_halving(g, float(t0), float(t1), atol)
-        total += val
-        converged_all = converged_all and ok
-    if not converged_all:
-        raise QuadratureError("panel halving did not converge to the requested tolerance")
+    elif omega.dim == 2:
+        total = _disk_union_area(c, radius, omega.centers, omega.radii)
+    else:
+        total = 0.0
+        for t0, t1, f in _rim_panels(omega, c, radius):
+            if t1 - t0 <= 1e-14:
+                continue
+            atol = rel_tol * scale * max((t1 - t0) / math.pi, 1e-3)
+            val, ok = _panel_halving(f, float(t0), float(t1), atol)
+            if not ok:
+                raise QuadratureError("panel halving did not converge to the requested tolerance")
+            total += val
     return min(max(total, 0.0), scale)
 
 

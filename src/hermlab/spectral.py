@@ -23,14 +23,12 @@ is the square of the smallest singular value of R (equal to that of B),
 from the singular values of R alone, taken block by block when R splits
 by parity, which stays accurate far below the eps*||G|| floor of a direct
 eigensolve; the bottom vector comes from inverse iteration on R, two
-triangular solves per step. In 2-D the x-pieces
-that share one slice of omega are pooled, and each distinct slice adds one
-separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
-rule, with one Hermite table per axis over both rules' nodes. Sets with
-piecewise slices (boxes, periodic patterns) are sliced once per piece
-between first-axis breakpoints; ball unions once per x-node, with the
-returned x-rule on each piece's halves so that it differs from the check
-rule on every piece. Each block is the Hadamard product of two PSD
+triangular solves per step. A 2-D set must have piecewise slices (the
+full plane, boxes, periodic patterns): it is sliced once per piece between
+first-axis breakpoints, the pieces that share one slice are pooled, and
+each distinct slice adds one separable block Px[a1, a1] * My[a2, a2] of
+its x- and y-pairings to each rule, with one Hermite table per axis over
+both rules' nodes. Each block is the Hadamard product of two PSD
 matrices, so the 2-D Gram is PSD to rounding (Schur product theorem). Its
 lambda_min is the bottom eigenvalue of the tridiagonal matrix left by one
 Householder reduction, found by bisection with the top one, and the bottom
@@ -168,32 +166,28 @@ def _triangle(B: np.ndarray) -> np.ndarray:
 def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
     """(G, G_check, node count): one separable block per distinct slice and rule.
 
-    The x-pieces between omega's first-axis breakpoints are pooled by their
-    slice intervals (a set without piecewise slices: its x-nodes, one slice
-    each). Each distinct non-empty slice adds Px[a1, a1] * My[a2, a2] of its
-    x- and y-pairings to G, on panels of panel_len, and to G_check, on panels
-    of 2 * panel_len, with one Hermite table per axis over both rules' nodes.
-    Without piecewise slices G's x-rule runs on each piece's halves.
+    The x-pieces between omega's first-axis breakpoints, on which omega has
+    piecewise slices, are pooled by their slice intervals. Each distinct
+    non-empty slice adds Px[a1, a1] * My[a2, a2] of its x- and y-pairings to
+    G, on panels of panel_len, and to G_check, on panels of 2 * panel_len,
+    with one Hermite table per axis over both rules' nodes.
     """
     R = truncation_radius(degree)
     a1, a2 = indexing.multi_indices(2, degree).T
     lens = (panel_len, 2.0 * panel_len)
-    pieces = [(a, b, sub) for a, b, sub in slice_pieces(omega, -R, R) if b - a > 1e-14]
-    if omega.piecewise_slices:
-        # the slice of a piece holds at every one of its nodes
-        spans = {}
-        for a, b, sub in pieces:
+    # the slice of a piece holds at every one of its nodes
+    spans = {}
+    for a, b, sub in slice_pieces(omega, -R, R):
+        if b - a > 1e-14:
             iv = sub.intervals_1d(-R, R)
             spans.setdefault(iv.tobytes(), (iv, []))[1].append((a, b))
-        groups = [(iv, [panel_nodes(np.array(ab), L, _ORDER) for L in lens]) for iv, ab in spans.values()]
-    else:
-        groups = _node_slices(omega, pieces, panel_len, R)
     m = a1.size
     G = (np.zeros((m, m)), np.zeros((m, m)))
     nodes = 0
-    for iv, xs in groups:
+    for iv, ab in spans.values():
         if iv.shape[0] == 0:
             continue
+        xs = [panel_nodes(np.array(ab), L, _ORDER) for L in lens]
         ys = [panel_nodes(iv, L, _ORDER) for L in lens]
         for g, px, my in zip(G, _pairings(degree, xs), _pairings(degree, ys)):
             block = px[a1][:, a1]
@@ -201,24 +195,6 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
             g += block
         nodes += xs[0][0].size * ys[0][0].size
     return G[0], G[1], nodes
-
-
-def _node_slices(omega: ControlSet, pieces: list, panel_len: float, R: float) -> list:
-    """[(slice intervals, [(x, w) per rule])], pooling each rule's x-nodes by their own slice.
-
-    The slices vary inside a piece, so the returned rule runs on each
-    piece's halves: it differs from the check rule even on a piece shorter
-    than one panel.
-    """
-    edges = np.array([(a, b) for a, b, _ in pieces]).reshape(-1, 2)
-    halves = np.insert(edges, 1, edges.mean(axis=1), axis=1)[:, [0, 1, 1, 2]].reshape(-1, 2)
-    rules = [panel_nodes(halves, panel_len, _ORDER), panel_nodes(edges, 2.0 * panel_len, _ORDER)]
-    found = {}
-    for r, (x, _) in enumerate(rules):
-        for i, xi in enumerate(x):
-            iv = omega.slice_first(float(xi)).intervals_1d(-R, R)
-            found.setdefault(iv.tobytes(), (iv, [[], []]))[1][r].append(i)
-    return [(iv, [(x[i], w[i]) for (x, w), i in zip(rules, idx)]) for iv, idx in found.values()]
 
 
 def _pairings(degree: int, parts: list) -> list:
@@ -244,22 +220,15 @@ def gram_matrix(
     The quadrature domain is truncated where the span's Gaussian envelope
     drops below 1e-14. Two rules of 16-node Gauss panels are assembled:
     the returned one, with panels of length L = min(0.5, 6 / sqrt(2N + 1)),
-    and a check rule with panels of 2L.
-    Their entrywise difference is reported as quad_tol; it reads at most
-    1.1e-13 on the benchmark sets, while the returned entries are within
-    4e-15 of an order-20 rule on panels of L/4.
-    Raises QuadratureError when quad_tol exceeds fail_tol. In 1-D the
-    returned entries are R^T R for the QR triangle R of the weighted
-    evaluation factor, and R is kept as the factor. When omega's intervals
-    are their own mirror image, both rules run on x >= 0 with doubled
-    weights; the even and the odd columns are factored apart and their
-    triangles placed on R's even and odd rows and columns, so every entry
-    pairing degrees of opposite parity is exactly zero and nodes counts each
-    half-line node twice. Each 1-D call makes one Hermite table, over the
-    nodes of both rules. In 2-D both rules come from one pass that adds one
-    separable block per distinct slice; on a set without piecewise slices
-    the returned x-rule runs on each first-axis piece's halves, so it never
-    coincides with the check rule.
+    and a check rule with panels of 2L. Their entrywise difference is
+    reported as quad_tol; it reads at most 1.1e-13 on the benchmark sets,
+    while the returned entries are within 4e-15 of an order-20 rule on
+    panels of L/4. Raises QuadratureError when quad_tol exceeds fail_tol.
+    In 1-D the returned entries are R^T R for the QR triangle R of the
+    weighted evaluation factor, and R is kept as the factor; on a set that
+    is its own mirror image R splits by parity (see _gram_1d) and nodes
+    counts each half-line node twice. A 2-D set without piecewise slices (a
+    ball union) raises ValueError before any table is built.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -267,6 +236,8 @@ def gram_matrix(
         raise ValueError(f"dimension {omega.dim} unsupported for Gram assembly")
     if omega.dim == 2 and degree > _MAX_DEGREE_2D:
         raise ValueError(f"2-D Gram assembly capped at degree {_MAX_DEGREE_2D}")
+    if omega.dim == 2 and not omega.piecewise_slices:
+        raise ValueError("2-D Gram assembly needs piecewise slices: full, boxes or periodic")
     panel_len = _panel_length(degree)
 
     if omega.dim == 1:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hermlab
-from hermlab import cli, geometry, spectral
+from hermlab import cli, control, geometry, spectral
 from hermlab.cli import ConfigError, load_config, main, run, validate
 
 
@@ -295,27 +295,6 @@ def test_main_reports_runtime_failure_cleanly(tmp_path, capsys):
     assert not (tmp_path / "broken" / "manifest.json").exists()
 
 
-def test_main_reports_quadrature_failure_cleanly(tmp_path, capsys):
-    # the 2-D Gram on balls fails its own refinement check
-    cfg = {
-        "kind": "spectral-scan",
-        "seed": 0,
-        "output_dir": str(tmp_path / "balls"),
-        "parameters": {
-            "N_values": [2],
-            "omega": {"type": "balls", "centers": [[0.0, 0.0], [3.0, 1.0]], "radii": [1.5, 1.0]},
-        },
-    }
-    path = _write(tmp_path, "balls.json", cfg)
-    assert validate(cfg) == []
-    assert main(["spectral-scan", "--config", path]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: run failed:")
-    assert "Traceback" not in err
-    assert not (tmp_path / "balls" / "manifest.json").exists()
-
-
 def _scan_probe(omega, N_values=(4,), **extra):
     return {"kind": "spectral-scan", "parameters": dict({"N_values": list(N_values), "omega": omega}, **extra)}
 
@@ -333,7 +312,8 @@ _PROBES = {
     "negative-radius": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [-1.0]}), 2),
     "full-space-3d": (_scan_probe({"type": "full", "dim": 3}), 1),
     "periodic-2d-above-degree-cap": (_scan_probe({"type": "periodic", "dim": 2, "period": 4.0, "kept": 0.25}, [30]), 1),
-    "periodic-dim-0": (_scan_probe({"type": "periodic", "dim": 0, "period": 4.0, "kept": 0.25}), 1),
+    "periodic-dim-0": (_scan_probe({"type": "periodic", "dim": 0, "period": 4.0, "kept": 0.25}), 2),
+    "balls-2d-gram": (_scan_probe({"type": "balls", "centers": [[0.0, 0.0], [3.0, 1.0]], "radii": [1.5, 1.0]}, [2]), 1),
     "string-interval": (_scan_probe({"type": "intervals", "intervals": [["a", "b"]]}), 2),
     "string-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "offset": "x"}), 2),
     "unsorted-scan-with-epsilon": (_scan_probe({"type": "full"}, [4, 2, 8, 6, 10], epsilon=0.5), 1),
@@ -464,12 +444,15 @@ def test_control_run_manifest_counts_stages_and_times_synthesis(tmp_path):
         "seed": 4,
         "parameters": {
             "s": 1.0,
+            "delta": 0.5,
             "N": 10,
             "T": 1.0,
             "omega": {"type": "periodic", "period": 2.0, "kept": 0.5},
         },
     }
     manifest = run(cfg, out_override=str(tmp_path))
+    # (1 + delta) / (2s - 1 - delta) with s = 1, delta = 0.5
+    assert manifest["metrics"]["reference_exponent"] == control.reference_blowup_exponent(1.0, 0.5) == 3.0
     with open(tmp_path / "cost.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert manifest["counters"]["stages"] == len(rows) > 0

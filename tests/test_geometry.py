@@ -245,23 +245,23 @@ def _lens_area(r1, r2, d):
     return a1 + a2 - 0.5 * math.sqrt((-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
 
 
-def test_ball_union_measure_uses_quadrature_2d(monkeypatch):
+def _lens_measure(centers, radii, center, r):
+    """Measure of the probe disk inside a union of pairwise disjoint disks."""
+    return sum(_lens_area(r, rk, float(np.linalg.norm(center - ck))) for ck, rk in zip(centers, radii))
+
+
+def test_ball_union_measure_is_closed_form_2d(monkeypatch):
     calls = []
     rule = geometry._panel_halving
     monkeypatch.setattr(geometry, "_panel_halving", lambda *a, **k: calls.append(1) or rule(*a, **k))
     centers = np.array([[0.0, 0.0], [3.0, 1.0]])
     radii = np.array([1.5, 1.0])
     center, r = np.array([1.4, 0.3]), 1.6
-    exact = sum(_lens_area(r, rk, float(np.linalg.norm(center - ck))) for ck, rk in zip(centers, radii))
     val = intersection_measure(BallUnion(2, centers, radii), center, r, rel_tol=1e-6)
-    assert calls
-    assert abs(val - exact) <= 1e-6 * math.pi * r * r
+    assert not calls
+    assert abs(val - _lens_measure(centers, radii, center, r)) <= 1e-12 * math.pi * r * r
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the slice measure of a ball union kinks inside panels, so panel halving stops early",
-)
 def test_ball_union_measures_meet_rel_tol_2d():
     centers = np.array([[0.0, 0.0], [3.0, 1.0]])
     radii = np.array([1.5, 1.0])
@@ -271,10 +271,138 @@ def test_ball_union_measures_meet_rel_tol_2d():
     worst = 0.0
     for rel_tol in (1e-5, 1e-6):
         for center, r in disks:
-            exact = sum(_lens_area(r, rk, float(np.linalg.norm(center - ck))) for ck, rk in zip(centers, radii))
             val = intersection_measure(omega, center, r, rel_tol)
-            worst = max(worst, abs(val - exact) / (rel_tol * math.pi * r * r))
-    assert worst <= 1.0
+            worst = max(worst, abs(val - _lens_measure(centers, radii, center, r)) / (math.pi * r * r))
+    # exact: the closed form does not depend on rel_tol
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "centers, radii, center, r, exact",
+    [
+        # a repeated disk counts once
+        ([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [0.0, 0.0], 1.5, _lens_area(1.5, 1.0, 1.0)),
+        # a zero radius adds nothing, inside another disk or alone
+        ([[1.0, 0.0], [1.2, 0.1], [-0.5, 0.0]], [1.0, 0.0, 0.0], [0.0, 0.0], 1.5, _lens_area(1.5, 1.0, 1.0)),
+        ([], [], [0.0, 0.0], 1.0, 0.0),
+        # a union disk inside the probe, and the probe inside or equal to a union disk
+        ([[0.3, 0.2]], [0.5], [0.0, 0.0], 2.0, math.pi * 0.25),
+        ([[0.0, 0.0]], [3.0], [0.5, 0.5], 1.0, math.pi),
+        ([[0.5, 0.5]], [1.0], [0.5, 0.5], 1.0, math.pi),
+        # internally tangent: a union disk inside the probe, the probe inside a union disk
+        ([[0.5, 0.0]], [0.5], [0.0, 0.0], 1.0, math.pi * 0.25),
+        ([[1.0, 0.0]], [2.0], [0.0, 0.0], 1.0, math.pi),
+        # externally tangent: to the probe, and to each other inside the probe
+        ([[2.0, 0.0]], [1.0], [0.0, 0.0], 1.0, 0.0),
+        ([[-0.5, 0.0], [0.5, 0.0]], [0.5, 0.5], [0.0, 0.0], 2.0, math.pi * 0.5),
+        ([[-0.5, 0.0], [0.5, 0.0]], [0.5, 0.5], [1.0, 0.0], 1.0, _lens_area(1.0, 0.5, 1.5) + math.pi * 0.25),
+    ],
+)
+def test_ball_union_measure_degenerate_cases_2d(centers, radii, center, r, exact):
+    omega = BallUnion(2, np.array(centers, dtype=float).reshape(-1, 2), radii)
+    assert abs(intersection_measure(omega, center, r) - exact) <= 1e-12 * math.pi * r * r
+    # the closed form itself, before intersection_measure clips it to [0, |B|]
+    area = geometry._disk_union_area(np.array(center), r, omega.centers, omega.radii)
+    assert abs(area - exact) <= 1e-12 * math.pi * r * r
+
+
+def _disk_union_measure_quad(centers, radii, center, r):
+    """Integral over x of the probe disk's column length inside a union of disks, by scipy quad.
+
+    The x-range is split at every circle's x-extremes and at the x of every
+    crossing of two circles, so the column length is analytic inside each part.
+    """
+    circles = [(float(center[0]), float(center[1]), r)] + [(c[0], c[1], rk) for c, rk in zip(centers, radii)]
+    pts = {x for cx, _, rk in circles for x in (cx - rk, cx + rk)}
+    for i, (x1, y1, r1) in enumerate(circles):
+        for x2, y2, r2 in circles[i + 1 :]:
+            d = math.hypot(x2 - x1, y2 - y1)
+            if abs(r1 - r2) < d < r1 + r2:
+                a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+                h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+                mid = x1 + a * (x2 - x1) / d
+                pts |= {mid + h * (y2 - y1) / d, mid - h * (y2 - y1) / d}
+    lo, hi = circles[0][0] - r, circles[0][0] + r
+    pts = sorted(p for p in pts | {lo, hi} if lo <= p <= hi)
+
+    def half(x, cx, rk):
+        return math.sqrt(max(rk * rk - (x - cx) ** 2, 0.0))
+
+    def f(x):
+        s = half(x, center[0], r)
+        iv = [(cy - half(x, cx, rk), cy + half(x, cx, rk)) for cx, cy, rk in circles[1:]]
+        return _union_length(iv, center[1] - s, center[1] + s)
+
+    return sum(
+        integrate.quad(f, a, b, epsabs=1e-14 * r * r, epsrel=1e-13, limit=200)[0] for a, b in zip(pts[:-1], pts[1:])
+    )
+
+
+def test_ball_union_measure_matches_column_quadrature_2d():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(30):
+        k = int(rng.integers(3, 7))
+        centers = rng.uniform(-2.0, 2.0, size=(k, 2))
+        radii = rng.uniform(0.3, 1.5, size=k)
+        center = rng.uniform(-1.5, 1.5, size=2)
+        r = float(rng.uniform(0.5, 2.5))
+        ref = _disk_union_measure_quad(centers, radii, center, r)
+        val = intersection_measure(BallUnion(2, centers, radii), center, r)
+        worst = max(worst, abs(val - ref) / (math.pi * r * r))
+    assert worst <= 1e-12
+
+
+def _lens_volume(r1, r2, d):
+    """Volume shared by two balls of radii r1, r2 whose centers are d apart."""
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        return 4.0 / 3.0 * math.pi * min(r1, r2) ** 3
+    return math.pi * (r1 + r2 - d) ** 2 * (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2) / (12.0 * d)
+
+
+@pytest.mark.parametrize(
+    "centers, radii, outer",
+    [
+        # disjoint balls: the measure is a sum of lenses
+        ([[0.0, 0.0, 0.0], [2.5, 0.5, 0.0]], [1.0, 0.8], [0, 1]),
+        # the second ball inside the first: the union is the first ball
+        ([[0.0, 0.0, 0.0], [0.3, 0.2, -0.1]], [2.0, 0.7], [0]),
+    ],
+)
+@pytest.mark.parametrize("center, r", [([1.0, 0.2, 0.1], 1.5), ([2.2, 0.6, -0.3], 0.5), ([0.1, 0.0, 0.1], 0.4)])
+def test_ball_union_measure_meets_rel_tol_3d(centers, radii, outer, center, r, monkeypatch):
+    depth, calls = [0], []
+    rule = geometry._panel_halving
+
+    def outer_rule(*args):
+        depth[0] += 1
+        calls.append(depth[0])
+        try:
+            return rule(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(geometry, "_panel_halving", outer_rule)
+    omega = BallUnion(3, centers, radii)
+    c = np.array(center)
+    exact = sum(_lens_volume(r, radii[k], float(np.linalg.norm(c - centers[k]))) for k in outer)
+    val = intersection_measure(omega, c, r, rel_tol=1e-6)
+    assert calls and max(calls) == 1  # the slice measures make no adaptive call of their own
+    assert abs(val - exact) <= 1e-6 * 4.0 / 3.0 * math.pi * r**3
+
+
+@pytest.mark.parametrize("center, r", [([0.674, 0.169, 0.0], 0.8), ([0.7, 0.1, 0.05], 0.9), ([0.6, 0.25, -0.05], 1.1)])
+def test_overlapping_ball_union_measure_meets_rel_tol_3d(center, r):
+    # the lens of the two balls lies inside the probe, so inclusion-exclusion is exact
+    centers = np.array([[0.0, 0.0, 0.0], [1.2, 0.3, 0.0]])
+    radii = [1.0, 0.9]
+    c = np.array(center)
+    lenses = [_lens_volume(r, rk, float(np.linalg.norm(c - ck))) for ck, rk in zip(centers, radii)]
+    exact = sum(lenses) - _lens_volume(radii[0], radii[1], float(np.linalg.norm(centers[1] - centers[0])))
+    val = intersection_measure(BallUnion(3, centers, radii), c, r, rel_tol=1e-6)
+    assert abs(val - exact) <= 1e-6 * 4.0 / 3.0 * math.pi * r**3
 
 
 @settings(deadline=None, max_examples=30)

@@ -375,30 +375,19 @@ def test_periodic_2d_lambda_min_is_bottom_and_constant_rises():
     assert all(b >= a for a, b in zip(constants, constants[1:]))
 
 
-def _per_run_gram_2d(omega, degree, panel_len, order, halves=False):
-    """Reference 2-D assembly: one block per run of consecutive x-nodes sharing a slice.
-
-    With halves the x-rule runs on each first-axis piece's two halves.
-    """
+def _per_run_gram_2d(omega, degree, panel_len, order):
+    """Reference 2-D assembly: one block per run of consecutive x-nodes sharing a slice."""
     R = truncation_radius(degree)
     alphas = indexing.multi_indices(2, degree)
     a1 = alphas[:, 0]
     a2 = alphas[:, 1]
     pieces = [(a, b, sub) for a, b, sub in geometry.slice_pieces(omega, -R, R) if b - a > 1e-14]
-    if halves:
-        pieces = [p for a, b, sub in pieces for p in ((a, (a + b) / 2.0, sub), ((a + b) / 2.0, b, sub))]
     parts = [panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
     x = np.concatenate([p[0] for p in parts])
     wx = np.concatenate([p[1] for p in parts])
-    if omega.piecewise_slices:
-        sizes = [p[0].size for p in parts]
-        slices = [sub for _, _, sub in pieces]
-    else:
-        sizes = [1] * x.size
-        slices = [omega.slice_first(float(xi)) for xi in x]
     runs = []
     start = 0
-    for size, sub in zip(sizes, slices):
+    for size, sub in zip([p[0].size for p in parts], [sub for _, _, sub in pieces]):
         iv = sub.intervals_1d(-R, R)
         if runs and np.array_equal(iv, runs[-1][2]):
             runs[-1][1] = start + size
@@ -441,7 +430,9 @@ GROUPED_CASES = (
             (6.0, 0.3, 2.0, 20),
         ]
     ]
-    + [(geometry.FullSpace(2), 10), (BOXES_2D, 20), (geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [1.5, 1.0]), 2)]
+    + [(geometry.FullSpace(2), 10), (BOXES_2D, 20)]
+    # two small boxes at a low degree: each first-axis piece that meets a box is shorter than a panel
+    + [(geometry.BoxUnion(2, [[[-0.2, 0.2], [-0.1, 0.1]], [[2.9, 3.1], [0.9, 1.1]]]), 2)]
 )
 
 
@@ -449,8 +440,7 @@ GROUPED_CASES = (
 def test_grouped_2d_assembly_matches_per_run_reference(omega, N):
     L = _panel_length(N)
     G, G_check, nodes = _gram_2d(omega, N, L)
-    # without piecewise slices the returned x-rule runs on each piece's halves
-    ref, ref_nodes = _per_run_gram_2d(omega, N, L, 16, halves=not omega.piecewise_slices)
+    ref, ref_nodes = _per_run_gram_2d(omega, N, L, 16)
     ref_check, _ = _per_run_gram_2d(omega, N, 2.0 * L, 16)
     assert nodes == ref_nodes
     assert np.max(np.abs(G - ref)) <= 1e-15
@@ -530,17 +520,18 @@ def test_one_assembly_and_two_tables_per_distinct_slice(omega, slices, monkeypat
     assert len(tables) == 2 * slices
 
 
-def test_two_dim_ball_union_fails_refinement():
+def test_two_dim_ball_union_gram_is_rejected(monkeypatch):
+    tables = []
+
+    def counted_table(kmax, x):
+        tables.append(x.size)
+        return hermite_function_table(kmax, x)
+
+    monkeypatch.setattr(spectral, "hermite_function_table", counted_table)
     omega = geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [1.5, 1.0])
-    with pytest.raises(geometry.QuadratureError, match="refinement moved entries"):
+    with pytest.raises(ValueError, match="piecewise slices"):
         gram_matrix(omega, 2)
-
-
-def test_small_ball_union_check_rule_differs_from_returned_rule():
-    # each first-axis piece that meets a ball is shorter than a panel, yet its slices vary
-    omega = geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [0.2, 0.1])
-    with pytest.raises(geometry.QuadratureError, match="refinement moved entries"):
-        gram_matrix(omega, 6)
+    assert not tables
 
 
 def test_growth_fit_recovers_exponential_law():
