@@ -24,8 +24,9 @@ from .hermite import (
     apply_position_derivative,
     evaluate,
 )
-from .indexing import _compositions
+from .indexing import _compositions, multi_indices, span_dim
 from .quadrature import panel_nodes
+from .spectral import truncation_radius
 
 __all__ = [
     "BernsteinCheck",
@@ -174,11 +175,7 @@ def gamma_envelope_fit(fs, epsilon: float, delta: float, max_order: int = 6) -> 
 @lru_cache(maxsize=64)
 def _index_pairs(dim: int, max_order: int):
     """All (alpha, beta) multi-index pairs with |alpha|+|beta| <= max_order."""
-    singles = []
-    for total in range(max_order + 1):
-        for comp in product(range(total + 1), repeat=dim):
-            if sum(comp) == total:
-                singles.append(comp)
+    singles = [tuple(row) for row in multi_indices(dim, max_order).tolist()]
     pairs = [
         (a, b) for a in singles for b in singles if sum(a) + sum(b) <= max_order
     ]
@@ -332,7 +329,7 @@ class OperatorExpansion:
             piece = apply_position_derivative(f, alpha, beta).with_degree(target)
             acc = piece.coeffs * c if acc is None else acc + c * piece.coeffs
         if acc is None:
-            acc = np.zeros(1)
+            acc = np.zeros(span_dim(f.dim, target), dtype=f.coeffs.dtype)
         return HermiteExpansion(f.dim, target, acc)
 
 
@@ -402,6 +399,6 @@ def weight_seminorm(f: HermiteExpansion, r: float, beta=None) -> float:
         return math.sqrt(total)
     if f.dim != 1:
         raise ValueError("non-integer weight powers are supported in 1-D only")
-    R = math.sqrt(4.0 * (g.degree + 1) + 20.0)
+    R = truncation_radius(g.degree + 1)
     x, w = panel_nodes(np.array([[-R, R]]), 0.5, 64)
     return math.sqrt(float(np.sum(w * (1.0 + x**2) ** r * np.abs(evaluate(g, x)) ** 2)))

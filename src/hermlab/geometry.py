@@ -188,7 +188,11 @@ class DensityFn:
         return float(out[0]) if scalar else out
 
     def min_on_box(self, box) -> float:
-        """Infimum of rho over the box (exact for constant/power)."""
+        """Infimum of rho over the box, exact for every kind.
+
+        A tabulated rho is piecewise linear, so its infimum is the smallest of
+        its values at the two box ends and at the grid points inside the box.
+        """
         b = _as_box(box)
         if self.kind == "constant":
             return self.m
@@ -197,8 +201,9 @@ class DensityFn:
             if b.shape[0] == 1:
                 return float(self(nearest[0]))
             return float(self(nearest[None, :])[0])
-        xs = np.linspace(b[0, 0], b[0, 1], 4097)
-        return float(np.min(self(xs)))
+        lo, hi = b[0]
+        inside = self.values[(self.grid > lo) & (self.grid < hi)]
+        return float(min(np.min(self(b[0])), np.min(inside, initial=np.inf)))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ The raising/lowering operators act on coefficients exactly:
     raise_j: c[alpha] -> sqrt(alpha_j + 1) c at alpha + e_j
     lower_j: c[alpha] -> sqrt(alpha_j)     c at alpha - e_j
 
-and position/derivative are their combinations x_j = (raise_j + lower_j)/sqrt2,
-d/dx_j = (lower_j - raise_j)/sqrt2, so any x^alpha d^beta is computed in
+One cached map serves both: lower_j on the degree-N span is the adjoint of
+raise_j from the degree-(N-1) span, so it reads that raising map backwards.
+Position and derivative are the combinations x_j = (lower_j + raise_j)/sqrt2
+and d/dx_j = (lower_j - raise_j)/sqrt2, so any x^alpha d^beta is computed in
 coefficient space with no quadrature at all.
 """
 
@@ -191,38 +193,26 @@ def _raise_map(dim: int, degree: int, axis: int):
     """Positions in the degree+1 enumeration of alpha + e_axis, plus factors."""
     table = indexing.multi_indices(dim, degree)
     lookup = indexing.index_lookup(dim, degree + 1)
-    tgt = np.empty(table.shape[0], dtype=np.int64)
-    for i, row in enumerate(table):
-        t = list(int(v) for v in row)
-        t[axis] += 1
-        tgt[i] = lookup[tuple(t)]
+    shifted = table + np.eye(dim, dtype=np.int64)[axis]
+    tgt = np.array([lookup[tuple(row)] for row in shifted.tolist()], dtype=np.int64)
     fac = np.sqrt(table[:, axis] + 1.0)
     fac.setflags(write=False)
     tgt.setflags(write=False)
     return tgt, fac
 
 
-@lru_cache(maxsize=512)
-def _lower_map(dim: int, degree: int, axis: int):
-    """Positions of alpha - e_axis (where alpha_axis > 0), plus factors."""
-    table = indexing.multi_indices(dim, degree)
-    tgt_degree = max(degree - 1, 0)
-    lookup = indexing.index_lookup(dim, tgt_degree)
-    src, tgt = [], []
-    for i, row in enumerate(table):
-        if row[axis] == 0:
-            continue
-        t = list(int(v) for v in row)
-        t[axis] -= 1
-        if sum(t) <= tgt_degree:
-            src.append(i)
-            tgt.append(lookup[tuple(t)])
-    src = np.asarray(src, dtype=np.int64)
-    tgt = np.asarray(tgt, dtype=np.int64)
-    fac = np.sqrt(table[src, axis].astype(np.float64))
-    for a in (src, tgt, fac):
-        a.setflags(write=False)
-    return src, tgt, fac
+def _lowered(c: np.ndarray, dim: int, degree: int, axis: int, size: int) -> np.ndarray:
+    """lower_axis of the degree-N coefficients c, zero-padded to `size` entries.
+
+    Reads the degree-(N-1) raising map backwards: each alpha gathers
+    sqrt(alpha_axis + 1) c[alpha + e_axis]. The gather adds onto zeros, so a
+    -0.0 coefficient lowers to +0.0.
+    """
+    out = np.zeros(size, dtype=c.dtype)
+    if degree > 0:
+        tgt, fac = _raise_map(dim, degree - 1, axis)
+        out[: tgt.size] += fac * c[tgt]
+    return out
 
 
 def apply_ladder(f: HermiteExpansion, axis: int, which: str) -> HermiteExpansion:
@@ -241,27 +231,21 @@ def apply_ladder(f: HermiteExpansion, axis: int, which: str) -> HermiteExpansion
         out[tgt] = fac * f.coeffs
         return HermiteExpansion(f.dim, f.degree + 1, out)
     if which == "lower":
-        src, tgt, fac = _lower_map(f.dim, f.degree, axis)
-        out = np.zeros(indexing.span_dim(f.dim, max(f.degree - 1, 0)), dtype=f.coeffs.dtype)
-        np.add.at(out, tgt, fac * f.coeffs[src])
-        return HermiteExpansion(f.dim, max(f.degree - 1, 0), out)
+        degree = max(f.degree - 1, 0)
+        out = _lowered(f.coeffs, f.dim, f.degree, axis, indexing.span_dim(f.dim, degree))
+        return HermiteExpansion(f.dim, degree, out)
     raise ValueError("which must be 'raise' or 'lower'")
 
 
-def _apply_position(f: HermiteExpansion, axis: int) -> HermiteExpansion:
-    # x_j = (raise_j + lower_j)/sqrt(2); embed the lowered part in degree N+1
-    up = apply_ladder(f, axis, "raise")
-    down = apply_ladder(f, axis, "lower").with_degree(f.degree + 1)
-    c = (up.coeffs + down.coeffs) / np.sqrt(2.0)
-    return HermiteExpansion(f.dim, f.degree + 1, c)
+def _signed_step(c: np.ndarray, dim: int, degree: int, axis: int, op) -> np.ndarray:
+    """(lower_axis op raise_axis) c / sqrt(2) on the degree-N span, as degree N+1.
 
-
-def _apply_derivative(f: HermiteExpansion, axis: int) -> HermiteExpansion:
-    # d/dx_j = (lower_j - raise_j)/sqrt(2)
-    up = apply_ladder(f, axis, "raise")
-    down = apply_ladder(f, axis, "lower").with_degree(f.degree + 1)
-    c = (down.coeffs - up.coeffs) / np.sqrt(2.0)
-    return HermiteExpansion(f.dim, f.degree + 1, c)
+    op = np.add gives x_axis, op = np.subtract gives d/dx_axis.
+    """
+    out = _lowered(c, dim, degree, axis, indexing.span_dim(dim, degree + 1))
+    tgt, fac = _raise_map(dim, degree, axis)
+    out[tgt] = op(out[tgt], fac * c)
+    return out / np.sqrt(2.0)
 
 
 def apply_position_derivative(f: HermiteExpansion, alpha, beta) -> HermiteExpansion:
@@ -278,14 +262,13 @@ def apply_position_derivative(f: HermiteExpansion, alpha, beta) -> HermiteExpans
         raise ValueError("indices must be non-negative")
     if f.degree + sum(alpha) + sum(beta) > DEGREE_CAP:
         raise ValueError(f"output degree exceeds cap {DEGREE_CAP}")
-    out = f
-    for j, b in enumerate(beta):
-        for _ in range(b):
-            out = _apply_derivative(out, j)
-    for j, a in enumerate(alpha):
-        for _ in range(a):
-            out = _apply_position(out, j)
-    return out
+    c, degree = f.coeffs, f.degree
+    for powers, op in ((beta, np.subtract), (alpha, np.add)):
+        for j, p in enumerate(powers):
+            for _ in range(p):
+                c = _signed_step(c, f.dim, degree, j, op)
+                degree += 1
+    return HermiteExpansion(f.dim, degree, c)
 
 
 def apply_harmonic_oscillator(f: HermiteExpansion) -> HermiteExpansion:

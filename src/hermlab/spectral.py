@@ -90,7 +90,6 @@ class GramMatrix:
     entries: np.ndarray = field(repr=False)
     factor: np.ndarray | None = field(repr=False)
     quad_tol: float
-    radius: float
     nodes: int
 
     @property
@@ -258,7 +257,6 @@ def gram_matrix(
         entries=G,
         factor=R,
         quad_tol=quad_tol,
-        radius=truncation_radius(degree),
         nodes=nodes,
     )
 

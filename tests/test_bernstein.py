@@ -80,6 +80,15 @@ def test_expansion_k0_is_identity(rng):
     assert np.allclose(out.with_degree(4).coeffs, f.coeffs, atol=1e-15)
 
 
+def test_expansion_without_terms_is_the_zero_map():
+    for dim, k, degree in ((1, 1, 3), (2, 2, 4)):
+        f = basis_state(dim, degree, (1,) + (0,) * (dim - 1))
+        out = bernstein.OperatorExpansion(k=k, dim=dim, terms={}).apply(f)
+        assert out.degree == degree + 2 * k
+        assert out.coeffs.shape == (indexing.span_dim(dim, degree + 2 * k),)
+        assert not np.any(out.coeffs)
+
+
 def test_first_power_terms():
     # H + 1 in one dimension: x^2 - d^2 + 1
     op = harmonic_power_expand(1, 1)

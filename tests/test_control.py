@@ -28,7 +28,7 @@ HEAT = EvolutionSpec(s=1.0, dim=1)
 def _actuator(G, degree):
     """A synthetic 1-D actuator block in place of an assembled Gram matrix."""
     return GramMatrix(
-        degree=degree, dim=1, entries=np.asarray(G), factor=None, quad_tol=0.0, radius=math.nan, nodes=0
+        degree=degree, dim=1, entries=np.asarray(G), factor=None, quad_tol=0.0, nodes=0
     )
 
 

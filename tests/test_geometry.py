@@ -59,6 +59,29 @@ def test_tabulated_density_interpolates():
     assert rho(np.array([0.5]))[0] == pytest.approx(1.5)
 
 
+# a dip to 0.01 narrower than the spacing of 4097 samples over [-100, 100]
+NARROW_DIP = DensityFn.tabulated([-1.0, 0.0, 1e-3, 1.0], [1.0, 1.0, 0.01, 1.0])
+
+
+def test_tabulated_min_on_box_is_exact():
+    assert NARROW_DIP.min_on_box([(-100.0, 100.0)]) == 0.01
+    # no grid point inside: the smaller of the interpolant at the two ends
+    assert NARROW_DIP.min_on_box([(0.5, 0.75)]) == float(np.interp(0.5, NARROW_DIP.grid, NARROW_DIP.values))
+    assert NARROW_DIP.min_on_box([(2.0, 3.0)]) == 1.0
+
+
+def test_covering_step_rule_sees_a_narrow_dip(monkeypatch):
+    cov = covering_generate(NARROW_DIP, [(-100.0, 100.0)])
+    assert cov.grid_step == 0.01 / 6.0
+
+    def no_grid(*args):
+        raise AssertionError("a candidate grid was built for a step the rule rejects")
+
+    monkeypatch.setattr(geometry, "_box_grid", no_grid)
+    with pytest.raises(CoverageError, match="too coarse"):
+        covering_generate(NARROW_DIP, [(-100.0, 100.0)], grid_step=0.005)
+
+
 # -- exact 1-D measures ---------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermlab import indexing, kernels
+from hermlab import bernstein, indexing, kernels
 from hermlab.hermite import (
     HermiteExpansion,
     apply_harmonic_oscillator,
@@ -157,6 +158,117 @@ def test_ladder_adjointness(rng):
     lhs = np.vdot(apply_ladder(f, 1, "raise").coeffs, g.coeffs)
     rhs = np.vdot(f.coeffs, apply_ladder(g, 1, "lower").with_degree(4).coeffs)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+
+# -- reference: the two-map ladder calculus the single map replaced ------------
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_raise_map(dim, degree, axis):
+    table = indexing.multi_indices(dim, degree)
+    lookup = indexing.index_lookup(dim, degree + 1)
+    tgt = np.empty(table.shape[0], dtype=np.int64)
+    for i, row in enumerate(table):
+        t = list(int(v) for v in row)
+        t[axis] += 1
+        tgt[i] = lookup[tuple(t)]
+    return tgt, np.sqrt(table[:, axis] + 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_lower_map(dim, degree, axis):
+    table = indexing.multi_indices(dim, degree)
+    tgt_degree = max(degree - 1, 0)
+    lookup = indexing.index_lookup(dim, tgt_degree)
+    src, tgt = [], []
+    for i, row in enumerate(table):
+        if row[axis] == 0:
+            continue
+        t = list(int(v) for v in row)
+        t[axis] -= 1
+        if sum(t) <= tgt_degree:
+            src.append(i)
+            tgt.append(lookup[tuple(t)])
+    src = np.asarray(src, dtype=np.int64)
+    tgt = np.asarray(tgt, dtype=np.int64)
+    return src, tgt, np.sqrt(table[src, axis].astype(np.float64))
+
+
+def _ref_ladder(f, axis, which):
+    if which == "raise":
+        tgt, fac = _ref_raise_map(f.dim, f.degree, axis)
+        out = np.zeros(indexing.span_dim(f.dim, f.degree + 1), dtype=f.coeffs.dtype)
+        out[tgt] = fac * f.coeffs
+        return HermiteExpansion(f.dim, f.degree + 1, out)
+    src, tgt, fac = _ref_lower_map(f.dim, f.degree, axis)
+    out = np.zeros(indexing.span_dim(f.dim, max(f.degree - 1, 0)), dtype=f.coeffs.dtype)
+    np.add.at(out, tgt, fac * f.coeffs[src])
+    return HermiteExpansion(f.dim, max(f.degree - 1, 0), out)
+
+
+def _ref_position(f, axis):
+    up = _ref_ladder(f, axis, "raise")
+    down = _ref_ladder(f, axis, "lower").with_degree(f.degree + 1)
+    return HermiteExpansion(f.dim, f.degree + 1, (up.coeffs + down.coeffs) / np.sqrt(2.0))
+
+
+def _ref_derivative(f, axis):
+    up = _ref_ladder(f, axis, "raise")
+    down = _ref_ladder(f, axis, "lower").with_degree(f.degree + 1)
+    return HermiteExpansion(f.dim, f.degree + 1, (down.coeffs - up.coeffs) / np.sqrt(2.0))
+
+
+def _ref_position_derivative(f, alpha, beta):
+    out = f
+    for j, b in enumerate(beta):
+        for _ in range(b):
+            out = _ref_derivative(out, j)
+    for j, a in enumerate(alpha):
+        for _ in range(a):
+            out = _ref_position(out, j)
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.dim == want.dim and got.degree == want.degree
+    assert got.coeffs.dtype == want.coeffs.dtype and got.coeffs.shape == want.coeffs.shape
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()  # signed zeros too
+
+
+def _samples(rng, dim, degree):
+    """A real and a complex expansion, each with some -0.0 and +0.0 coefficients."""
+    m = indexing.span_dim(dim, degree)
+    real = rng.standard_normal(m)
+    cplx = real + 1j * rng.standard_normal(m)
+    for c in (real, cplx):
+        c[::3] = -0.0
+        c[1::5] = 0.0
+    return HermiteExpansion(dim, degree, real), HermiteExpansion(dim, degree, cplx)
+
+
+@pytest.mark.parametrize("dim, degrees", [(1, (0, 1, 7, 200)), (2, (0, 1, 6)), (3, (0, 4))])
+def test_single_ladder_map_matches_two_map_reference(rng, dim, degrees):
+    pairs = bernstein._index_pairs(dim, 4)
+    for degree in degrees:
+        for f in _samples(rng, dim, degree):
+            for axis in range(dim):
+                for which in ("raise", "lower"):
+                    _assert_same_bits(apply_ladder(f, axis, which), _ref_ladder(f, axis, which))
+            for alpha, beta in pairs:
+                _assert_same_bits(
+                    apply_position_derivative(f, alpha, beta),
+                    _ref_position_derivative(f, alpha, beta),
+                )
+
+
+def test_lowering_ground_level_gives_one_zero_coefficient():
+    for dim in (1, 2, 3):
+        for c in (np.array([2.5]), np.array([-1.0 + 3.0j])):
+            out = apply_ladder(HermiteExpansion(dim, 0, c), dim - 1, "lower")
+            assert out.degree == 0 and out.coeffs.dtype == c.dtype
+            assert out.coeffs.tobytes() == np.zeros(1, dtype=c.dtype).tobytes()
 
 
 def _mp_hermite_function(k, x):

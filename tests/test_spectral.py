@@ -211,7 +211,7 @@ def test_near_degenerate_bottom_pair_falls_back_to_svd(monkeypatch):
     U = np.linalg.qr(rng.standard_normal((m, m)))[0]
     V = np.linalg.qr(rng.standard_normal((m, m)))[0]
     R = np.linalg.qr((U * s) @ V.T, mode="r")
-    G = GramMatrix(m - 1, 1, R.T @ R, R, 0.0, truncation_radius(m - 1), m)
+    G = GramMatrix(m - 1, 1, R.T @ R, R, 0.0, m)
     full_svd = np.linalg.svd
     calls = []
 
@@ -465,7 +465,7 @@ def test_2d_gram_is_psd_to_rounding(omega, N):
 def _unchecked_gram_2d(omega, N):
     """The 2-D Gram without the quadrature check, so the solve is tested on every set."""
     entries, _, nodes = _gram_2d(omega, N, _panel_length(N))
-    return GramMatrix(N, 2, entries, None, 0.0, truncation_radius(N), nodes)
+    return GramMatrix(N, 2, entries, None, 0.0, nodes)
 
 
 @pytest.mark.parametrize("omega, N", GROUPED_CASES + [(PERIODIC_2D, 0)])
