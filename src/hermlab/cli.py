@@ -449,7 +449,10 @@ def _run_bernstein_check(p, inputs, ws):
 
 def _run_covering(p, inputs, ws):
     dim = p.get("dim", 1)
+    t0 = time.perf_counter()
     cov = geometry.covering_generate(inputs["rho"], inputs["box"])
+    ws.timings["covering_s"] = time.perf_counter() - t0
+    ws.counters.update(candidates=cov.candidates, balls=len(cov.radii))
     header = [f"x{i+1}" for i in range(dim)] + ["radius"]
     rows = [tuple(c) + (r,) for c, r in zip(cov.centers, cov.radii)]
     ws.write_csv("covering.csv", header, rows)

@@ -24,9 +24,10 @@ integrand smooth there.
 The covering generator picks centers greedily from a fine grid, keeping a
 candidate only when it is at least a third of the summed radii away from
 every kept center; that makes the third-radius balls interior-disjoint by
-construction while the full balls still cover the box. Selection and the
-coverage count use KD-trees, so their work follows the balls kept and the
-grid points each ball holds.
+construction while the full balls still cover the box. Selection uses a
+KD-tree, so its work follows the balls kept; the coverage count takes each
+ball's run of covered points on every grid line it reaches, so its work
+follows the lines each ball reaches.
 """
 
 import math
@@ -775,7 +776,8 @@ class Covering:
     centers (k, n) with radii rho(center); third-radius balls are pairwise
     interior-disjoint; overlap_bound is the a-priori multiplicity bound
     (4 C^3 + 1)^n for the slowness constant C; max_multiplicity is the
-    largest overlap observed on the verification grid.
+    largest overlap observed on the verification grid, the grid of
+    candidate centers, which holds candidates points.
     """
 
     centers: np.ndarray = field(repr=False)
@@ -783,19 +785,83 @@ class Covering:
     overlap_bound: int
     max_multiplicity: int
     grid_step: float
+    candidates: int
 
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
 
 
-def _box_grid(box: np.ndarray, step: float) -> np.ndarray:
-    axes = []
-    for lo, hi in box:
-        k = max(int(math.ceil((hi - lo) / step)), 1)
-        axes.append(np.linspace(lo, hi, k + 1))
+# Greedy selection keeps about one ball per 17 candidates in 2-D at about
+# 45 us per ball, so this many candidates take about 5 s.
+_MAX_CANDIDATES = 2_000_000
+
+
+def _box_grid(box: np.ndarray, sizes) -> tuple:
+    """(axes, grid): per-axis linspaces of the given sizes and their row-major product."""
+    axes = [np.linspace(lo, hi, k) for (lo, hi), k in zip(box, sizes)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return axes, np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _runs(axis: np.ndarray, c: np.ndarray, base: np.ndarray, rr: np.ndarray) -> tuple:
+    """Index runs [lo, hi) of the sorted axis where base + (x - c)**2 <= rr, rounded as written.
+
+    Rounded subtraction, squaring and addition are monotone, so the test is
+    monotone in x on each side of c and holds on one contiguous run. Its ends
+    are estimated from sqrt(rr - base), then moved one index at a time by
+    the exact test until they are stable.
+    """
+    m = axis.size
+
+    def inside(i):
+        x = axis[np.clip(i, 0, m - 1)]
+        return (i >= 0) & (i < m) & (base + (x - c) ** 2 <= rr)
+
+    mid = np.searchsorted(axis, c)  # left of mid the test grows with the index, from mid on it falls
+    w = np.sqrt(np.maximum(rr - base, 0.0))
+    lo = np.minimum(np.searchsorted(axis, c - w), mid)
+    hi = np.maximum(np.searchsorted(axis, c + w, side="right"), mid)
+    while True:
+        dlo = ((lo < mid) & ~inside(lo)).astype(np.intp) - inside(lo - 1)
+        dhi = inside(hi).astype(np.intp) - ((hi > mid) & ~inside(hi - 1))
+        if not (dlo.any() or dhi.any()):
+            return lo, hi
+        lo, hi = lo + dlo, hi + dhi
+
+
+def _coverage_counts(axes: list, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """How many balls B(centers[k], radii[k]) hold each point of the row-major grid of axes.
+
+    A point counts iff sum((g - c)**2) <= r*r, summed left to right as
+    np.sum sums. Each term is at most the sum, so a ball reaches a grid line
+    (leading indices fixed) only through runs of the same test on the
+    leading axes, and on the line it covers one run (see _runs). The runs
+    become +1/-1 marks that a cumulative sum along each line turns into
+    counts: the work follows the lines each ball reaches, not its points.
+    """
+    last = axes[-1].size
+    marks = np.zeros(math.prod(a.size for a in axes[:-1]) * (last + 1), dtype=np.int64)
+    rr_all = radii * radii
+    for s in range(0, centers.shape[0], 1024):
+        ctr, rr = centers[s : s + 1024], rr_all[s : s + 1024]
+        ball = np.arange(ctr.shape[0])
+        line = np.zeros_like(ball)
+        base = np.zeros(ctr.shape[0])
+        for d, axis in enumerate(axes):
+            lo, hi = _runs(axis, ctr[ball, d], base, rr[ball])
+            if d == len(axes) - 1:
+                break
+            # one (ball, line) pair per index of each run
+            size = hi - lo
+            rep = np.repeat(np.arange(ball.size), size)
+            idx = lo[rep] + np.arange(rep.size) - (np.cumsum(size) - size)[rep]
+            ball = ball[rep]
+            base = base[rep] + (axis[idx] - ctr[ball, d]) ** 2
+            line = line[rep] * axis.size + idx
+        np.add.at(marks, line * (last + 1) + lo, 1)
+        np.add.at(marks, line * (last + 1) + hi, -1)
+    return np.cumsum(marks.reshape(-1, last + 1), axis=1)[:, :-1].ravel()
 
 
 def covering_generate(
@@ -807,11 +873,10 @@ def covering_generate(
     divided by 6) in row-major order; a candidate is kept iff its distance to
     every kept center is at least the sum of the two radii over 3. Coverage
     is then verified on the same grid and the observed overlap multiplicity
-    recorded. A grid coarser than min rho / 5 cannot certify coverage and is
-    rejected up front.
+    recorded. A grid coarser than min rho / 5 cannot certify coverage, and a
+    grid of more than _MAX_CANDIDATES points would not finish in seconds;
+    both are rejected before any grid is built.
     """
-    from scipy.spatial import cKDTree
-
     b = _as_box(box)
     n = b.shape[0]
     if n not in (1, 2, 3):
@@ -821,29 +886,24 @@ def covering_generate(
         raise InvalidDensityError("density must be positive on the box")
     if grid_step is None:
         grid_step = rho_min / 6.0
+    if not grid_step > 0:
+        raise ValueError("grid_step must be positive")
     if grid_step >= rho_min / 5.0:
         raise CoverageError(
             f"candidate grid step {grid_step:g} too coarse for min density {rho_min:g}; "
             f"need step < {rho_min / 5.0:g}"
         )
-    grid = _box_grid(b, grid_step)
+    cells = np.maximum(np.ceil((b[:, 1] - b[:, 0]) / grid_step), 1.0)
+    count = float(np.prod(cells + 1.0))
+    if not count <= _MAX_CANDIDATES:
+        raise CoverageError(f"candidate grid of {count:.3g} points exceeds the cap {_MAX_CANDIDATES}")
+    axes, grid = _box_grid(b, (cells + 1.0).astype(np.int64))
     radii = np.atleast_1d(rho(grid if n > 1 else grid[:, 0])).astype(np.float64)
     kept = greedy_ball_select(np.ascontiguousarray(grid), np.ascontiguousarray(radii))
     centers = grid[kept]
     kept_radii = radii[kept]
 
-    tree = cKDTree(grid)
-    covered = np.zeros(grid.shape[0], dtype=np.int64)
-    # candidate hits from the tree, widened against its rounding, then the
-    # exact test; in chunks of centers, so few index lists exist at a time
-    for s in range(0, centers.shape[0], 128):
-        ctr, rad = centers[s : s + 128], kept_radii[s : s + 128]
-        hits = tree.query_ball_point(ctr, rad * (1.0 + 1e-12))
-        owner = np.repeat(np.arange(ctr.shape[0]), [len(h) for h in hits])
-        point = np.concatenate(hits).astype(np.intp)
-        d2 = np.sum((grid[point] - ctr[owner]) ** 2, axis=1)
-        r = rad[owner]
-        covered += np.bincount(point[d2 <= r * r], minlength=grid.shape[0])
+    covered = _coverage_counts(axes, centers, kept_radii)
     if np.any(covered == 0):
         holes = grid[covered == 0]
         raise CoverageError(
@@ -857,6 +917,7 @@ def covering_generate(
         overlap_bound=bound,
         max_multiplicity=int(covered.max()),
         grid_step=float(grid_step),
+        candidates=grid.shape[0],
     )
 
 

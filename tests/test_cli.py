@@ -328,6 +328,10 @@ _PROBES = {
         },
         2,
     ),
+    "covering-beyond-candidate-cap": (
+        {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1.0}, "extent": 1e4, "dim": 2}},
+        1,
+    ),
     "basis-index-above-N": (_control_probe(f0={"type": "basis", "alpha": [9]}), 2),
     "coeffs-too-short": (_control_probe(f0={"type": "coeffs", "coeffs": [1.0, 0.0]}), 2),
     "sensor-set-2d-spec-1d": (_control_probe(omega={"type": "periodic", "dim": 2, "period": 2.0, "kept": 0.5}), 2),
@@ -389,6 +393,8 @@ def test_covering_run_exports_centers(tmp_path):
     lines = (tmp_path / "covering.csv").read_text().splitlines()
     assert lines[0] == "x1,radius"
     assert len(lines) - 1 == manifest["metrics"]["balls"]
+    assert manifest["counters"] == {"candidates": 121, "balls": manifest["metrics"]["balls"]}
+    assert 0.0 <= manifest["timings"]["covering_s"] <= manifest["metrics"]["wall_time_s"]
 
 
 def test_singular_space_run_matches_catalog(tmp_path):

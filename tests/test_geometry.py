@@ -634,6 +634,70 @@ def test_covering_rejects_coarse_grid():
         covering_generate(DensityFn.constant(1.0), [(-3.0, 3.0)], grid_step=0.9)
 
 
+def test_covering_rejects_a_nonpositive_step():
+    for step in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="grid_step must be positive"):
+            covering_generate(DensityFn.constant(1.0), [(-3.0, 3.0)], grid_step=step)
+
+
+def test_covering_rejects_a_grid_above_the_candidate_cap(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a candidate grid was built above the cap")
+
+    monkeypatch.setattr(geometry, "_box_grid", no_grid)
+    # 120,001^2 candidates, about 1.44e10
+    with pytest.raises(CoverageError, match="exceeds the cap"):
+        covering_generate(DensityFn.constant(1.0), [(-1e4, 1e4)] * 2)
+    with pytest.raises(CoverageError, match="exceeds the cap"):
+        covering_generate(DensityFn.constant(1.0), [(-math.inf, 0.0)])
+
+
+@pytest.mark.parametrize("rho, box", COVER_CASES)
+def test_covering_reports_its_candidate_count(rho, box):
+    cov = covering_generate(rho, box)
+    assert cov.candidates == _grid(box, cov.grid_step).shape[0]
+
+
+def _brute_counts(grid, centers, radii):
+    d2 = np.sum((grid[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return np.sum(d2 <= radii * radii, axis=1)
+
+
+def _axes_grid(axes):
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coverage_counts_match_brute_force_on_random_grids(rng, dim):
+    for _ in range(40):
+        axes = [np.linspace(rng.uniform(-5.0, 0.0), rng.uniform(0.1, 5.0), rng.integers(2, 40 // dim)) for _ in range(dim)]
+        grid = _axes_grid(axes)
+        k = 30
+        # centers on grid points and scattered off them, some beyond the box edge
+        centers = grid[rng.integers(0, grid.shape[0], k)]
+        centers[::2] += rng.normal(0.0, 3.0, size=centers[::2].shape)
+        radii = rng.uniform(0.0, 4.0, size=k)
+        # a third of the radii are distances to a grid point, a sixth lie below the step
+        far = grid[rng.integers(0, grid.shape[0], k)]
+        radii[::3] = np.sqrt(np.sum((far - centers) ** 2, axis=1))[::3]
+        radii[1::6] = rng.uniform(0.0, 0.5, size=radii[1::6].shape) * min(a[1] - a[0] for a in axes)
+        counts = geometry._coverage_counts(axes, centers, radii)
+        assert np.array_equal(counts, _brute_counts(grid, centers, radii))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coverage_counts_keep_exact_ties(dim):
+    # integer lattice and integer radii: many points sit exactly on a sphere
+    axes = [np.linspace(0.0, 8.0, 9)] * dim
+    grid = _axes_grid(axes)
+    centers = grid[:: max(grid.shape[0] // 7, 1)]
+    for r in (0.0, 1.0, 2.0, 3.0, 5.0, 20.0):
+        radii = np.full(centers.shape[0], r)
+        counts = geometry._coverage_counts(axes, centers, radii)
+        assert np.array_equal(counts, _brute_counts(grid, centers, radii))
+        assert np.sum(counts) > 0
+
+
 # -- thickness transfer ---------------------------------------------------------
 
 
