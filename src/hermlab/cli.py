@@ -365,7 +365,7 @@ class _Workspace:
                 pass
 
 
-def _gnuplot(csv_name, title, xlabel, ylabel, using, logy=False, extra=""):
+def _gnuplot(csv_name, title, xlabel, ylabel, using, logy=False):
     lines = [
         "set datafile separator ','",
         f"set title '{title}'",
@@ -376,8 +376,6 @@ def _gnuplot(csv_name, title, xlabel, ylabel, using, logy=False, extra=""):
     ]
     if logy:
         lines.append("set logscale y")
-    if extra:
-        lines.append(extra)
     lines.append(f"plot '{csv_name}' skip 1 using {using} with linespoints title '{ylabel}'")
     return "\n".join(lines) + "\n"
 
@@ -431,6 +429,7 @@ def _run_bernstein_check(p, inputs, ws):
     rows = []
     worst = 0.0
     violations = 0
+    t0 = time.perf_counter()
     for i in range(p["count"]):
         f = random_expansion(inputs["rng"], dim=dim, degree=N)
         for a, b in pairs:
@@ -439,6 +438,8 @@ def _run_bernstein_check(p, inputs, ws):
             if chk.ratio > 1 + 1e-10:
                 violations += 1
             rows.append((i, "".join(map(str, a)), "".join(map(str, b)), chk.lhs, chk.rhs, chk.ratio))
+    ws.timings["checks_s"] = time.perf_counter() - t0
+    ws.counters["checks"] = len(rows)
     ws.write_csv("bernstein.csv", ["sample", "alpha", "beta", "lhs", "rhs", "ratio"], rows)
     ws.write_text(
         "bernstein.gp",
@@ -474,6 +475,7 @@ def _run_dissipation(p, inputs, ws):
     rows = []
     worst = 0.0
     sharp_gap = 0.0
+    t0 = time.perf_counter()
     for k in p["k_values"]:
         if k + 1 <= degree:
             alpha = (k + 1,) + (0,) * (spec.dim - 1)
@@ -488,6 +490,8 @@ def _run_dissipation(p, inputs, ws):
                 ratio = rep.tail_norm / rep.bound if rep.bound > 0 else 0.0
                 worst = max(worst, ratio)
                 rows.append((k, t, i, rep.tail_norm, rep.bound, rep.weak_bound, ratio))
+    ws.timings["dissipation_s"] = time.perf_counter() - t0
+    ws.counters["rows"] = len(rows)
     ws.write_csv(
         "dissipation.csv",
         ["k", "t", "sample", "tail_norm", "bound", "weak_bound", "ratio"],
@@ -534,6 +538,7 @@ def _run_singular_space(p, inputs, ws):
     todo = inputs["named"] + [(f"form{i}", q) for i, q in enumerate(inputs["forms"])]
     rows = []
     reports = {}
+    t0 = time.perf_counter()
     for name, q in todo:
         res = symbols.singular_space(symbols.hamilton_map(q), tol=tol)
         summary = symbols.singular_space_summary(res)
@@ -546,6 +551,8 @@ def _run_singular_space(p, inputs, ws):
             if summary["dimS"]
             else [],
         }
+    ws.timings["singular_space_s"] = time.perf_counter() - t0
+    ws.counters["forms"] = len(rows)
     ws.write_csv("singular_space.csv", ["name", "dim_s", "k0", "ambiguous"], rows)
     ws.write_json("singular_space.json", reports)
     return {"forms": len(rows), "max_dim_s": max((r[1] for r in rows), default=0)}

@@ -19,7 +19,7 @@ e^{-2T Lambda} underflow never meets an explicit inverse.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +34,6 @@ from .spectral import GramMatrix, gram_matrix
 __all__ = [
     "ControlError",
     "ControlProblem",
-    "ControlSegment",
     "ControlSignal",
     "gramian",
     "min_energy_control",
@@ -82,44 +81,34 @@ class ControlProblem:
             raise ValueError("initial state dimension mismatch")
         if self.f0.degree > self.N:
             raise ValueError("initial state must lie in the degree-N span")
-        if self.omega.dim != self.spec.dim:
-            raise ValueError(f"sensor set has dim {self.omega.dim}, spec has dim {self.spec.dim}")
+        _check_dim(self.omega, self.spec)
         reference_blowup_exponent(self.spec.s, self.delta)  # raises unless 0 <= δ < 2s−1
 
 
 @dataclass(frozen=True)
-class ControlSegment:
-    """Sampled control trajectory on one time interval.
-
-    values[:, i] is the control coefficient vector (in the degree-`level`
-    span) at times[i]; between segments the control is zero.
-    """
-
-    interval: tuple
-    level: int
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class ControlSignal:
-    """Piecewise control with its exact stage data for re-simulation.
+    """Piecewise control given by its exact stage data.
 
-    total_cost integrates the squared coefficient norm of the control over
-    time; duality_cost is the Gramian closed form, and the two agree to
-    quadrature accuracy. stage_data rows hold (t_start, tau, level, mu) with
-    u(t) = -G E(tau - (t - t_start)) mu on the stage's controlled window.
+    stage_data rows hold (t_start, tau, level, mu) with
+    u(t) = -G_lo E_lo(tau - (t - t_start)) mu on the stage's controlled
+    window [t_start, t_start + tau] and zero elsewhere. total_cost is the
+    control energy int ||u||^2 dt, summed over stages from the duality form
+    gᵀE(tau)W⁻¹E(tau)g; condition is the worst stage Gramian condition.
     """
 
-    segments: tuple
     total_cost: float
-    duality_cost: float
     residual: float
     condition: float
-    stage_data: tuple = ()
+    stage_data: tuple
+
+
+def _check_dim(omega, spec: EvolutionSpec):
+    if omega.dim != spec.dim:
+        raise ValueError(f"sensor set has dim {omega.dim}, spec has dim {spec.dim}")
 
 
 def _gram_block(omega, degree: int, spec: EvolutionSpec) -> np.ndarray:
+    _check_dim(omega, spec)
     if isinstance(omega, GramMatrix):
         if omega.degree < degree:
             raise ValueError("provided Gram matrix has insufficient degree")
@@ -185,61 +174,48 @@ def _stage(G: np.ndarray, lam: np.ndarray, m: int, tau: float, g: np.ndarray):
     return mu, float(rhs @ mu), condition
 
 
-def _segment(G_lo, lam_lo, mu, t0: float, tau: float, level: int, nodes: int) -> ControlSegment:
-    """u(t) = -G_lo E_lo(t0 + tau - t) mu sampled at Gauss nodes of [t0, t0 + tau]."""
-    x, _ = gauss_legendre(nodes)
-    times = t0 + tau / 2.0 * (x + 1.0)
-    traj = -G_lo @ (np.exp(-(t0 + tau - times)[:, None] * lam_lo[None, :]).T * mu[:, None])
-    return ControlSegment(interval=(t0, t0 + tau), level=level, times=times, values=traj)
+def _replay(G: np.ndarray, lam: np.ndarray, dim: int, state: np.ndarray, stage_data, T: float) -> float:
+    """Terminal norm at time T of f' = -Lambda f + G u from state under the stage controls.
 
-
-def _replay(state, G, lam, m: int, tau: float, mu, nodes: int) -> np.ndarray:
-    """State after one controlled stage of f' = -Lambda f + G[:, :m] u.
-
-    Duhamel quadrature of the forcing at `nodes` Gauss points, with the
-    control u(t) = -G_lo E_lo(tau - t) mu rebuilt at every node; it never
-    uses the closed-form kernel of the synthesis, so it checks it.
+    Each stage's forcing goes through Duhamel quadrature at 256 Gauss nodes,
+    with the control u(t) = -G_lo E_lo(tau - (t - t0)) mu rebuilt at every
+    node; between and after the stages the flow is propagated exactly. It
+    never uses the closed-form kernel of the synthesis, so it checks it.
     """
-    x, w = gauss_legendre(nodes)
-    lag = tau / 2.0 * (1.0 - x)  # tau - t at the nodes
-    U = G[:m, :m] @ (np.exp(-lam[:m, None] * lag[None, :]) * mu[:, None])
-    forced = np.exp(-lam[:, None] * lag[None, :]) * (G[:, :m] @ U)
-    return np.exp(-tau * lam) * state - forced @ (tau / 2.0 * w)
+    x, w = gauss_legendre(256)
+    cursor = 0.0
+    for t0, tau, level, mu in stage_data:
+        state = np.exp(-(t0 - cursor) * lam) * state
+        m = indexing.span_dim(dim, level)
+        lag = tau / 2.0 * (1.0 - x)  # t0 + tau - t at the nodes
+        U = G[:m, :m] @ (np.exp(-lam[:m, None] * lag[None, :]) * mu[:, None])
+        forced = np.exp(-lam[:, None] * lag[None, :]) * (G[:, :m] @ U)
+        state = np.exp(-tau * lam) * state - forced @ (tau / 2.0 * w)
+        cursor = t0 + tau
+    return float(np.linalg.norm(np.exp(-(T - cursor) * lam) * state))
 
 
-def min_energy_control(
-    g: HermiteExpansion,
-    tau: float,
-    k: int,
-    omega,
-    spec: EvolutionSpec,
-    samples: int = 64,
-) -> ControlSignal:
+def min_energy_control(g: HermiteExpansion, tau: float, k: int, omega, spec: EvolutionSpec) -> ControlSignal:
     """Minimal-energy control steering the level-k truncation of g to zero.
 
-    Closed form u(t) = -G E(tau - t) mu with mu = W^{-1} E(tau) g. The
-    terminal state is re-simulated by Duhamel quadrature on an independent
-    finer grid and must come back below 1e-8 ||g||; the quadrature cost and
-    the duality closed form gᵀE(tau)W⁻¹E(tau)g must agree.
+    Closed form u(t) = -G E(tau - t) mu with mu = W^{-1} E(tau) g, whose
+    energy is the duality form gᵀE(tau)W⁻¹E(tau)g. The terminal state is
+    replayed by Duhamel quadrature and must come back below 1e-8 ||g||.
     """
     if g.dim != spec.dim:
         raise ValueError("state dimension mismatch")
     if not tau > 0:
         raise ValueError("duration must be positive")
+    G = _gram_block(omega, k, spec)
     gvec = g.with_degree(k).coeffs if g.degree != k else g.coeffs
     lam = spec.eigenvalues(k)
-    G = _gram_block(omega, k, spec)
-    mu, duality_cost, condition = _stage(G, lam, lam.size, tau, gvec)
-
-    segment = _segment(G, lam, mu, 0.0, tau, k, samples)
-    _, w = gauss_legendre(samples)
-    total_cost = float(np.sum(tau / 2.0 * w * np.sum(segment.values**2, axis=0)))
-
-    residual = float(np.linalg.norm(_replay(gvec, G, lam, lam.size, tau, mu, 2 * samples)))
+    mu, cost, condition = _stage(G, lam, lam.size, tau, gvec)
+    stage_data = ((0.0, tau, k, mu),)
+    residual = _replay(G, lam, spec.dim, gvec, stage_data, tau)
     gnorm = float(np.linalg.norm(gvec))
     if gnorm > 0 and residual > 1e-8 * gnorm:
         raise ControlError(f"terminal residual {residual:.3e} exceeds 1e-8 ||g||")
-    return ControlSignal((segment,), total_cost, duality_cost, residual, condition, ((0.0, tau, k, mu),))
+    return ControlSignal(cost, residual, condition, stage_data)
 
 
 # -- dyadic synthesis ---------------------------------------------------------
@@ -270,18 +246,17 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
     Returns (ControlSignal, trace); the trace dict carries per-stage
     {interval, level, cost, residual}, the total cost, the terminal
     residual, and verified_residual, the terminal norm of the independent
-    Duhamel-quadrature replay that resimulate(oversample=2) performs.
+    Duhamel-quadrature replay that resimulate performs.
     """
     spec = problem.spec
     N = problem.N
     lam = spec.eigenvalues(N)
-    state = problem.f0.with_degree(N).coeffs.astype(np.float64).copy()
-    f0_norm = float(np.linalg.norm(state))
+    f0 = state = problem.f0.with_degree(N).coeffs.astype(np.float64)
+    f0_norm = float(np.linalg.norm(f0))
     Gfull = np.asarray(gram_matrix(problem.omega, N).entries)
 
     stages = []
     stage_data = []
-    segments = []
     total_cost = 0.0
     worst_condition = 1.0
     elapsed = Fraction(0)
@@ -313,7 +288,6 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         new_state -= M @ mu
         low_resid = float(np.linalg.norm(new_state[:m]))
 
-        segments.append(_segment(Gfull[:m, :m], lam[:m], mu, t0, tau, eff_level, 32))
         stage_data.append((t0, tau, eff_level, mu))
         total_cost += stage_cost
 
@@ -329,11 +303,8 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         state = np.exp(-float(remainder) * problem.T * lam) * state
     terminal_residual = float(np.linalg.norm(state))
 
-    # the duality cost of each stage is its exact control energy
-    signal = ControlSignal(
-        tuple(segments), total_cost, total_cost, terminal_residual, worst_condition, tuple(stage_data)
-    )
-    verified = _resimulate(problem, Gfull, signal.stage_data, oversample=2)
+    signal = ControlSignal(total_cost, terminal_residual, worst_condition, tuple(stage_data))
+    verified = _replay(Gfull, lam, spec.dim, f0, signal.stage_data, problem.T)
     trace = _trace_dict(stages, total_cost, terminal_residual, verified)
     if f0_norm > 0 and terminal_residual > tol * f0_norm:
         raise ControlError(
@@ -351,29 +322,18 @@ def _trace_dict(stages, total_cost, terminal_residual, verified):
     }
 
 
-def _resimulate(problem: ControlProblem, Gfull: np.ndarray, stage_data, oversample: int) -> float:
-    lam = problem.spec.eigenvalues(problem.N)
-    state = problem.f0.with_degree(problem.N).coeffs.astype(np.float64)
-    t_cursor = 0.0
-    for t0, tau, level, mu in stage_data:
-        state = np.exp(-(t0 - t_cursor) * lam) * state
-        m = indexing.span_dim(problem.spec.dim, level)
-        state = _replay(state, Gfull, lam, m, tau, mu, 128 * oversample)
-        t_cursor = t0 + tau
-    return float(np.linalg.norm(np.exp(-(problem.T - t_cursor) * lam) * state))
-
-
-def resimulate(problem: ControlProblem, signal: ControlSignal, oversample: int = 2) -> float:
+def resimulate(problem: ControlProblem, signal: ControlSignal) -> float:
     """Independent forward simulation of the synthesized control.
 
     Assembles the Gram matrix of problem.omega, replays each stage's control
-    formula through Duhamel quadrature at 128 * oversample Gauss nodes with
-    exact free propagation in between, and returns the terminal norm.
-    Agreement with the synthesis residual, which uses the closed-form stage
-    kernel, confirms the terminal contract.
+    formula through Duhamel quadrature at 256 Gauss nodes with exact free
+    propagation in between, and returns the terminal norm. Agreement with
+    the synthesis residual, which uses the closed-form stage kernel,
+    confirms the terminal contract.
     """
     Gfull = np.asarray(gram_matrix(problem.omega, problem.N).entries)
-    return _resimulate(problem, Gfull, signal.stage_data, oversample)
+    f0 = problem.f0.with_degree(problem.N).coeffs.astype(np.float64)
+    return _replay(Gfull, problem.spec.eigenvalues(problem.N), problem.spec.dim, f0, signal.stage_data, problem.T)
 
 
 # -- observability ------------------------------------------------------------

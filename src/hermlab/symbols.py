@@ -78,14 +78,6 @@ class HamiltonMap:
         F.setflags(write=False)
         object.__setattr__(self, "F", F)
 
-    @property
-    def realpart(self) -> np.ndarray:
-        return self.F.real.copy()
-
-    @property
-    def imagpart(self) -> np.ndarray:
-        return self.F.imag.copy()
-
 
 def symplectic_matrix(n: int) -> np.ndarray:
     """Standard J = [[0, I], [-I, 0]] of size 2n."""

@@ -420,6 +420,45 @@ def test_singular_space_run_matches_catalog(tmp_path):
     assert table["kramers-fokker-planck"] == ("0", "1")
 
 
+def _csv_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_bernstein_check_manifest_counts_and_times_checks(tmp_path):
+    cfg = {"kind": "bernstein-check", "seed": 1, "parameters": {"dim": 1, "N": 12, "count": 2, "max_order": 3}}
+    manifest = run(cfg, out_override=str(tmp_path))
+    rows = _csv_rows(tmp_path / "bernstein.csv")
+    assert manifest["counters"] == {"checks": len(rows)} and len(rows) == manifest["metrics"]["rows"] > 0
+    assert set(manifest["timings"]) == {"checks_s"}
+    assert 0.0 <= manifest["timings"]["checks_s"] <= manifest["metrics"]["wall_time_s"]
+
+
+def test_dissipation_manifest_counts_rows_and_times_tails(tmp_path):
+    cfg = {
+        "kind": "dissipation",
+        "seed": 2,
+        "parameters": {"s": 1.0, "k_values": [1, 3], "t_values": [0.1, 0.5], "degree": 6, "count": 2},
+    }
+    manifest = run(cfg, out_override=str(tmp_path))
+    rows = _csv_rows(tmp_path / "dissipation.csv")
+    assert manifest["counters"] == {"rows": len(rows)} and len(rows) == manifest["metrics"]["rows"] == 8
+    assert set(manifest["timings"]) == {"dissipation_s"}
+    assert 0.0 <= manifest["timings"]["dissipation_s"] <= manifest["metrics"]["wall_time_s"]
+
+
+def test_singular_space_manifest_counts_forms_and_times_them(tmp_path):
+    cfg = {
+        "kind": "singular-space",
+        "parameters": {"names": ["harmonic", "free-laplacian"], "forms": [[[1, 0], [0, 1]]]},
+    }
+    manifest = run(cfg, out_override=str(tmp_path))
+    rows = _csv_rows(tmp_path / "singular_space.csv")
+    assert manifest["counters"] == {"forms": len(rows)} and len(rows) == manifest["metrics"]["forms"] == 3
+    assert set(manifest["timings"]) == {"singular_space_s"}
+    assert 0.0 <= manifest["timings"]["singular_space_s"] <= manifest["metrics"]["wall_time_s"]
+
+
 def test_control_run_manifest_lists_trace(tmp_path):
     cfg = {
         "kind": "control-run",
