@@ -195,8 +195,11 @@ def _prepare(config):
     elif kind == "covering":
         inputs["rho"] = build("parameters.density", lambda: _build_density(p["density"]))
         inputs["box"] = build(
-            "parameters.extent", lambda: [(-float(p["extent"]), float(p["extent"]))] * p.get("dim", 1)
+            "parameters.extent",
+            lambda: geometry._as_box([(-float(p["extent"]), float(p["extent"]))] * p.get("dim", 1)),
         )
+        if not out:  # a density that cannot be evaluated on the box fails before any grid is built
+            build("parameters.density", lambda: inputs["rho"].min_on_box(inputs["box"]))
     elif kind == "dissipation":
         inputs["t_values"] = build("parameters.t_values", lambda: [float(t) for t in p["t_values"]])
     elif kind == "control-run":

@@ -1,4 +1,4 @@
-"""Hot kernels: Hermite-function tables and greedy ball selection, in numpy."""
+"""Hot kernels in numpy: Hermite-function tables, and greedy ball selection line by line on a grid."""
 
 import math
 
@@ -64,48 +64,101 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def greedy_ball_select(cand: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Greedy center selection with the symmetric third-radius separation rule.
+def greedy_ball_select(axes, radii: np.ndarray) -> np.ndarray:
+    """Greedy center selection on a grid with the symmetric third-radius separation rule.
 
-    Scans candidates in order and keeps ``cand[i]`` iff for every already kept
-    center ``c`` with radius ``r``:  ||cand[i] - c|| >= (radii[i] + r) / 3.
-    That predicate makes the balls B(center, radius/3) pairwise disjoint by
-    construction.
+    The candidates are the row-major product of the sorted coordinate arrays
+    ``axes``. Scanning them in order, candidate j is kept iff for every
+    already kept center c with radius r:  ||x_j - c|| >= (radii[j] + r) / 3,
+    the distance being the square root of the squared differences summed
+    left to right. That predicate makes the balls B(center, radius/3)
+    pairwise disjoint by construction.
 
-    Each kept candidate marks the later candidates it excludes, found with a
-    KD-tree query at the largest separation it can impose, and the scan jumps
-    to the next unmarked one; the work grows with the kept balls, not with
-    the candidates times the kept balls.
+    The scan walks the grid lines along the last axis in row-major order. On
+    a line the leading differences are exactly 0, so the rule is a 1-D test:
+    each kept candidate marks the later ones it excludes, up to where its
+    distance passes the largest separation (r + max radii)/3 it can impose,
+    and the line's next unmarked candidate is kept. The line's kept balls
+    then mark, in one batched evaluation, the candidates of later lines they
+    exclude, over per-ball index windows that searchsorted takes axis by
+    axis within that separation. The work follows the kept balls and their
+    reach, not the candidates times the kept balls.
 
     Parameters
     ----------
-    cand : (m, n) float64 array of candidate points (n = space dimension).
-    radii : (m,) float64 array, radii[i] = density at cand[i].
+    axes : sequence of sorted 1-D float64 arrays, one per space dimension.
+    radii : (prod of the axis sizes,) float64 array, the density at each
+        candidate in row-major order.
 
     Returns
     -------
-    int64 indices of the kept candidates, in selection order.
+    int64 flat indices of the kept candidates, in selection order.
     """
-    from scipy.spatial import cKDTree
-
-    cand = np.ascontiguousarray(cand, dtype=np.float64)
+    axes = [np.ascontiguousarray(a, dtype=np.float64) for a in axes]
     radii = np.ascontiguousarray(radii, dtype=np.float64)
-    m = cand.shape[0]
+    sizes = [a.size for a in axes]
+    m = math.prod(sizes)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    tree = cKDTree(cand)
     rmax = float(radii.max())
+    s = sizes[-1]
+    x = memoryview(axes[-1])  # items read as Python floats, without a list of them
     marked = np.zeros(m, dtype=bool)
-    kept: list[int] = []
-    i = 0
-    while i < m:
-        kept.append(i)
-        # widened so the tree's own rounding cannot drop a pair at the threshold
-        near = np.asarray(tree.query_ball_point(cand[i], (radii[i] + rmax) / 3.0 * (1.0 + 1e-12)), dtype=np.intp)
-        near = near[near > i]
-        d = np.sqrt(((cand[near] - cand[i]) ** 2).sum(axis=1))
-        marked[near[d < (radii[near] + radii[i]) / 3.0]] = True
-        i += 1
-        while i < m and marked[i]:
-            i += 1
+    kept = []
+    for start in range(0, m, s):
+        row = marked[start : start + s]
+        if row.all():
+            continue
+        free = (~row).nonzero()[0]
+        r = memoryview(radii[start : start + s])
+        excluded = bytearray(s)
+        picked = []
+        for j in memoryview(free):
+            if excluded[j]:
+                continue
+            picked.append(j)
+            xj, rj = x[j], r[j]
+            reach = (rj + rmax) / 3.0
+            for k in range(j + 1, s):
+                t = x[k] - xj
+                d = math.sqrt(t * t)
+                if not d < reach:  # rounding is monotone, so no later k is excluded
+                    break
+                if d < (r[k] + rj) / 3.0:
+                    excluded[k] = 1
+        kept.extend(start + j for j in picked)
+        if len(axes) > 1:
+            _mark_reach(axes, radii, marked, rmax, start // s, np.asarray(picked))
     return np.asarray(kept, dtype=np.int64)
+
+
+def _mark_reach(axes, radii, marked, rmax, line, last) -> None:
+    """Mark every candidate that the kept balls on one grid line exclude.
+
+    The balls sit on line ``line`` (flat index over the leading axes) at
+    last-axis indices ``last``. Axis by axis, each ball's window is the
+    searchsorted run within sqrt(T^2 - partial sum) of its coordinate, T =
+    (r + rmax)/3 widened by 1e-12 against rounding, plus one index per side;
+    the first axis runs only from the line's own index on, the others on both
+    sides. A hit is sqrt(sum of squares, left to right) < (R + r)/3.
+    """
+    lead = np.unravel_index(line, [a.size for a in axes[:-1]])
+    centers = [np.full(last.size, axis[i]) for axis, i in zip(axes, lead)] + [axes[-1][last]]
+    rk = radii[line * axes[-1].size + last]
+    reach = (rk + rmax) / 3.0
+    tt = reach * reach * (1.0 + 1e-12)
+    ball = np.arange(last.size)
+    flat = np.zeros(last.size, dtype=np.intp)
+    acc = np.zeros(last.size)
+    for d, (axis, ctr) in enumerate(zip(axes, centers)):
+        c = ctr[ball]
+        w = np.sqrt(np.maximum(tt[ball] - acc, 0.0)) * (1.0 + 1e-12)
+        lo = lead[0] if d == 0 else np.maximum(axis.searchsorted(c - w) - 1, 0)
+        hi = np.minimum(axis.searchsorted(c + w, side="right") + 1, axis.size)
+        size = hi - lo
+        rep = np.arange(ball.size).repeat(size)
+        idx = (lo - size.cumsum() + size)[rep] + np.arange(rep.size)
+        ball = ball[rep]
+        acc = acc[rep] + (axis[idx] - c[rep]) ** 2
+        flat = flat[rep] * axis.size + idx
+    marked[flat[np.sqrt(acc) < (radii[flat] + rk[ball]) / 3.0]] = True

@@ -328,6 +328,17 @@ _PROBES = {
         },
         2,
     ),
+    "tabulated-density-on-a-2d-box": (
+        {
+            "kind": "covering",
+            "parameters": {"density": {"kind": "tabulated", "grid": [0, 1], "values": [1, 1]}, "extent": 5.0, "dim": 2},
+        },
+        2,
+    ),
+    "covering-reversed-extent": (
+        {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1.0}, "extent": -1.0}},
+        2,
+    ),
     "covering-beyond-candidate-cap": (
         {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1.0}, "extent": 1e4, "dim": 2}},
         1,

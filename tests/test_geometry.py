@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +71,17 @@ def test_tabulated_min_on_box_is_exact():
     # no grid point inside: the smaller of the interpolant at the two ends
     assert NARROW_DIP.min_on_box([(0.5, 0.75)]) == float(np.interp(0.5, NARROW_DIP.grid, NARROW_DIP.values))
     assert NARROW_DIP.min_on_box([(2.0, 3.0)]) == 1.0
+
+
+def test_tabulated_density_rejects_a_2d_box_before_any_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a candidate grid was built for a density that cannot be evaluated on it")
+
+    monkeypatch.setattr(geometry, "_box_grid", no_grid)
+    with pytest.raises(InvalidDensityError, match="1-D only"):
+        NARROW_DIP.min_on_box([(-1.0, 1.0), (-1.0, 1.0)])
+    with pytest.raises(InvalidDensityError, match="1-D only"):
+        covering_generate(NARROW_DIP, [(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def test_covering_step_rule_sees_a_narrow_dip(monkeypatch):
@@ -585,9 +599,16 @@ def _greedy_oracle(cand, radii):
     return np.array(kept, dtype=np.int64)
 
 
-def _grid(box, step):
-    axes = [np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)), 1) + 1) for lo, hi in box]
+def _axes_grid(axes):
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _axes(box, step):
+    return [np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)), 1) + 1) for lo, hi in box]
+
+
+def _grid(box, step):
+    return _axes_grid(_axes(box, step))
 
 
 COVER_CASES = [
@@ -599,24 +620,50 @@ COVER_CASES = [
 
 @pytest.mark.parametrize("rho, box", COVER_CASES)
 def test_greedy_selection_matches_quadratic_scan(rho, box):
-    grid = _grid(box, rho.min_on_box(box) / 6.0)
+    axes = _axes(box, rho.min_on_box(box) / 6.0)
+    grid = _axes_grid(axes)
     radii = np.atleast_1d(rho(grid if grid.shape[1] > 1 else grid[:, 0]))
-    np.testing.assert_array_equal(kernels.greedy_ball_select(grid, radii), _greedy_oracle(grid, radii))
+    np.testing.assert_array_equal(kernels.greedy_ball_select(axes, radii), _greedy_oracle(grid, radii))
 
 
-def test_greedy_selection_matches_quadratic_scan_on_scattered_points(rng):
-    cand = rng.uniform(-5.0, 5.0, size=(600, 2))
-    radii = rng.uniform(0.1, 1.5, size=600)
-    np.testing.assert_array_equal(kernels.greedy_ball_select(cand, radii), _greedy_oracle(cand, radii))
+@pytest.mark.parametrize("dim, size", [(1, 600), (2, 25), (3, 9)])
+def test_greedy_selection_matches_quadratic_scan_on_uneven_grids(rng, dim, size):
+    for _ in range(4):
+        axes = [np.sort(rng.uniform(-5.0, 5.0, size)) for _ in range(dim)]
+        radii = rng.uniform(0.1, 1.5, size=size**dim)
+        kept = kernels.greedy_ball_select(axes, radii)
+        np.testing.assert_array_equal(kept, _greedy_oracle(_axes_grid(axes), radii))
+
+
+def test_greedy_selection_marks_a_later_line_with_a_smaller_second_index():
+    # lines (0, 0), (0, 1), (1, 0), (1, 1) of one point each: the ball kept on
+    # line (0, 1) excludes the point of the later line (1, 0) at distance sqrt 2
+    axes = [np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0])]
+    radii = np.array([0.3, 2.4, 2.4, 1.0])
+    kept = kernels.greedy_ball_select(axes, radii)
+    np.testing.assert_array_equal(kept, _greedy_oracle(_axes_grid(axes), radii))
+    assert kept.tolist() == [0, 1]
 
 
 def test_greedy_selection_keeps_exact_ties():
     # unit lattice with radii 1.5: neighbours sit exactly at the separation 1
-    cand = _grid([(0.0, 6.0), (0.0, 6.0)], 1.0)
+    axes = [np.linspace(0.0, 6.0, 7)] * 2
     radii = np.r_[np.full(25, 1.5), np.full(24, 1.2)]
-    kept = kernels.greedy_ball_select(cand, radii)
-    np.testing.assert_array_equal(kept, _greedy_oracle(cand, radii))
+    kept = kernels.greedy_ball_select(axes, radii)
+    np.testing.assert_array_equal(kept, _greedy_oracle(_axes_grid(axes), radii))
     assert {0, 1, 7} <= set(kept.tolist())
+
+
+def test_covering_leaves_scipy_spatial_unloaded():
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    code = (
+        "import sys; from hermlab.geometry import DensityFn, covering_generate; "
+        "covering_generate(DensityFn.constant(1.0), [(-3.0, 3.0)] * 2); "
+        "print(any(m.startswith('scipy.spatial') for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("rho, box", COVER_CASES)
@@ -661,10 +708,6 @@ def test_covering_reports_its_candidate_count(rho, box):
 def _brute_counts(grid, centers, radii):
     d2 = np.sum((grid[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     return np.sum(d2 <= radii * radii, axis=1)
-
-
-def _axes_grid(axes):
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
