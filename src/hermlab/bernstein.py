@@ -1,13 +1,13 @@
 """Coefficient-space operator bounds on finite Hermite spans.
 
 Three layers: the explicit factorial bound on ||x^alpha d^beta f|| over the
-degree-N span (checked exactly, ratio <= 1), envelope fits for the sharper
-Gamma-shaped bounds whose constants are only known to exist, and the exact
-expansion of powers of the shifted oscillator (H + n)^k into x^alpha d^beta
-terms with per-coefficient growth bounds.
+degree-N span (checked exactly, ratio <= 1), an envelope fit of the two
+constants of the sharper Gamma-shaped bound, and the exact expansion of
+powers of the shifted oscillator (H + n)^k into x^alpha d^beta terms with
+per-coefficient growth bounds.
 
 Everything here works on coefficients through the ladder calculus; no
-quadrature enters except the optional non-integer weight seminorm.
+quadrature enters.
 """
 
 import math
@@ -22,22 +22,16 @@ from .hermite import (
     HermiteExpansion,
     apply_harmonic_oscillator,
     apply_position_derivative,
-    evaluate,
 )
 from .indexing import _compositions, multi_indices, span_dim
-from .quadrature import panel_nodes
-from .spectral import truncation_radius
 
 __all__ = [
     "BernsteinCheck",
     "crude_bernstein_check",
     "GammaEnvelopeFit",
     "gamma_envelope_fit",
-    "GammaReport",
-    "gamma_inequality_check",
     "OperatorExpansion",
     "harmonic_power_expand",
-    "weight_seminorm",
 ]
 
 _MAX_POWER = 12
@@ -183,75 +177,6 @@ def _index_pairs(dim: int, max_order: int):
     return tuple(pairs)
 
 
-# -- Gamma-function inequality checks -----------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaReport:
-    """Grid verification of the Gamma bounds used by the derivative estimates.
-
-    power_margin and product_margin are the smallest log-space slacks of
-    x^y <= Gamma(y+1) e^x on the grid and of
-    Gamma(x) Gamma(y) <= B(r,r)/(2r) Gamma(x+y+1) on the r-restricted grid.
-    root_constants[p] is the fitted smallest C_p with
-    Gamma(x)^{1/p} <= C_p (p^{1/p} e^{1/p})^x Gamma(x/p) for x >= 1.
-    """
-
-    grid_points: int
-    r: float
-    power_ok: bool
-    power_margin: float
-    product_ok: bool
-    product_margin: float
-    root_constants: dict
-
-
-def gamma_inequality_check(grid=None, r: float = 1.0) -> GammaReport:
-    """Verify the pointwise Gamma inequalities and fit the root constants.
-
-    grid is an iterable of (x, y) pairs in (0, 50]^2; by default a uniform
-    120x120 lattice is used. The product bound is checked on the grid points
-    with both coordinates >= r. All comparisons run in log space.
-    """
-    from scipy.special import gammaln
-
-    if grid is None:
-        axis = np.linspace(0.05, 50.0, 120)
-        grid = [(x, y) for x in axis for y in axis]
-    pts = np.asarray(list(grid), dtype=np.float64)
-    if pts.size == 0 or np.any(pts <= 0) or np.any(pts > 50):
-        raise ValueError("grid points must lie in (0, 50]^2")
-    x = pts[:, 0]
-    y = pts[:, 1]
-
-    power_margin = float(np.min(gammaln(y + 1.0) + x - y * np.log(x)))
-
-    mask = (x >= r) & (y >= r)
-    log_beta_rr = gammaln(r) + gammaln(r) - gammaln(2.0 * r)
-    if np.any(mask):
-        lhs = gammaln(x[mask]) + gammaln(y[mask])
-        rhs = log_beta_rr - math.log(2.0 * r) + gammaln(x[mask] + y[mask] + 1.0)
-        product_margin = float(np.min(rhs - lhs))
-    else:
-        product_margin = math.inf
-
-    xs = np.linspace(1.0, 50.0, 4000)
-    root_constants = {}
-    for p in (2, 3):
-        log_ratio = gammaln(xs) / p - xs * (math.log(p) + 1.0) / p - gammaln(xs / p)
-        root_constants[p] = float(np.exp(np.max(log_ratio)))
-
-    return GammaReport(
-        grid_points=int(pts.shape[0]),
-        r=float(r),
-        power_ok=power_margin >= -1e-12,
-        power_margin=power_margin,
-        product_ok=product_margin >= -1e-12,
-        product_margin=product_margin,
-        root_constants=root_constants,
-    )
-
-
 # -- powers of the shifted oscillator ------------------------------------------
 
 
@@ -370,35 +295,3 @@ def iterated_oscillator_apply(f: HermiteExpansion, k: int) -> HermiteExpansion:
         shifted = apply_harmonic_oscillator(out).coeffs + out.dim * out.coeffs
         out = HermiteExpansion(out.dim, out.degree, shifted)
     return out.with_degree(f.degree + 2 * k)
-
-
-# -- weighted seminorms --------------------------------------------------------
-
-
-def weight_seminorm(f: HermiteExpansion, r: float, beta=None) -> float:
-    """||<x>^r d^beta f|| with <x> = sqrt(1 + |x|^2).
-
-    Integer r uses the exact expansion ||<x>^r g||^2 =
-    sum_{g0 + |g| = r} r!/(g0! g!) ||x^g g||^2 through the ladder calculus;
-    non-integer r falls back to 64-node Gauss panels of length <= 0.5 on
-    [-R, R], beyond which the span is negligible (1-D only).
-    """
-    beta = tuple(int(b) for b in (beta if beta is not None else (0,) * f.dim))
-    g = apply_position_derivative(f, (0,) * f.dim, beta)
-    if r < 0:
-        raise ValueError("weight power must be non-negative")
-    if float(r).is_integer():
-        k = int(r)
-        total = 0.0
-        for comp in _compositions(k, f.dim + 1):
-            g0, gamma = comp[0], comp[1:]
-            weight = math.factorial(k) / math.factorial(g0)
-            for gj in gamma:
-                weight /= math.factorial(gj)
-            total += weight * apply_position_derivative(g, gamma, (0,) * f.dim).norm() ** 2
-        return math.sqrt(total)
-    if f.dim != 1:
-        raise ValueError("non-integer weight powers are supported in 1-D only")
-    R = truncation_radius(g.degree + 1)
-    x, w = panel_nodes(np.array([[-R, R]]), 0.5, 64)
-    return math.sqrt(float(np.sum(w * (1.0 + x**2) ** r * np.abs(evaluate(g, x)) ** 2)))

@@ -755,8 +755,9 @@ def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: floa
 def thickness_estimate(omega: ControlSet, rho: DensityFn, centers, rel_tol: float = 1e-6) -> float:
     """Finite-sample thickness: min over centers of |omega cap B| / |B|.
 
-    This is a lower-confidence certificate: it bounds thickness only at the
-    sampled centers, not everywhere.
+    The thickness constant is the infimum of that ratio over all centers, so
+    a minimum over sampled centers is an upper bound on it, not a lower one:
+    a sparse sample can miss the worst center and overstate thickness.
     """
     pts = np.asarray(centers, dtype=np.float64)
     if omega.dim == 1 and pts.ndim == 1:

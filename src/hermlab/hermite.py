@@ -34,7 +34,6 @@ from .kernels import hermite_function_table
 __all__ = [
     "DEGREE_CAP",
     "hermite_eval_1d",
-    "hermite_eval_nd",
     "HermiteExpansion",
     "basis_state",
     "random_expansion",
@@ -64,18 +63,6 @@ def hermite_eval_1d(k: int, x):
     table = hermite_function_table(k, arr.ravel())
     out = table[k].reshape(arr.shape)
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def hermite_eval_nd(alpha, x):
-    """Value of the product basis function H_alpha at the point x in R^n."""
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    pt = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if len(alpha) != pt.size:
-        raise ValueError(f"index has {len(alpha)} axes but point has {pt.size}")
-    out = 1.0
-    for a, xi in zip(alpha, pt):
-        out *= hermite_eval_1d(a, float(xi))
-    return out
 
 
 @dataclass(frozen=True)
@@ -111,12 +98,9 @@ class HermiteExpansion:
 
     def coefficient(self, alpha) -> complex | float:
         """Coefficient of H_alpha (0.0 when |alpha| exceeds the degree)."""
-        key = tuple(int(a) for a in np.atleast_1d(alpha))
-        if len(key) != self.dim:
-            raise ValueError("index dimension mismatch")
-        if sum(key) > self.degree:
+        i = _position(self.dim, self.degree, alpha)
+        if i is None:
             return 0.0
-        i = indexing.index_lookup(self.dim, self.degree)[key]
         val = self.coeffs[i]
         return complex(val) if np.iscomplexobj(self.coeffs) else float(val)
 
@@ -167,13 +151,27 @@ class HermiteExpansion:
         return cls(dim, degree, c)
 
 
+def _position(dim: int, degree: int, alpha) -> int | None:
+    """Position of alpha in the span's enumeration; None when |alpha| > degree.
+
+    Raises ValueError naming the index and the span when alpha has the wrong
+    length or a negative entry.
+    """
+    key = tuple(int(a) for a in np.atleast_1d(alpha))
+    if len(key) != dim or any(a < 0 for a in key):
+        raise ValueError(f"index {key} is not a multi-index of the dim-{dim} degree-{degree} span")
+    if sum(key) > degree:
+        return None
+    return indexing.index_lookup(dim, degree)[key]
+
+
 def basis_state(dim: int, degree: int, alpha) -> HermiteExpansion:
     """The single basis function H_alpha inside a degree-`degree` span."""
-    key = tuple(int(a) for a in np.atleast_1d(alpha))
-    if sum(key) > degree:
-        raise ValueError("|alpha| exceeds the span degree")
+    i = _position(dim, degree, alpha)
+    if i is None:
+        raise ValueError(f"|alpha| exceeds the span degree {degree}")
     c = np.zeros(indexing.span_dim(dim, degree))
-    c[indexing.index_lookup(dim, degree)[key]] = 1.0
+    c[i] = 1.0
     return HermiteExpansion(dim, degree, c)
 
 

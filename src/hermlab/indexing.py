@@ -23,7 +23,6 @@ __all__ = [
     "multi_indices",
     "level_of",
     "index_lookup",
-    "level_slices",
 ]
 
 
@@ -78,13 +77,3 @@ def index_lookup(dim: int, degree: int) -> dict:
     """Map tuple(alpha) -> position in the enumeration."""
     table = multi_indices(dim, degree)
     return {tuple(int(v) for v in row): i for i, row in enumerate(table)}
-
-
-def level_slices(dim: int, degree: int) -> list[slice]:
-    """Slices of the enumeration covering each degree level 0..degree."""
-    out, start = [], 0
-    for k in range(degree + 1):
-        m = level_dim(dim, k)
-        out.append(slice(start, start + m))
-        start += m
-    return out

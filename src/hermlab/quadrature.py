@@ -1,7 +1,7 @@
 """Gauss-Legendre rules and the one composite Gauss-panel rule of the package.
 
-panel_nodes serves spectral's Gram assembly, geometry's intersection
-measures and bernstein's weighted norms.
+panel_nodes serves spectral's Gram assembly and geometry's intersection
+measures.
 """
 
 from functools import cache

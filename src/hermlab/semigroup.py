@@ -1,10 +1,9 @@
 """Diagonal fractional-oscillator semigroups on Hermite coefficients.
 
 The flow e^{-t H^s} acts diagonally: the coefficient of a level-k mode is
-multiplied by exp(-t (2k + n)^s), with s in (1/2, 1]. Everything downstream
-(dissipation tails, level projections, Gelfand-Shilov decay norms) is a
-weighted coefficient sum, so all operations here are exact up to float
-rounding; there is no time stepping.
+multiplied by exp(-t (2k + n)^s), with s in (1/2, 1]. The evolved state and
+its dissipation tail above a level are weighted coefficient sums, so both are
+exact up to float rounding; there is no time stepping.
 """
 
 import math
@@ -18,10 +17,8 @@ from .hermite import HermiteExpansion
 __all__ = [
     "EvolutionSpec",
     "evolve",
-    "project",
     "DissipationReport",
     "dissipation_tail",
-    "gs_decay_norm",
 ]
 
 
@@ -58,14 +55,6 @@ def evolve(f: HermiteExpansion, t: float, spec: EvolutionSpec) -> HermiteExpansi
     return HermiteExpansion(f.dim, f.degree, spec.decay_factors(f.degree, t) * f.coeffs)
 
 
-def project(f: HermiteExpansion, k: int) -> HermiteExpansion:
-    """Level projection: zero every coefficient with |alpha| > k."""
-    if k < 0:
-        raise ValueError("projection level must be non-negative")
-    levels = indexing.level_of(f.dim, f.degree)
-    return HermiteExpansion(f.dim, f.degree, np.where(levels <= k, f.coeffs, 0.0))
-
-
 @dataclass(frozen=True)
 class DissipationReport:
     """Exact tail of the evolved state above a level, with its two rates.
@@ -93,20 +82,3 @@ def dissipation_tail(f: HermiteExpansion, k: int, t: float, spec: EvolutionSpec)
     sharp = math.exp(-t * (2.0 * (k + 1) + spec.dim) ** spec.s) * fnorm
     weak = math.exp(-t * float(k) ** spec.s) * fnorm
     return DissipationReport(k=k, t=float(t), tail_norm=tail, bound=sharp, weak_bound=weak)
-
-
-def gs_decay_norm(f: HermiteExpansion, t0: float, mu_inv: float) -> float:
-    """Weighted coefficient sum sum_alpha e^{t0 |alpha|^mu_inv} |c_alpha|^2.
-
-    Finite for every finite expansion; the weight exponent mu_inv plays the
-    role of 1/(2 mu) in the Gelfand-Shilov scale, so larger values demand
-    faster coefficient decay of the (infinite) limit object.
-    """
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
-    if mu_inv <= 0:
-        raise ValueError("weight exponent must be positive")
-    levels = indexing.level_of(f.dim, f.degree).astype(np.float64)
-    with np.errstate(over="raise"):
-        weights = np.exp(t0 * levels**mu_inv)
-    return float(np.sum(weights * np.abs(f.coeffs) ** 2))

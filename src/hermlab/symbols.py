@@ -24,7 +24,6 @@ __all__ = [
     "symplectic_matrix",
     "hamilton_map",
     "singular_space",
-    "partial_ellipticity_check",
     "harmonic_oscillator_form",
     "rotated_harmonic_form",
     "free_laplacian_form",
@@ -179,37 +178,6 @@ def singular_space(F: HamiltonMap, tol: float = 1e-9) -> SingularSpaceResult:
     if basis.shape[0] > 0:
         k0 = None
     return SingularSpaceResult(dim=n, basis=basis, k0=k0, ambiguous=ambiguous)
-
-
-def partial_ellipticity_check(
-    q: QuadraticForm, S_basis: np.ndarray, samples: int = 64, tol: float = 1e-9
-) -> bool:
-    """True iff q has no zero on the unit sphere of span(S_basis).
-
-    Vacuously true for a trivial space. Unit samples are drawn from a
-    deterministic low-discrepancy sweep of the coefficient sphere.
-    """
-    B = np.asarray(S_basis, dtype=np.float64).reshape(-1, 2 * q.dim)
-    k = B.shape[0]
-    if k == 0:
-        return True
-    gram = B @ B.T
-    if np.max(np.abs(gram - np.eye(k))) > 1e-8:
-        raise ValueError("S basis must be orthonormal")
-    if k == 1:
-        coeffs = np.ones((1, 1))
-    else:
-        # deterministic directions: rows of a normalized Kronecker lattice
-        i = np.arange(1, samples + 1)[:, None]
-        alphas = 1.0 / np.linspace(1.3247, 2.618, k)[None, :]
-        coeffs = np.mod(0.5 + i * alphas, 1.0) * 2.0 - 1.0
-        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
-        coeffs = coeffs / np.where(norms == 0, 1.0, norms)
-    for c in coeffs:
-        v = c @ B
-        if abs(q(v)) <= tol:
-            return False
-    return True
 
 
 # -- catalog of named forms --------------------------------------------------

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from hermlab import bernstein, indexing
 from hermlab.bernstein import (
     crude_bernstein_check,
-    gamma_inequality_check,
     harmonic_power_expand,
     iterated_oscillator_apply,
     gamma_envelope_fit,
-    weight_seminorm,
 )
 from hermlab.hermite import basis_state, random_expansion
 
@@ -110,43 +108,6 @@ def test_coefficient_bounds_hold():
 def test_power_cap_guard():
     with pytest.raises(ValueError):
         harmonic_power_expand(13, 1)
-
-
-# -- weighted seminorms -----------------------------------------------------------
-
-
-def test_weight_seminorm_integer_matches_term_sum(rng):
-    f = random_expansion(rng, dim=1, degree=6)
-    # <x>^2 = 1 + x^2, so r = 1 gives ||f||^2 + ||x f||^2
-    from hermlab.hermite import apply_position_derivative
-
-    direct = f.norm() ** 2 + apply_position_derivative(f, (1,), (0,)).norm() ** 2
-    assert weight_seminorm(f, 1) == pytest.approx(math.sqrt(direct), rel=1e-12)
-
-
-def test_weight_seminorm_fractional_consistent(rng):
-    f = random_expansion(rng, dim=1, degree=5)
-    exact = weight_seminorm(f, 1)
-    quad = weight_seminorm(f, 1.0 + 1e-12)
-    assert quad == pytest.approx(exact, rel=1e-10)
-
-
-def test_weight_seminorm_monotone_in_order(rng):
-    f = random_expansion(rng, dim=1, degree=5)
-    # each added order contributes non-negative terms on top of r!/(g! a!) >= 1 weights
-    assert weight_seminorm(f, 2) >= weight_seminorm(f, 1) - 1e-12
-
-
-# -- scalar inequality fits --------------------------------------------------------
-
-
-def test_gamma_inequalities_certified():
-    rep = gamma_inequality_check()
-    assert rep.power_ok and rep.product_ok
-    assert rep.power_margin > 0 and rep.product_margin > 0
-    assert set(rep.root_constants) == {2, 3}
-    for p, Cp in rep.root_constants.items():
-        assert 0 < Cp < 1.0
 
 
 def test_gamma_envelope_on_basis_family():

@@ -375,6 +375,14 @@ def test_validated_config_runs_or_fails_in_one_line(tmp_path, capsys, name):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_negative_basis_index_is_named_in_the_diagnostic(tmp_path, capsys):
+    cfg = _control_probe(f0={"type": "basis", "alpha": [-1]})
+    path = _write(tmp_path, "probe.json", cfg)
+    assert main([cfg["kind"], "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: parameters.f0: index (-1,) is not a multi-index of the dim-1 degree-4 span" in err
+
+
 def test_main_rejects_kind_mismatch(tmp_path, capsys):
     path = _write(tmp_path, "scan.json", _full_scan(str(tmp_path / "k")))
     assert main(["covering", "--config", path]) == 2

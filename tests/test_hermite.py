@@ -17,7 +17,6 @@ from hermlab.hermite import (
     basis_state,
     evaluate,
     hermite_eval_1d,
-    hermite_eval_nd,
     random_expansion,
 )
 
@@ -38,7 +37,7 @@ def test_frozen_point_value_degree4():
 
 
 def test_frozen_product_value():
-    val = hermite_eval_nd((4, 2), (1.3, -0.4))
+    val = evaluate(basis_state(2, 6, (4, 2)), [[1.3, -0.4]])[0]
     assert val == pytest.approx(PRODUCT_AT_1P3_M0P4, abs=5e-16)
 
 
@@ -97,6 +96,17 @@ def test_json_round_trip_complex():
     assert np.array_equal(g.coeffs, f.coeffs)
     payload = json.loads(f.to_json())
     assert payload["dim"] == 1 and payload["degree"] == 3
+
+
+def test_bad_index_names_the_index_and_the_span():
+    for alpha in ((-1,), (1, 2)):
+        with pytest.raises(ValueError, match=r"index .* is not a multi-index of the dim-1 degree-5 span"):
+            basis_state(1, 5, alpha)
+    f = basis_state(2, 3, (1, 1))
+    for alpha in ((1,), (-1, 2)):
+        with pytest.raises(ValueError, match=r"dim-2 degree-3 span"):
+            f.coefficient(alpha)
+    assert f.coefficient((4, 0)) == 0.0
 
 
 def test_ladder_factors_on_basis_states():

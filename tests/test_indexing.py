@@ -49,16 +49,6 @@ def test_index_lookup_inverts_enumeration():
         assert lookup[tuple(alpha)] == row
 
 
-def test_level_slices_cover_without_overlap():
-    slices = indexing.level_slices(2, 6)
-    stop = 0
-    for k, s in enumerate(slices):
-        assert s.start == stop
-        assert s.stop - s.start == indexing.level_dim(2, k)
-        stop = s.stop
-    assert stop == indexing.span_dim(2, 6)
-
-
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=9))
 def test_rows_unique_and_within_degree(n, k):
     idx = indexing.multi_indices(n, k)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermlab import indexing, semigroup
-from hermlab.hermite import HermiteExpansion, basis_state, random_expansion
-from hermlab.semigroup import EvolutionSpec, dissipation_tail, evolve, gs_decay_norm, project
+from hermlab.hermite import basis_state, random_expansion
+from hermlab.semigroup import EvolutionSpec, dissipation_tail, evolve
 
 # frozen decay factor of the level-3 mode in one dimension:
 # exp(-0.5 * 7^0.6), cross-checked against a 40-digit evaluation
@@ -81,22 +81,6 @@ def test_contraction(s, t, seed):
     assert g.norm() <= f.norm() + 1e-14
 
 
-def test_evolution_commutes_with_projection(rng):
-    spec = EvolutionSpec(s=0.8, dim=2)
-    f = random_expansion(rng, dim=2, degree=6)
-    a = project(evolve(f, 0.4, spec), 3)
-    b = evolve(project(f, 3), 0.4, spec)
-    assert np.allclose(a.coeffs, b.coeffs, atol=1e-16)
-
-
-def test_projection_is_orthogonal(rng):
-    f = random_expansion(rng, dim=1, degree=7)
-    low = project(f, 4)
-    high = HermiteExpansion(1, 7, f.coeffs - low.coeffs)
-    assert np.vdot(low.coeffs, high.coeffs) == pytest.approx(0.0, abs=1e-16)
-    assert low.norm() ** 2 + high.norm() ** 2 == pytest.approx(f.norm() ** 2, rel=1e-14)
-
-
 def test_dissipation_sharp_on_pure_mode():
     spec = EvolutionSpec(s=0.7, dim=1)
     f = basis_state(1, 5, (5,))
@@ -121,29 +105,3 @@ def test_weak_bound_uses_plain_level_power():
     f = basis_state(1, 6, (6,))
     rep = dissipation_tail(f, k=3, t=0.5, spec=spec)
     assert rep.weak_bound == pytest.approx(math.exp(-0.5 * 3.0**0.6), rel=1e-14)
-
-
-def test_gs_norm_orders_by_weight(rng):
-    f = random_expansion(rng, dim=1, degree=6)
-    w1 = gs_decay_norm(f, t0=0.1, mu_inv=0.5)
-    w2 = gs_decay_norm(f, t0=0.3, mu_inv=0.5)
-    assert f.norm() <= w1 + 1e-12
-    assert w1 <= w2 + 1e-12
-
-
-def test_gs_norm_parameter_guards(rng):
-    f = random_expansion(rng, dim=1, degree=3)
-    with pytest.raises(ValueError):
-        gs_decay_norm(f, t0=0.0, mu_inv=0.5)
-    with pytest.raises(ValueError):
-        gs_decay_norm(f, t0=0.1, mu_inv=0.0)
-
-
-def test_gs_norm_certifies_evolved_smoothness(rng):
-    # after time t the flow lands inside the decay class with t0 ~ t
-    spec = EvolutionSpec(s=0.6, dim=1)
-    f = random_expansion(rng, dim=1, degree=10)
-    g = evolve(f, 1.0, spec)
-    val = gs_decay_norm(g, t0=1.0, mu_inv=0.6)
-    # weights exp(k^{0.6}) are dominated by decay exp(-(2k+1)^{0.6})
-    assert val <= f.norm() * 1.01

@@ -11,7 +11,6 @@ from hermlab.symbols import (
     hamilton_map,
     harmonic_oscillator_form,
     kramers_fokker_planck_form,
-    partial_ellipticity_check,
     rotated_harmonic_form,
     singular_space,
     singular_space_summary,
@@ -149,22 +148,6 @@ def test_real_form_reduces_to_plain_kernel(rng):
     F = hamilton_map(QuadraticForm(2, Q.astype(complex))).F.real
     expected_dim = 4 - np.linalg.matrix_rank(F)
     assert res.dimS == expected_dim
-
-
-def test_partial_ellipticity_on_kernel_complement():
-    q = free_laplacian_form(1)
-    res = singular_space(hamilton_map(q))
-    # q = xi^2 is elliptic on the xi axis, and S is the x axis
-    ortho = np.array([[0.0, 1.0]])
-    assert partial_ellipticity_check(q, ortho)
-    # but vanishes identically on S itself
-    assert not partial_ellipticity_check(q, res.basis.reshape(1, 2))
-
-
-def test_partial_ellipticity_requires_orthonormal_basis():
-    q = harmonic_oscillator_form(1)
-    with pytest.raises(ValueError):
-        partial_ellipticity_check(q, np.array([[2.0, 0.0]]))
 
 
 def test_real_part_nonnegative_flags():
