@@ -1,10 +1,10 @@
 """Coefficient-space operator bounds on finite Hermite spans.
 
-Three layers: the explicit factorial bound on ||x^alpha d^beta f|| over the
-degree-N span (checked exactly, ratio <= 1), an envelope fit of the two
-constants of the sharper Gamma-shaped bound, and the exact expansion of
-powers of the shifted oscillator (H + n)^k into x^alpha d^beta terms with
-per-coefficient growth bounds.
+Two layers: the explicit factorial bound on ||x^alpha d^beta f|| over the
+degree-N span, checked against the exact operator norm of x^alpha d^beta on
+that span (ratio <= 1), and the exact expansion of powers of the shifted
+oscillator (H + n)^k into x^alpha d^beta terms with per-coefficient growth
+bounds.
 
 Everything here works on coefficients through the ladder calculus; no
 quadrature enters.
@@ -18,7 +18,6 @@ from itertools import product
 import numpy as np
 
 from .hermite import (
-    DEGREE_CAP,
     HermiteExpansion,
     apply_harmonic_oscillator,
     apply_position_derivative,
@@ -28,8 +27,6 @@ from .indexing import _compositions, multi_indices, span_dim
 __all__ = [
     "BernsteinCheck",
     "crude_bernstein_check",
-    "GammaEnvelopeFit",
-    "gamma_envelope_fit",
     "OperatorExpansion",
     "harmonic_power_expand",
 ]
@@ -52,118 +49,35 @@ class BernsteinCheck:
     ratio: float
 
 
-def crude_bernstein_check(f: HermiteExpansion, alpha, beta) -> BernsteinCheck:
-    """Check ||x^a d^b f|| <= 2^{(|a|+|b|)/2} sqrt((N+|a|+|b|)!/N!) ||f||.
+def _operator_matrix(dim: int, N: int, alpha, beta) -> np.ndarray:
+    """Matrix of x^alpha d^beta from the degree-N span to the degree N+|alpha|+|beta| span.
 
-    The left side is exact ladder calculus; the right side is evaluated in
-    log space so the factorial quotient never overflows. The inequality is
-    mathematically exact on the degree-N span, so a ratio above 1 + 1e-10
-    indicates an implementation bug, not a sharpness failure.
+    Column i is the image of the i-th basis state under the ladder calculus.
     """
-    from scipy.special import gammaln
+    if N < 0:
+        raise ValueError("degree must be non-negative")
+    basis = np.eye(span_dim(dim, N))
+    return np.column_stack(
+        [apply_position_derivative(HermiteExpansion(dim, N, e), alpha, beta).coeffs for e in basis]
+    )
 
+
+def crude_bernstein_check(dim: int, N: int, alpha, beta) -> BernsteinCheck:
+    """Check ||x^a d^b f|| <= 2^{(|a|+|b|)/2} sqrt((N+|a|+|b|)!/N!) ||f|| on the degree-N span.
+
+    The left side is the exact operator norm on the span: the largest
+    singular value of the dense matrix of x^a d^b, whose SVD costs O(m^3)
+    in the span dimension m. The right side is evaluated in log space so the
+    factorial quotient never overflows. The inequality is mathematically
+    exact on the span, so a ratio above 1 + 1e-10 indicates an
+    implementation bug, not a sharpness failure.
+    """
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     beta = tuple(int(b) for b in np.atleast_1d(beta))
     order = sum(alpha) + sum(beta)
-    if f.degree + order > DEGREE_CAP:
-        raise ValueError("total order exceeds the degree cap")
-    lhs = apply_position_derivative(f, alpha, beta).norm()
-    fnorm = f.norm()
-    if fnorm == 0.0:
-        return BernsteinCheck(f.degree, alpha, beta, 0.0, 0.0, 0.0)
-    N = f.degree
-    log_rhs = (
-        0.5 * order * math.log(2.0)
-        + 0.5 * (gammaln(N + order + 1) - gammaln(N + 1))
-        + math.log(fnorm)
-    )
-    rhs = math.exp(log_rhs)
+    lhs = float(np.linalg.norm(_operator_matrix(dim, N, alpha, beta), 2))
+    rhs = math.exp(0.5 * order * math.log(2.0) + 0.5 * (math.lgamma(N + order + 1) - math.lgamma(N + 1)))
     return BernsteinCheck(N, alpha, beta, lhs, rhs, lhs / rhs)
-
-
-# -- envelope fit for the Gamma-shaped bound ----------------------------------
-
-
-@dataclass(frozen=True)
-class GammaEnvelopeFit:
-    """Smallest empirical constants making the Gamma-shaped bound hold.
-
-    The bound has the form
-        ||x^a d^b f|| <= K_outer (delta K_base)^{|a|+|b|}
-                         Gamma((|a|+|b|)/(2-eps) + 2)
-                         exp(N^{1-eps/2} / delta^{2-eps}) ||f||,
-    with constants known to exist but not given; K_outer is fitted on the
-    order-zero terms and K_base on the envelope of the rest.
-    """
-
-    epsilon: float
-    delta: float
-    K_outer: float
-    K_base: float
-    max_order: int
-    samples: int
-    certified: bool
-
-
-def _log_shape(order: int, degree: int, epsilon: float, delta: float) -> float:
-    from scipy.special import gammaln
-
-    return float(
-        gammaln(order / (2.0 - epsilon) + 2.0)
-        + degree ** (1.0 - epsilon / 2.0) / delta ** (2.0 - epsilon)
-    )
-
-
-def gamma_envelope_fit(fs, epsilon: float, delta: float, max_order: int = 6) -> GammaEnvelopeFit:
-    """Fit the two free constants of the Gamma-shaped derivative bound.
-
-    For every sample expansion and every (alpha, beta) up to the given total
-    order, the exact left side is compared with the bound's shape. The
-    order-zero excess pins K_outer; the remaining excess per unit order,
-    divided by delta, pins K_base (floored at 1). The returned fit is then
-    re-certified against the whole sample.
-    """
-    if not 0 < epsilon <= 1:
-        raise ValueError("ε must lie in (0,1]")
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    fs = list(fs)
-    if not fs:
-        raise ValueError("need at least one sample expansion")
-    rows = []  # (order, log excess over the shape factor)
-    for f in fs:
-        fnorm = f.norm()
-        if fnorm == 0.0:
-            continue
-        for alpha, beta in _index_pairs(f.dim, max_order):
-            order = sum(alpha) + sum(beta)
-            lhs = apply_position_derivative(f, alpha, beta).norm()
-            if lhs == 0.0:
-                continue
-            excess = math.log(lhs / fnorm) - _log_shape(order, f.degree, epsilon, delta)
-            rows.append((order, excess))
-    log_outer = max((e for o, e in rows if o == 0), default=-math.inf)
-    log_outer = max(log_outer, 0.0)
-    log_base = 0.0
-    for order, excess in rows:
-        if order == 0:
-            continue
-        log_base = max(log_base, (excess - log_outer) / order - math.log(delta))
-    K_outer = math.exp(log_outer)
-    K_base = math.exp(log_base)
-    certified = all(
-        excess <= log_outer + order * (math.log(delta) + log_base) + 1e-9
-        for order, excess in rows
-    )
-    return GammaEnvelopeFit(
-        epsilon=float(epsilon),
-        delta=float(delta),
-        K_outer=K_outer,
-        K_base=K_base,
-        max_order=max_order,
-        samples=len(fs),
-        certified=certified,
-    )
 
 
 @lru_cache(maxsize=64)

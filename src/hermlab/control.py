@@ -339,15 +339,16 @@ def resimulate(problem: ControlProblem, signal: ControlSignal) -> float:
 # -- observability ------------------------------------------------------------
 
 
-def reference_blowup_exponent(s: float, delta: float, m1: float = 0.0) -> float:
-    """Predicted power of 1/T in log C_T: (1+delta)(2 m1 s + 1)/(2s - 1 - delta).
+# The blow-up exponent m1 of the dissipation estimate: the pure fractional
+# flow has no blow-up factor, so m1 = 0 is the faithful instantiation.
+_M1 = 0.0
 
-    For the pure fractional flow the dissipation has no blow-up factor, so
-    m1 = 0 is the faithful instantiation.
-    """
+
+def reference_blowup_exponent(s: float, delta: float) -> float:
+    """Predicted power of 1/T in log C_T: (1+delta)(2 m1 s + 1)/(2s - 1 - delta)."""
     if not 0 <= delta < 2 * s - 1:
         raise ValueError("δ < 2s−1 required")
-    return (1.0 + delta) * (2.0 * m1 * s + 1.0) / (2.0 * s - 1.0 - delta)
+    return (1.0 + delta) * (2.0 * _M1 * s + 1.0) / (2.0 * s - 1.0 - delta)
 
 
 @dataclass(frozen=True)

@@ -264,14 +264,14 @@ def density_validate(rho: DensityFn, box, samples: int = 512) -> DensityReport:
 
 
 class ControlSet:
-    """A measurable sensor region with a total membership query.
+    """A measurable sensor region, described by its slices.
 
-    Subclasses implement `contains`, and the slicing hooks used by the
-    measure quadrature: `intervals_1d` (dim 1 only) returns the kept
-    intervals clipped to [lo, hi] as a merged (k, 2) array; `slice_first`
-    (dim >= 2) returns the restriction to a hyperplane x_0 = value as a set
-    one dimension down; `breakpoints_first` lists first-axis coordinates
-    where the slice structure jumps. `piecewise_slices` is set on the
+    Subclasses implement the slicing hooks used by the measure quadrature:
+    `intervals_1d` (dim 1 only) returns the kept intervals clipped to
+    [lo, hi] as a merged (k, 2) array; `slice_first` (dim >= 2) returns the
+    restriction to a hyperplane x_0 = value as a set one dimension down;
+    `breakpoints_first` lists first-axis coordinates where the slice
+    structure jumps. `piecewise_slices` is set on the
     classes whose slice is the same at every point strictly between two
     consecutive breakpoints, so one `slice_first` call per piece (see
     `slice_pieces`) describes the whole set. Every set has dim >= 1.
@@ -284,9 +284,6 @@ class ControlSet:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
 
-    def contains(self, points) -> np.ndarray:
-        raise NotImplementedError
-
     def intervals_1d(self, lo: float, hi: float) -> np.ndarray:
         raise NotImplementedError
 
@@ -296,16 +293,6 @@ class ControlSet:
     def breakpoints_first(self, lo: float, hi: float) -> np.ndarray:
         return np.empty(0)
 
-    def _points(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if self.dim == 1 and pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[-1] != self.dim:
-            raise ValueError(f"points must have {self.dim} coordinates")
-        return pts
-
 
 @dataclass(frozen=True)
 class FullSpace(ControlSet):
@@ -313,9 +300,6 @@ class FullSpace(ControlSet):
 
     dim: int = 1
     piecewise_slices = True
-
-    def contains(self, points):
-        return np.ones(self._points(points).shape[0], dtype=bool)
 
     def intervals_1d(self, lo, hi):
         return np.array([[lo, hi]])
@@ -340,13 +324,6 @@ class BoxUnion(ControlSet):
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "boxes", b)
-
-    def contains(self, points):
-        pts = self._points(points)
-        lo = self.boxes[:, :, 0]
-        hi = self.boxes[:, :, 1]
-        inside = (pts[:, None, :] >= lo[None]) & (pts[:, None, :] <= hi[None])
-        return np.any(np.all(inside, axis=2), axis=1)
 
     def intervals_1d(self, lo, hi):
         return _merge_intervals(_clip_intervals(self.boxes[:, 0, :], lo, hi))
@@ -389,11 +366,6 @@ class PeriodicPattern(ControlSet):
             raise ValueError("kept fraction must lie in (0, 1]")
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
-
-    def contains(self, points):
-        pts = self._points(points)
-        frac = np.mod(pts - self.offset, self.period) / self.period
-        return np.all(frac < self.kept, axis=1)
 
     def _axis_intervals(self, lo, hi):
         k0 = math.floor((lo - self.offset) / self.period) - 1
@@ -443,13 +415,6 @@ class BallUnion(ControlSet):
         r.setflags(write=False)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
-
-    def contains(self, points):
-        pts = self._points(points)
-        if self.centers.shape[0] == 0:
-            return np.zeros(pts.shape[0], dtype=bool)
-        d2 = np.sum((pts[:, None, :] - self.centers[None]) ** 2, axis=2)
-        return np.any(d2 <= self.radii[None] ** 2, axis=1)
 
     def intervals_1d(self, lo, hi):
         c = self.centers[:, 0]
@@ -803,6 +768,10 @@ class Covering:
 # reach across the neighbouring lines costs most.
 _MAX_CANDIDATES = 2_000_000
 
+# The slowness constant C of every density here, which is 1/C-Lipschitz;
+# the a-priori overlap bound of a covering is (4 C^3 + 1)^n.
+_SLOWNESS_CONSTANT = 2.0
+
 
 def _box_grid(box: np.ndarray, sizes) -> tuple:
     """(axes, grid): per-axis linspaces of the given sizes and their row-major product."""
@@ -871,9 +840,7 @@ def _coverage_counts(axes: list, centers: np.ndarray, radii: np.ndarray) -> np.n
     return np.cumsum(marks.reshape(-1, last + 1), axis=1)[:, :-1].ravel()
 
 
-def covering_generate(
-    rho: DensityFn, box, grid_step: float | None = None, slowness_constant: float = 2.0
-) -> Covering:
+def covering_generate(rho: DensityFn, box, grid_step: float | None = None) -> Covering:
     """Cover a box with balls B(x_k, rho(x_k)) whose third-radius cores are disjoint.
 
     Candidates sweep a grid of the given step (default: min rho over the box
@@ -917,7 +884,7 @@ def covering_generate(
             f"{holes.shape[0]} verification points uncovered (first: {holes[0].tolist()})",
             uncovered=holes,
         )
-    bound = int(round((4.0 * slowness_constant**3 + 1.0) ** n))
+    bound = int(round((4.0 * _SLOWNESS_CONSTANT**3 + 1.0) ** n))
     return Covering(
         centers=centers,
         radii=kept_radii,

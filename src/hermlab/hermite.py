@@ -142,12 +142,13 @@ class HermiteExpansion:
     def from_json(cls, text: str) -> "HermiteExpansion":
         obj = json.loads(text)
         dim, degree = int(obj["dim"]), int(obj["degree"])
-        lookup = indexing.index_lookup(dim, degree)
         any_complex = any(isinstance(v, list) for _, v in obj["coeffs"])
         c = np.zeros(indexing.span_dim(dim, degree), dtype=np.complex128 if any_complex else np.float64)
         for alpha, v in obj["coeffs"]:
-            val = complex(v[0], v[1]) if isinstance(v, list) else float(v)
-            c[lookup[tuple(int(a) for a in alpha)]] = val
+            i = _position(dim, degree, alpha)
+            if i is None:
+                raise ValueError(f"index {tuple(alpha)} lies above the dim-{dim} degree-{degree} span")
+            c[i] = complex(v[0], v[1]) if isinstance(v, list) else float(v)
         return cls(dim, degree, c)
 
 

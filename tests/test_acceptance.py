@@ -59,15 +59,12 @@ def test_criterion_03_growth_scaling_law():
 
 
 def test_criterion_04_derivative_bounds():
-    rng = np.random.default_rng(404)
-    pairs = [(a, b) for a in range(7) for b in range(7 - a)]
     violations = 0
     worst = 0.0
     for N in (5, 15, 30):
-        for _ in range(50):
-            f = random_expansion(rng, dim=1, degree=N)
-            for a, b in pairs:
-                chk = bernstein.crude_bernstein_check(f, (a,), (b,))
+        for a in range(7):
+            for b in range(7 - a):
+                chk = bernstein.crude_bernstein_check(1, N, (a,), (b,))
                 worst = max(worst, chk.ratio)
                 if chk.ratio > 1.0 + 1e-10:
                     violations += 1

@@ -10,41 +10,84 @@ from hermlab.bernstein import (
     crude_bernstein_check,
     harmonic_power_expand,
     iterated_oscillator_apply,
-    gamma_envelope_fit,
 )
-from hermlab.hermite import basis_state, random_expansion
+from hermlab.hermite import apply_position_derivative, basis_state, random_expansion
 
 
 def test_order_zero_is_an_identity():
-    f = basis_state(1, 7, (7,))
-    chk = crude_bernstein_check(f, (0,), (0,))
+    chk = crude_bernstein_check(1, 7, (0,), (0,))
+    assert chk.lhs == pytest.approx(1.0, rel=1e-15)
     assert chk.ratio == pytest.approx(1.0, rel=1e-15)
 
 
 def test_single_position_factor():
-    f = basis_state(1, 5, (5,))
-    chk = crude_bernstein_check(f, (1,), (0,))
-    # ||x Phi_5|| = sqrt(11/2) against rhs sqrt(2) sqrt(6)
-    assert chk.lhs == pytest.approx(math.sqrt(5.5), rel=1e-12)
+    chk = crude_bernstein_check(1, 5, (1,), (0,))
+    # the norm on the span is at least ||x Phi_5|| = sqrt(11/2); rhs is sqrt(2) sqrt(6)
+    assert chk.lhs >= math.sqrt(5.5)
     assert chk.rhs == pytest.approx(math.sqrt(12.0), rel=1e-12)
     assert chk.ratio < 1.0
 
 
+def _ladder_matrix(dim, N, axis, sign):
+    """x_axis (sign +1) or d/dx_axis (sign -1) from the degree-N to the degree-(N+1) span.
+
+    Closed form per basis function: x h_k = sqrt(k/2) h_{k-1} + sqrt((k+1)/2) h_{k+1}
+    and h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}, on the given axis.
+    """
+    lookup = indexing.index_lookup(dim, N + 1)
+    table = indexing.multi_indices(dim, N)
+    M = np.zeros((indexing.span_dim(dim, N + 1), table.shape[0]))
+    for col, row in enumerate(table.tolist()):
+        k = row[axis]
+        for step, factor in ((-1, math.sqrt(k / 2)), (1, sign * math.sqrt((k + 1) / 2))):
+            if k + step >= 0:
+                target = list(row)
+                target[axis] += step
+                M[lookup[tuple(target)], col] = factor
+    return M
+
+
+@pytest.mark.parametrize("dim, N", [(1, 0), (1, 9), (2, 6), (3, 3)])
+def test_builder_matches_closed_form_ladder_matrices(dim, N):
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    zero = (0,) * dim
+    for axis in range(dim):
+        e = tuple(int(j == axis) for j in range(dim))
+        X0, X1 = _ladder_matrix(dim, N, axis, 1), _ladder_matrix(dim, N + 1, axis, 1)
+        D0 = _ladder_matrix(dim, N, axis, -1)
+        close(bernstein._operator_matrix(dim, N, e, zero), X0)
+        close(bernstein._operator_matrix(dim, N, zero, e), D0)
+        # compositions differentiate first, then multiply
+        close(bernstein._operator_matrix(dim, N, e, e), X1 @ D0)
+        close(bernstein._operator_matrix(dim, N, tuple(2 * v for v in e), zero), X1 @ X0)
+
+
 def test_no_violations_on_random_span_vectors(rng):
     for N in (5, 12):
-        for _ in range(10):
-            f = random_expansion(rng, dim=1, degree=N)
-            for a in range(4):
-                for b in range(4 - a):
-                    chk = crude_bernstein_check(f, (a,), (b,))
-                    assert chk.ratio <= 1.0 + 1e-10
+        for a in range(4):
+            for b in range(4 - a):
+                chk = crude_bernstein_check(1, N, (a,), (b,))
+                assert chk.lhs <= chk.rhs
+                for _ in range(200):
+                    f = random_expansion(rng, dim=1, degree=N, normalize=False)
+                    image = apply_position_derivative(f, (a,), (b,))
+                    assert image.norm() <= chk.lhs * f.norm() * (1 + 1e-12)
 
 
 def test_two_dim_check(rng):
-    f = random_expansion(rng, dim=2, degree=8)
-    chk = crude_bernstein_check(f, (1, 0), (0, 2))
+    chk = crude_bernstein_check(2, 8, (1, 0), (0, 2))
     assert chk.ratio <= 1.0 + 1e-10
     assert chk.N == 8
+    for _ in range(200):
+        f = random_expansion(rng, dim=2, degree=8)
+        image = apply_position_derivative(f, (1, 0), (0, 2))
+        assert image.norm() <= chk.lhs * (1 + 1e-12)
+
+
+_X2D_ON_SPAN_9 = crude_bernstein_check(1, 9, (2,), (1,))
 
 
 @settings(deadline=None, max_examples=20)
@@ -52,8 +95,9 @@ def test_two_dim_check(rng):
 def test_ratio_bounded_for_arbitrary_seeds(seed):
     rng = np.random.default_rng(seed)
     f = random_expansion(rng, dim=1, degree=9)
-    chk = crude_bernstein_check(f, (2,), (1,))
-    assert chk.ratio <= 1.0 + 1e-10
+    image = apply_position_derivative(f, (2,), (1,))
+    assert image.norm() <= _X2D_ON_SPAN_9.lhs * (1 + 1e-12)
+    assert _X2D_ON_SPAN_9.ratio <= 1.0 + 1e-10
 
 
 # -- operator power expansion ----------------------------------------------------
@@ -108,19 +152,3 @@ def test_coefficient_bounds_hold():
 def test_power_cap_guard():
     with pytest.raises(ValueError):
         harmonic_power_expand(13, 1)
-
-
-def test_gamma_envelope_on_basis_family():
-    fs = [basis_state(1, 10, (j,)) for j in range(0, 11, 2)]
-    fit = gamma_envelope_fit(fs, epsilon=0.5, delta=0.5)
-    assert fit.certified
-    assert fit.K_base >= 1.0
-    assert fit.K_outer >= 1.0
-
-
-def test_gamma_envelope_parameter_guards():
-    fs = [basis_state(1, 2, (0,))]
-    with pytest.raises(ValueError, match=r"ε must lie in \(0,1\]"):
-        gamma_envelope_fit(fs, epsilon=0.0, delta=0.5)
-    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
-        gamma_envelope_fit(fs, epsilon=0.5, delta=0.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hermlab
-from hermlab import cli, control, geometry, spectral
+from hermlab import bernstein, cli, control, geometry, spectral
 from hermlab.cli import ConfigError, load_config, main, run, validate
 
 
@@ -445,12 +445,26 @@ def _csv_rows(path):
 
 
 def test_bernstein_check_manifest_counts_and_times_checks(tmp_path):
-    cfg = {"kind": "bernstein-check", "seed": 1, "parameters": {"dim": 1, "N": 12, "count": 2, "max_order": 3}}
+    cfg = {"kind": "bernstein-check", "seed": 1, "parameters": {"dim": 1, "N": 12, "max_order": 3}}
     manifest = run(cfg, out_override=str(tmp_path))
     rows = _csv_rows(tmp_path / "bernstein.csv")
-    assert manifest["counters"] == {"checks": len(rows)} and len(rows) == manifest["metrics"]["rows"] > 0
+    assert manifest["counters"] == {"checks": len(rows)} and len(rows) == manifest["metrics"]["rows"] == 10
     assert set(manifest["timings"]) == {"checks_s"}
     assert 0.0 <= manifest["timings"]["checks_s"] <= manifest["metrics"]["wall_time_s"]
+
+
+def test_bernstein_check_rows_are_exact_norms_independent_of_the_seed(tmp_path):
+    texts = []
+    for seed in (1, 2):
+        cfg = {"kind": "bernstein-check", "seed": seed, "parameters": {"dim": 2, "N": 4, "max_order": 2}}
+        run(cfg, out_override=str(tmp_path / str(seed)))
+        texts.append((tmp_path / str(seed) / "bernstein.csv").read_bytes())
+    assert texts[0] == texts[1]
+    rows = _csv_rows(tmp_path / "1" / "bernstein.csv")
+    assert list(rows[0]) == ["alpha", "beta", "norm", "bound", "ratio"]
+    assert len(rows) == len({(r["alpha"], r["beta"]) for r in rows}) == 15
+    x1 = next(r for r in rows if (r["alpha"], r["beta"]) == ("10", "00"))
+    assert float(x1["norm"]) == bernstein.crude_bernstein_check(2, 4, (1, 0), (0, 0)).lhs
 
 
 def test_dissipation_manifest_counts_rows_and_times_tails(tmp_path):

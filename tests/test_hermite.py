@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -96,6 +97,15 @@ def test_json_round_trip_complex():
     assert np.array_equal(g.coeffs, f.coeffs)
     payload = json.loads(f.to_json())
     assert payload["dim"] == 1 and payload["degree"] == 3
+
+
+def test_json_index_outside_the_span_is_a_value_error():
+    cases = (([5], "index (5,) lies above"), ([-1], "index (-1,) is not a multi-index of"),
+             ([1, 0], "index (1, 0) is not a multi-index of"))
+    for alpha, reason in cases:
+        text = json.dumps({"dim": 1, "degree": 2, "coeffs": [[alpha, 1.0]]})
+        with pytest.raises(ValueError, match=re.escape(reason + " the dim-1 degree-2 span")):
+            HermiteExpansion.from_json(text)
 
 
 def test_bad_index_names_the_index_and_the_span():
