@@ -430,7 +430,8 @@ def _run_bernstein_check(p, inputs, ws):
     dim, N = p.get("dim", 1), p["N"]
     rows = []
     t0 = time.perf_counter()
-    for a, b in bernstein._index_pairs(dim, p["max_order"]):
+    pairs = bernstein._index_pairs(dim, p["max_order"])
+    for a, b in pairs:
         chk = bernstein.crude_bernstein_check(dim, N, a, b)
         rows.append(("".join(map(str, a)), "".join(map(str, b)), chk.lhs, chk.rhs, chk.ratio))
     ws.timings["checks_s"] = time.perf_counter() - t0
@@ -441,7 +442,9 @@ def _run_bernstein_check(p, inputs, ws):
         _gnuplot("bernstein.csv", "derivative-bound ratios", "row", "ratio", "0:5"),
     )
     ratios = [row[-1] for row in rows]
-    return {"violations": sum(r > 1 + 1e-10 for r in ratios), "max_ratio": max(ratios), "rows": len(rows)}
+    # the order-0 pair is the identity, whose norm and bound are both 1 on every span
+    moving = [row[-1] for row, (a, b) in zip(rows, pairs) if sum(a) + sum(b) >= 1]
+    return {"violations": sum(r > 1 + 1e-10 for r in ratios), "max_ratio": max(moving), "rows": len(rows)}
 
 
 def _run_covering(p, inputs, ws):

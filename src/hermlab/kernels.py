@@ -1,6 +1,13 @@
-"""Hot kernels in numpy: Hermite-function tables, and greedy ball selection line by line on a grid."""
+"""Hot kernels in numpy: Hermite-function tables, and greedy ball selection line by line on a grid.
 
+Selection decides each grid line by a 1-D test in Python floats, then marks
+the later lines' candidates that the line's kept balls exclude through one
+offset stencil built per call, on a grid padded with +inf coordinates.
+"""
+
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -79,16 +86,21 @@ def greedy_ball_select(axes, radii: np.ndarray) -> np.ndarray:
     each kept candidate marks the later ones it excludes, up to where its
     distance passes the largest separation (r + max radii)/3 it can impose,
     and the line's next unmarked candidate is kept. The line's kept balls
-    then mark, in one batched evaluation, the candidates of later lines they
-    exclude, over per-ball index windows that searchsorted takes axis by
-    axis within that separation. The work follows the kept balls and their
-    reach, not the candidates times the kept balls.
+    then mark the candidates of later lines they exclude through one stencil
+    of grid offsets onto later lines, built once per call and sorted by a
+    lower bound on their distance (see _stencil). The prefix whose bound is
+    below the line's reach (max kept r + max radii)/3 is added to each kept
+    ball's flat index on a grid padded after each axis's end with +inf
+    coordinates, which are never within reach, so no bounds masks are
+    needed; each hit is the exact test above. The work follows the kept
+    balls and their reach, not the candidates times the kept balls.
 
     Parameters
     ----------
-    axes : sequence of sorted 1-D float64 arrays, one per space dimension.
-    radii : (prod of the axis sizes,) float64 array, the density at each
-        candidate in row-major order.
+    axes : sequence of 1-D float64 arrays of finite coordinates sorted
+        ascending, one per space dimension.
+    radii : (prod of the axis sizes,) float64 array of positive radii, the
+        density at each candidate in row-major order.
 
     Returns
     -------
@@ -96,28 +108,50 @@ def greedy_ball_select(axes, radii: np.ndarray) -> np.ndarray:
     """
     axes = [np.ascontiguousarray(a, dtype=np.float64) for a in axes]
     radii = np.ascontiguousarray(radii, dtype=np.float64)
+    for a in axes:
+        if a.ndim != 1 or not (np.isfinite(a).all() and (a[1:] >= a[:-1]).all()):
+            raise ValueError("every axis must be a 1-D array of finite coordinates sorted ascending")
     sizes = [a.size for a in axes]
     m = math.prod(sizes)
+    if radii.shape != (m,):
+        raise ValueError(f"radii has shape {radii.shape}, but the grid has {m} candidates")
+    if not (radii > 0).all():
+        raise ValueError("radii must be positive numbers")
     if m == 0:
         return np.empty(0, dtype=np.int64)
     rmax = float(radii.max())
-    s = sizes[-1]
+    n, s = len(axes), sizes[-1]
     x = memoryview(axes[-1])  # items read as Python floats, without a list of them
-    marked = np.zeros(m, dtype=bool)
+    if n > 1:
+        bound, offs, half = _stencil(axes, 2.0 * rmax / 3.0)
+        # pad each axis after its end by its half-width with +inf coordinates: an
+        # index past the end lands there, and one before the start (-h..-1) wraps
+        # round to them, while its flat index borrows into a padded slot
+        padded = [size + h for size, h in zip(sizes, half)]
+        pstrides = [math.prod(padded[d + 1 :]) for d in range(n)]
+        xp = [np.concatenate([a, np.full(h, np.inf)]) for a, h in zip(axes, half)]
+        radp = np.pad(radii.reshape(sizes), [(0, h) for h in half]).ravel()
+        flat = sum(o * ps for o, ps in zip(offs, pstrides))
+        marked = np.zeros(radp.size, dtype=bool)
+    else:
+        bound, pstrides = np.empty(0), [1]
+        marked = np.zeros(m, dtype=bool)
     kept = []
-    for start in range(0, m, s):
-        row = marked[start : start + s]
-        if row.all():
+    for line, lead in enumerate(itertools.product(*map(range, sizes[:-1]))):
+        start = line * s
+        pstart = sum(map(operator.mul, lead, pstrides))
+        excluded = bytearray(marked[pstart : pstart + s])  # earlier lines' marks, then this line's
+        j = excluded.find(0)
+        if j < 0:
             continue
-        free = (~row).nonzero()[0]
         r = memoryview(radii[start : start + s])
-        excluded = bytearray(s)
         picked = []
-        for j in memoryview(free):
-            if excluded[j]:
-                continue
+        rline = 0.0
+        while j >= 0:
             picked.append(j)
             xj, rj = x[j], r[j]
+            if rj > rline:
+                rline = rj
             reach = (rj + rmax) / 3.0
             for k in range(j + 1, s):
                 t = x[k] - xj
@@ -126,39 +160,61 @@ def greedy_ball_select(axes, radii: np.ndarray) -> np.ndarray:
                     break
                 if d < (r[k] + rj) / 3.0:
                     excluded[k] = 1
+            j = excluded.find(0, j + 1)
         kept.extend(start + j for j in picked)
-        if len(axes) > 1:
-            _mark_reach(axes, radii, marked, rmax, start // s, np.asarray(picked))
+        k = int(bound.searchsorted((rline + rmax) / 3.0))  # the stencil prefix within the line's reach
+        if k == 0:
+            continue
+        col = np.array(picked)[:, None]
+        ball = col + pstart  # the kept balls' padded flat indices
+        acc = 0.0  # 0 + a is a, so the sum runs left to right from the first square
+        for d, i in enumerate(lead):
+            acc = acc + (xp[d][offs[d][:k] + i] - axes[d][i]) ** 2
+        t = xp[-1][offs[-1][:k] + col] - xp[-1][col]
+        acc = acc + t * t
+        target = flat[:k] + ball
+        close = np.sqrt(acc) < (radp[target] + radp[ball]) / 3.0
+        marked[target[close]] = True
     return np.asarray(kept, dtype=np.int64)
 
 
-def _mark_reach(axes, radii, marked, rmax, line, last) -> None:
-    """Mark every candidate that the kept balls on one grid line exclude.
+def _stencil(axes, reach: float) -> tuple:
+    """Forward grid offsets onto later lines that can lie within reach, sorted by a distance bound.
 
-    The balls sit on line ``line`` (flat index over the leading axes) at
-    last-axis indices ``last``. Axis by axis, each ball's window is the
-    searchsorted run within sqrt(T^2 - partial sum) of its coordinate, T =
-    (r + rmax)/3 widened by 1e-12 against rounding, plus one index per side;
-    the first axis runs only from the line's own index on, the others on both
-    sides. A hit is sqrt(sum of squares, left to right) < (R + r)/3.
+    Along a sorted axis, two points |o| indices apart are at least g(|o|)
+    apart, g(k) being the smallest rounded difference a[i + k] - a[i] over
+    the axis; an offset's bound is sqrt(sum of g(|o_d|)^2, left to right).
+    The exact test rounds the same differences (negated for a negative
+    offset, which rounds symmetrically), and rounded squaring, addition and
+    sqrt are monotone, so the bound is at most the test's distance: an
+    offset whose rounded distance is below some reach <= ``reach`` has its
+    bound below it too. An offset goes onto a later line when its first
+    nonzero leading component is positive. Returns (bound, per-axis
+    offsets, half-widths): the kept offsets' bounds in ascending order,
+    their per-axis components in the same order, and the largest
+    |component| each axis can take. Each g(k) is one pass over its axis.
     """
-    lead = np.unravel_index(line, [a.size for a in axes[:-1]])
-    centers = [np.full(last.size, axis[i]) for axis, i in zip(axes, lead)] + [axes[-1][last]]
-    rk = radii[line * axes[-1].size + last]
-    reach = (rk + rmax) / 3.0
-    tt = reach * reach * (1.0 + 1e-12)
-    ball = np.arange(last.size)
-    flat = np.zeros(last.size, dtype=np.intp)
-    acc = np.zeros(last.size)
-    for d, (axis, ctr) in enumerate(zip(axes, centers)):
-        c = ctr[ball]
-        w = np.sqrt(np.maximum(tt[ball] - acc, 0.0)) * (1.0 + 1e-12)
-        lo = lead[0] if d == 0 else np.maximum(axis.searchsorted(c - w) - 1, 0)
-        hi = np.minimum(axis.searchsorted(c + w, side="right") + 1, axis.size)
-        size = hi - lo
-        rep = np.arange(ball.size).repeat(size)
-        idx = (lo - size.cumsum() + size)[rep] + np.arange(rep.size)
-        ball = ball[rep]
-        acc = acc[rep] + (axis[idx] - c[rep]) ** 2
-        flat = flat[rep] * axis.size + idx
-    marked[flat[np.sqrt(acc) < (radii[flat] + rk[ball]) / 3.0]] = True
+    spans = []
+    for a in axes:
+        g = [0.0]  # g(0), g(1), ... while the last one is within reach
+        while len(g) < a.size and math.sqrt(g[-1] * g[-1]) < reach:
+            k = len(g)
+            g.append(float((a[k:] - a[:-k]).min()))
+        if not math.sqrt(g[-1] * g[-1]) < reach:
+            g.pop()
+        spans.append(np.array(g))
+    half = [g.size - 1 for g in spans]
+    ranges = [np.arange(half[0] + 1)] + [np.arange(-h, h + 1) for h in half[1:]]
+    offs = [o.ravel() for o in np.meshgrid(*ranges, indexing="ij")]
+    later = np.zeros(offs[0].size, dtype=bool)
+    decided = np.zeros_like(later)
+    for o in offs[:-1]:
+        later |= ~decided & (o > 0)
+        decided |= o != 0
+    acc = 0.0
+    for o, g in zip(offs, spans):
+        acc = acc + g[np.abs(o)] ** 2
+    bound = np.sqrt(acc)
+    keep = np.flatnonzero(later & (bound < reach))
+    keep = keep[np.argsort(bound[keep])]
+    return bound[keep], [o[keep] for o in offs], half

@@ -467,6 +467,15 @@ def test_bernstein_check_rows_are_exact_norms_independent_of_the_seed(tmp_path):
     assert float(x1["norm"]) == bernstein.crude_bernstein_check(2, 4, (1, 0), (0, 0)).lhs
 
 
+def test_bernstein_check_max_ratio_leaves_out_the_order_zero_identity(tmp_path):
+    cfg = {"kind": "bernstein-check", "seed": 1, "parameters": {"dim": 1, "N": 20, "max_order": 4}}
+    manifest = run(cfg, out_override=str(tmp_path))
+    rows = _csv_rows(tmp_path / "bernstein.csv")
+    assert (rows[0]["alpha"], rows[0]["beta"], float(rows[0]["ratio"])) == ("0", "0", 1.0)
+    assert manifest["metrics"]["max_ratio"] == max(float(r["ratio"]) for r in rows[1:])
+    assert manifest["metrics"]["max_ratio"] < 1
+
+
 def test_dissipation_manifest_counts_rows_and_times_tails(tmp_path):
     cfg = {
         "kind": "dissipation",

@@ -654,6 +654,61 @@ def test_greedy_selection_keeps_exact_ties():
     assert {0, 1, 7} <= set(kept.tolist())
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_greedy_selection_with_one_outlier_radius(rng, dim):
+    # rmax is 20x the other radii, so most lines reach only a short prefix of
+    # the stencil, yet a small ball must still exclude the outlier candidate
+    axes = [np.linspace(0.0, 4.0, 21 if dim == 2 else 11)] * dim
+    radii = rng.uniform(0.25, 0.35, size=axes[0].size**dim)
+    outlier = radii.size // 2 + 3
+    radii[outlier] = 6.0
+    kept = kernels.greedy_ball_select(axes, radii)
+    np.testing.assert_array_equal(kept, _greedy_oracle(_axes_grid(axes), radii))
+    assert outlier not in kept
+
+
+@pytest.mark.parametrize("single", [0, 1, 2])
+def test_greedy_selection_with_a_single_point_axis_and_uneven_spacings(rng, single):
+    # spacings 0.1 and 1.0 on the other two axes, the single-point axis at each position
+    axes = [np.linspace(0.0, 2.0, 21), np.linspace(0.0, 20.0, 21)]
+    axes.insert(single, np.array([0.5]))
+    radii = rng.uniform(0.5, 3.0, size=441)
+    kept = kernels.greedy_ball_select(axes, radii)
+    np.testing.assert_array_equal(kept, _greedy_oracle(_axes_grid(axes), radii))
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (5, 4), (4, 1, 5)])
+def test_greedy_selection_keeps_an_exact_diagonal_tie(shape):
+    # the far corner of the unit lattice sits at the 3-4-5 distance 5 from the
+    # first center, and the radii 6 + 9 make the separation exactly 5 too: it
+    # is kept; every other point lies closer than 5 and is excluded. The
+    # radius 12 of the second point widens the reach past 5, so the exact
+    # test decides the tie, not the cut of the stencil
+    axes = [np.arange(float(k)) for k in shape]
+    radii = np.full(math.prod(shape), 9.0)
+    radii[:2] = 6.0, 12.0
+    kept = kernels.greedy_ball_select(axes, radii)
+    np.testing.assert_array_equal(kept, _greedy_oracle(_axes_grid(axes), radii))
+    assert kept.tolist() == [0, radii.size - 1]
+
+
+@pytest.mark.parametrize("size", [5, 7])
+def test_greedy_selection_rejects_radii_of_the_wrong_length(size):
+    with pytest.raises(ValueError, match="candidates"):
+        kernels.greedy_ball_select([np.arange(2.0), np.arange(3.0)], np.ones(size))
+
+
+def test_greedy_selection_rejects_an_unsorted_axis():
+    with pytest.raises(ValueError, match="sorted ascending"):
+        kernels.greedy_ball_select([np.array([1.0, 0.0])], np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+def test_greedy_selection_rejects_a_nan_or_nonpositive_radius(bad):
+    with pytest.raises(ValueError, match="positive"):
+        kernels.greedy_ball_select([np.arange(2.0)], np.array([1.0, bad]))
+
+
 def test_covering_leaves_scipy_spatial_unloaded():
     src = os.path.dirname(os.path.dirname(geometry.__file__))
     code = (
