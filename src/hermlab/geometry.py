@@ -1,7 +1,8 @@
 """Densities, thick control sets, intersection measures, and ball coverings.
 
-A density is a positive, slowly varying radius field rho on R^n (the useful
-ones are 1/2-Lipschitz and pinched between a constant m and R<x>^{1-eps}).
+A density is a positive radius field rho on R^n, pinched between a constant
+m and R<x>^{1-eps}; a covering needs it slowly varying (1/2-Lipschitz), and
+covering_generate checks that from its exact Lipschitz constant.
 A control set omega is a union of boxes, balls, or a periodic pattern;
 thickness of omega with respect to rho is the worst-case volume fraction
 |omega cap B(x, rho(x))| / |B(x, rho(x))| over ball centers x.
@@ -46,8 +47,6 @@ __all__ = [
     "QuadratureError",
     "CoverageError",
     "DensityFn",
-    "DensityReport",
-    "density_validate",
     "ControlSet",
     "FullSpace",
     "BoxUnion",
@@ -67,7 +66,7 @@ __all__ = [
 
 
 class InvalidDensityError(ValueError):
-    """Density violates positivity or its declared bounds."""
+    """Density is not positive, not defined where it is used, or too steep for a covering."""
 
 
 class QuadratureError(RuntimeError):
@@ -130,8 +129,8 @@ class DensityFn:
 
     kind 'constant': rho = m. kind 'power': rho(x) = R <x>^{1-eps} with
     <x> = sqrt(1 + |x|^2) and eps in (0, 1]. kind 'tabulated': 1-D linear
-    interpolation of (grid, values), clamped outside the grid. The (m, R,
-    eps) triple always stores declared bounds m <= rho(x) <= R <x>^{1-eps}.
+    interpolation of (grid, values), clamped outside the grid, with m and R
+    its smallest and largest value.
     """
 
     kind: str
@@ -212,53 +211,20 @@ class DensityFn:
         inside = self.values[(self.grid > lo) & (self.grid < hi)]
         return float(min(np.min(self(b[0])), np.min(inside, initial=np.inf)))
 
+    @property
+    def lipschitz(self) -> float:
+        """Global Lipschitz constant of rho, exact for every kind.
 
-@dataclass(frozen=True)
-class DensityReport:
-    lipschitz_ok: bool
-    bounds_ok: bool
-    worst_ratio: float
-
-
-def _kronecker_points(box: np.ndarray, samples: int) -> np.ndarray:
-    """Deterministic low-discrepancy points: additive recurrence per axis."""
-    n = box.shape[0]
-    # generalized golden ratios, one irrational step per axis
-    phi = [(2.0, 1.618033988749895), (3.0, 1.324717957244746), (4.0, 1.220744084605760)]
-    alphas = np.array([1.0 / phi[min(j, 2)][1] ** (1 + j // 3) for j in range(n)])
-    i = np.arange(1, samples + 1)[:, None]
-    frac = np.mod(0.5 + i * alphas[None, :], 1.0)
-    return box[:, 0] + frac * (box[:, 1] - box[:, 0])
-
-
-def density_validate(rho: DensityFn, box, samples: int = 512) -> DensityReport:
-    """Check the declared bounds and the 1/2-Lipschitz property on a sample.
-
-    Deterministic low-discrepancy points in the box; the Lipschitz quotient
-    |rho(x)-rho(y)| / |x-y| is evaluated over all pairs of a capped subset
-    and its worst value reported.
-    """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    b = _as_box(box)
-    pts = _kronecker_points(b, samples)
-    flat = pts[:, 0] if b.shape[0] == 1 else pts
-    vals = np.atleast_1d(rho(flat))
-    if np.any(vals <= 0):
-        raise InvalidDensityError("density must be positive on the sample")
-    with np.errstate(over="ignore"):
-        radial = np.abs(flat) if b.shape[0] == 1 else np.linalg.norm(flat, axis=-1)
-        upper = rho.R * (1.0 + radial**2) ** ((1.0 - rho.eps) / 2.0)
-    tol = 1e-9 * max(1.0, float(np.max(vals)))
-    bounds_ok = bool(np.all(vals >= rho.m - tol) and np.all(vals <= upper + tol))
-
-    sub = pts[: min(samples, 256)]
-    subvals = np.atleast_1d(rho(sub[:, 0] if b.shape[0] == 1 else sub))
-    diff = np.abs(subvals[:, None] - subvals[None, :])
-    dist = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=-1)
-    mask = dist > 0
-    worst = float(np.max(diff[mask] / dist[mask])) if np.any(mask) else 0.0
-    return DensityReport(lipschitz_ok=worst <= 0.5 + 1e-12, bounds_ok=bounds_ok, worst_ratio=worst)
+        A power rho is radial with slope R (1-eps) t (1 + t^2)^{-(1+eps)/2}
+        at |x| = t, largest at t^2 = 1/eps. A tabulated rho is clamped flat
+        outside its grid, so its steepest piece sets the constant.
+        """
+        if self.kind == "constant":
+            return 0.0
+        if self.kind == "power":
+            e = self.eps
+            return self.R * (1.0 - e) * e ** (e / 2.0) * (1.0 + e) ** (-(1.0 + e) / 2.0)
+        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.grid))))
 
 
 # -- control sets ------------------------------------------------------------
@@ -718,7 +684,11 @@ def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: floa
     return min(max(total, 0.0), scale)
 
 
-def thickness_estimate(omega: ControlSet, rho: DensityFn, centers, rel_tol: float = 1e-6) -> float:
+_THICKNESS_REL_TOL = 1e-6  # of each 3-D intersection measure
+_TRANSFER_SLACK = 1e-3  # forgiven when comparing measured thickness to a level
+
+
+def thickness_estimate(omega: ControlSet, rho: DensityFn, centers) -> float:
     """Finite-sample thickness: min over centers of |omega cap B| / |B|.
 
     The thickness constant is the infimum of that ratio over all centers, so
@@ -733,7 +703,7 @@ def thickness_estimate(omega: ControlSet, rho: DensityFn, centers, rel_tol: floa
     radii = np.atleast_1d(rho(pts[:, 0] if omega.dim == 1 else pts))
     worst = 1.0
     for row, r in zip(pts, radii.tolist()):
-        frac = intersection_measure(omega, row, r, rel_tol) / ball_volume(omega.dim, r)
+        frac = intersection_measure(omega, row, r, _THICKNESS_REL_TOL) / ball_volume(omega.dim, r)
         worst = min(worst, frac)
     return min(max(worst, 0.0), 1.0)
 
@@ -769,8 +739,8 @@ class Covering:
 # 0.26 s in 2-D with the power density.
 _MAX_CANDIDATES = 2_000_000
 
-# The slowness constant C of every density here, which is 1/C-Lipschitz;
-# the a-priori overlap bound of a covering is (4 C^3 + 1)^n.
+# The slowness constant C: a covering accepts only a 1/C-Lipschitz density,
+# for which its a-priori overlap bound is (4 C^3 + 1)^n.
 _SLOWNESS_CONSTANT = 2.0
 
 
@@ -848,14 +818,19 @@ def covering_generate(rho: DensityFn, box, grid_step: float | None = None) -> Co
     divided by 6) in row-major order; a candidate is kept iff its distance to
     every kept center is at least the sum of the two radii over 3. Coverage
     is then verified on the same grid and the observed overlap multiplicity
-    recorded. A grid coarser than min rho / 5 cannot certify coverage, and a
+    recorded. The overlap bound holds only for a 1/_SLOWNESS_CONSTANT-Lipschitz
+    density, a grid coarser than min rho / 5 cannot certify coverage, and a
     grid of more than _MAX_CANDIDATES points would not finish in seconds;
-    both are rejected before any grid is built.
+    all three are rejected before any grid is built.
     """
     b = _as_box(box)
     n = b.shape[0]
     if n not in (1, 2, 3):
         raise ValueError(f"dimension {n} unsupported (1, 2, or 3)")
+    if rho.lipschitz > 1.0 / _SLOWNESS_CONSTANT:
+        raise InvalidDensityError(
+            f"density has Lipschitz constant {rho.lipschitz:.6g}; a covering needs at most {1.0 / _SLOWNESS_CONSTANT:g}"
+        )
     rho_min = rho.min_on_box(b)
     if not rho_min > 0:
         raise InvalidDensityError("density must be positive on the box")
@@ -917,15 +892,13 @@ def thickness_transfer_check(
     rho2: DensityFn,
     gamma: float,
     centers,
-    rel_tol: float = 1e-6,
-    slack: float = 1e-3,
 ) -> TransferReport:
     """Check that gamma-thickness w.r.t. rho1 transfers to rho2.
 
     With rho1 <= rho2 on the sampled centers and gamma > 1 - 6^{-n}, the
     transferred level is 1 - (1-gamma) 6^n; the measured thickness w.r.t.
-    rho2 must reach it up to the slack. A violated hypothesis is reported in
-    the result, not raised.
+    rho2 must reach it up to _TRANSFER_SLACK. A violated hypothesis is
+    reported in the result, not raised.
     """
     pts = np.asarray(centers, dtype=np.float64)
     if omega.dim == 1 and pts.ndim == 1:
@@ -942,12 +915,12 @@ def thickness_transfer_check(
     if not gamma_ok:
         notes.append(f"gamma={gamma:g} not above 1 - 6^-{n}")
     predicted = 1.0 - (1.0 - gamma) * 6.0**n
-    input_thickness = thickness_estimate(omega, rho1, pts, rel_tol)
-    if input_thickness < gamma - slack:
+    input_thickness = thickness_estimate(omega, rho1, pts)
+    if input_thickness < gamma - _TRANSFER_SLACK:
         notes.append(f"claimed thickness {gamma:g} not met on sample ({input_thickness:.6f})")
-    measured = thickness_estimate(omega, rho2, pts, rel_tol)
-    hypothesis_ok = pointwise_ok and gamma_ok and input_thickness >= gamma - slack
-    transfer_ok = hypothesis_ok and measured >= predicted - slack
+    measured = thickness_estimate(omega, rho2, pts)
+    hypothesis_ok = pointwise_ok and gamma_ok and input_thickness >= gamma - _TRANSFER_SLACK
+    transfer_ok = hypothesis_ok and measured >= predicted - _TRANSFER_SLACK
     return TransferReport(
         hypothesis_ok=hypothesis_ok,
         input_thickness=float(input_thickness),

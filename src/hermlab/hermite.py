@@ -43,10 +43,9 @@ __all__ = [
     "evaluate",
 ]
 
-# guard for composite x^alpha d^beta chains; protects downstream quadrature
+# the largest degree that hermite_eval_1d evaluates and that x^alpha d^beta
+# chains may reach; the mpmath tests pin values up to it
 DEGREE_CAP = 2048
-
-_K_GUARD = 10**6
 
 
 def hermite_eval_1d(k: int, x):
@@ -55,8 +54,8 @@ def hermite_eval_1d(k: int, x):
     Total on finite inputs: the recurrence carries a per-point power-of-two
     exponent, so large |x| neither overflows nor underflows before h_k does.
     """
-    if k < 0 or k > _K_GUARD:
-        raise ValueError(f"degree k={k} outside [0, {_K_GUARD}]")
+    if k < 0 or k > DEGREE_CAP:
+        raise ValueError(f"degree k={k} outside [0, {DEGREE_CAP}]")
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValueError("evaluation points must be finite")

@@ -46,6 +46,8 @@ class QuadraticForm:
         m = 2 * self.dim
         if Q.shape != (m, m):
             raise ValueError(f"Q must be {m}x{m} for dim {self.dim}")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("Q must have finite entries")
         if np.max(np.abs(Q - Q.T)) > _CONSISTENCY_TOL * max(1.0, np.max(np.abs(Q))):
             raise ValueError("Q must be symmetric")
         Q = (Q + Q.T) / 2.0
@@ -63,11 +65,10 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class HamiltonMap:
-    """F with q(X, Y) = sigma(X, F Y); the consistency defect is stored."""
+    """F with q(X, Y) = sigma(X, F Y)."""
 
     dim: int
     F: np.ndarray = field(repr=False)
-    defect: float = 0.0
 
     def __post_init__(self):
         F = np.array(self.F, dtype=np.complex128)
@@ -87,24 +88,12 @@ def symplectic_matrix(n: int) -> np.ndarray:
 
 
 def hamilton_map(q: QuadraticForm) -> HamiltonMap:
-    """Hamilton map of q, built two ways and cross-checked to 1e-12.
+    """Hamilton map F = J Q of q.
 
-    Block construction from the Hessian quarters of Q and the direct product
-    F = J Q must agree; their max-entry difference is the stored defect.
-    The returned map satisfies Q = -J F to the same tolerance.
+    J has only 0 and +-1 entries, so each entry of J Q is one entry of Q or
+    its negative: F is exactly the Hessian-quarter block form.
     """
-    n = q.dim
-    Qxx = q.Q[:n, :n]
-    Qxxi = q.Q[:n, n:]
-    Qxix = q.Q[n:, :n]
-    Qxixi = q.Q[n:, n:]
-    blocks = np.block([[Qxix, Qxixi], [-Qxx, -Qxxi]])
-    direct = symplectic_matrix(n) @ q.Q
-    defect = float(np.max(np.abs(blocks - direct)))
-    scale = max(1.0, float(np.max(np.abs(q.Q))))
-    if defect > _CONSISTENCY_TOL * scale:
-        raise ValueError(f"Hamilton map construction inconsistent (defect {defect:.3e})")
-    return HamiltonMap(n, blocks, defect)
+    return HamiltonMap(q.dim, symplectic_matrix(q.dim) @ q.Q)
 
 
 @dataclass(frozen=True)
@@ -141,12 +130,10 @@ def _real_nullspace(rows: list[np.ndarray], size: int, tol: float):
         if np.iscomplexobj(M) and np.max(np.abs(M.imag)) > 0:
             stack.append(np.asarray(M.imag, dtype=np.float64))
     A = np.vstack(stack) if stack else np.zeros((1, size))
-    sv = np.linalg.svd(A, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0:
-        return np.eye(size), False
     _, s, Vt = np.linalg.svd(A)
-    cut = tol * top
+    if s[0] == 0.0:
+        return np.eye(size), False
+    cut = tol * s[0]
     ambiguous = bool(np.any((s > cut / 8.0) & (s < cut * 8.0)))
     rank = int(np.sum(s > cut))
     return Vt[rank:], ambiguous

@@ -24,7 +24,6 @@ CORE = (
     ("hermite", "evaluate", "the n-D evaluator of an expansion, the pointwise view of every span"),
     ("hermite", "hermite_eval_1d", "the pointwise value of one Hermite function, pinned against mpmath"),
     ("indexing", "level_dim", "the size of one degree level of the shared enumeration"),
-    ("geometry", "density_validate", "pending: to become the exact Lipschitz check of a density"),
 )
 
 

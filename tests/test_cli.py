@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -354,6 +355,15 @@ _PROBES = {
         2,
     ),
     "ragged-form": ({"kind": "singular-space", "parameters": {"forms": [[[1, 0], [0]]]}}, 2),
+    "nan-form": ({"kind": "singular-space", "parameters": {"forms": [[[1, 0], [0, math.nan]]]}}, 2),
+    "infinite-form": ({"kind": "singular-space", "parameters": {"forms": [[[math.inf, 0], [0, 1]]]}}, 2),
+    "covering-steep-power": (
+        {
+            "kind": "covering",
+            "parameters": {"density": {"kind": "power", "R": 2.0, "eps": 0.5}, "extent": 3.0, "dim": 2},
+        },
+        1,
+    ),
 }
 
 

@@ -19,7 +19,6 @@ from hermlab.geometry import (
     InvalidDensityError,
     PeriodicPattern,
     covering_generate,
-    density_validate,
     graded_cells,
     intersection_measure,
     interval_union,
@@ -41,20 +40,13 @@ def test_power_density_requires_unit_interval_exponent():
 def test_constant_density_is_flat():
     rho = DensityFn.constant(0.75)
     assert rho(np.array([-3.0, 0.0, 10.0])) == pytest.approx([0.75, 0.75, 0.75])
-    rep = density_validate(rho, [(-5.0, 5.0)])
-    assert rep.lipschitz_ok and rep.bounds_ok
+    assert rho.lipschitz == 0.0
 
 
 def test_power_density_value():
     rho = DensityFn.power(2.0, 0.5)
     # 2 <x>^{1/2} at x = 2: <2> = sqrt 5
     assert rho(np.array([2.0]))[0] == pytest.approx(2.0 * 5.0**0.25, rel=1e-15)
-
-
-def test_power_density_is_slowly_varying():
-    rep = density_validate(DensityFn.power(1.0, 0.5), [(-30.0, 30.0)])
-    assert rep.lipschitz_ok
-    assert rep.worst_ratio <= 0.5 + 1e-12
 
 
 def test_tabulated_density_interpolates():
@@ -64,6 +56,65 @@ def test_tabulated_density_interpolates():
 
 # a dip to 0.01 narrower than the spacing of 4097 samples over [-100, 100]
 NARROW_DIP = DensityFn.tabulated([-1.0, 0.0, 1e-3, 1.0], [1.0, 1.0, 0.01, 1.0])
+# a 1/2-Lipschitz dip to 0.01 at a knot that those 4097 samples miss
+SLOW_DIP = DensityFn.tabulated([-10.0, 1e-3, 10.0], [5.0, 0.01, 5.0])
+# a step of slope 10 that 256 sampled pairs over [-1, 1] saw as slope 0.00995
+STEEP_STEP = DensityFn.tabulated([-1.0, 0.0, 1e-3, 1.0], [1.0, 1.0, 1.01, 1.01])
+
+
+def _sampled_slope(rho, pts):
+    """Largest finite-difference slope of rho between consecutive points of pts, (m,) or (m, n)."""
+    dist = np.linalg.norm(np.diff(pts, axis=0).reshape(len(pts) - 1, -1), axis=1)
+    return float(np.max(np.abs(np.diff(rho(pts))) / dist))
+
+
+def test_power_density_is_slowly_varying():
+    # the density of every power covering here; its exact constant is 0.31020
+    assert DensityFn.power(1.0, 0.5).lipschitz <= 0.5
+
+
+@pytest.mark.parametrize("R, eps", [(1.0, 0.5), (2.0, 0.5), (1.612, 0.5), (0.7, 0.1), (3.0, 0.9), (2.0, 1.0)])
+def test_power_lipschitz_matches_its_sampled_slope(R, eps):
+    rho = DensityFn.power(R, eps)
+    # the slope peaks at |x| = eps^{-1/2}; step 1e-3 leaves the secants
+    # about 1e-8 below it and rounding about 1e-12
+    t = np.linspace(0.0, 3.0 / math.sqrt(eps), int(3000 / math.sqrt(eps)) + 1)
+    sampled = _sampled_slope(rho, t)
+    assert rho.lipschitz >= sampled * (1.0 - 1e-12)
+    assert rho.lipschitz == pytest.approx(sampled, rel=1e-6, abs=0.0)
+    # rho is radial, so a 2-D ray sees the same slope
+    ray = np.column_stack([t, t]) / math.sqrt(2.0)
+    assert _sampled_slope(rho, ray) == pytest.approx(sampled, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "rho, step, slope",
+    [
+        (DensityFn.constant(0.75), 0.1, 0.0),
+        (DensityFn.tabulated([-1.0, 0.0, 1.0], [1.0, 2.0, 1.0]), 0.01, 1.0),
+        (NARROW_DIP, 1e-4, 990.0),
+        (SLOW_DIP, 0.1, 4.99 / 9.999),
+        (STEEP_STEP, 1e-4, 10.0),
+    ],
+)
+def test_lipschitz_matches_the_sampled_slope(rho, step, slope):
+    # the step puts several points inside every piece, clamped ends included,
+    # and keeps rounding (about 1e-16 rho / step) below 1e-12 of the slope
+    t = np.linspace(-12.0, 12.0, int(round(24.0 / step)) + 1)
+    sampled = _sampled_slope(rho, t)
+    assert rho.lipschitz >= sampled * (1.0 - 1e-12)
+    assert rho.lipschitz == pytest.approx(sampled, rel=1e-9, abs=0.0)
+    assert rho.lipschitz == pytest.approx(slope, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [DensityFn.power(1.612, 0.5), STEEP_STEP], ids=["power", "step"])
+def test_covering_rejects_a_density_above_half_lipschitz_before_any_grid(rho, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a candidate grid was built for a density too steep to cover with")
+
+    monkeypatch.setattr(geometry, "_box_grid", no_grid)
+    with pytest.raises(InvalidDensityError, match="Lipschitz constant"):
+        covering_generate(rho, [(-100.0, 100.0)])
 
 
 def test_tabulated_min_on_box_is_exact():
@@ -81,11 +132,11 @@ def test_tabulated_density_rejects_a_2d_box_before_any_grid(monkeypatch):
     with pytest.raises(InvalidDensityError, match="1-D only"):
         NARROW_DIP.min_on_box([(-1.0, 1.0), (-1.0, 1.0)])
     with pytest.raises(InvalidDensityError, match="1-D only"):
-        covering_generate(NARROW_DIP, [(-1.0, 1.0), (-1.0, 1.0)])
+        covering_generate(SLOW_DIP, [(-1.0, 1.0), (-1.0, 1.0)])
 
 
-def test_covering_step_rule_sees_a_narrow_dip(monkeypatch):
-    cov = covering_generate(NARROW_DIP, [(-100.0, 100.0)])
+def test_covering_step_rule_sees_a_dip_between_samples(monkeypatch):
+    cov = covering_generate(SLOW_DIP, [(-100.0, 100.0)])
     assert cov.grid_step == 0.01 / 6.0
 
     def no_grid(*args):
@@ -93,7 +144,7 @@ def test_covering_step_rule_sees_a_narrow_dip(monkeypatch):
 
     monkeypatch.setattr(geometry, "_box_grid", no_grid)
     with pytest.raises(CoverageError, match="too coarse"):
-        covering_generate(NARROW_DIP, [(-100.0, 100.0)], grid_step=0.005)
+        covering_generate(SLOW_DIP, [(-100.0, 100.0)], grid_step=0.005)
 
 
 # -- exact 1-D measures ---------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hermlab import bernstein, indexing, kernels
 from hermlab.hermite import (
+    DEGREE_CAP,
     HermiteExpansion,
     apply_harmonic_oscillator,
     apply_ladder,
@@ -47,6 +48,8 @@ def test_eval_rejects_bad_input():
         hermite_eval_1d(-1, np.array([0.0]))
     with pytest.raises(ValueError):
         hermite_eval_1d(2, np.array([np.inf]))
+    with pytest.raises(ValueError, match=f"outside \\[0, {DEGREE_CAP}\\]"):
+        hermite_eval_1d(DEGREE_CAP + 1, np.array([0.0]))
 
 
 def test_parity():

@@ -55,7 +55,17 @@ def test_hamilton_map_consistency_invariant():
         F = hamilton_map(q)
         J = symplectic_matrix(q.dim)
         assert np.max(np.abs(q.Q + J @ F.F)) <= 1e-12, name
-        assert F.defect <= 1e-12
+        n = q.dim
+        Qxx, Qxxi, Qxix, Qxixi = q.Q[:n, :n], q.Q[:n, n:], q.Q[n:, :n], q.Q[n:, n:]
+        assert np.array_equal(F.F, np.block([[Qxix, Qxixi], [-Qxx, -Qxxi]])), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quadratic_form_rejects_a_nonfinite_entry(bad):
+    Q = np.eye(2, dtype=complex)
+    Q[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        QuadraticForm(1, Q)
 
 
 def test_quadratic_form_rejects_asymmetric_matrix():
