@@ -259,7 +259,14 @@ def _build_omega(spec) -> geometry.ControlSet:
     if t == "balls":
         centers = np.asarray(spec["centers"], dtype=np.float64)
         centers = centers.reshape(centers.shape[0], -1)
-        return geometry.BallUnion(centers.shape[1], centers, np.asarray(spec["radii"], dtype=np.float64))
+        radii = np.asarray(spec["radii"], dtype=np.float64)
+        if centers.shape[1] != 1:
+            raise ValueError(f"balls are 1-D intervals [c - r, c + r]; centers have {centers.shape[1]} coordinates")
+        if radii.shape != (centers.shape[0],):
+            raise ValueError("centers and radii length mismatch")
+        if np.any(radii < 0):
+            raise ValueError("radii must be non-negative")
+        return geometry.interval_union(np.column_stack([centers[:, 0] - radii, centers[:, 0] + radii]))
     if t == "graded":
         return geometry.graded_cells(_build_density(spec["density"]), spec["gamma"], spec["extent"])
     raise ValueError("type must be full|intervals|periodic|boxes|balls|graded")

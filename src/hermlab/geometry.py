@@ -3,24 +3,22 @@
 A density is a positive radius field rho on R^n, pinched between a constant
 m and R<x>^{1-eps}; a covering needs it slowly varying (1/2-Lipschitz), and
 covering_generate checks that from its exact Lipschitz constant.
-A control set omega is a union of boxes, balls, or a periodic pattern;
-thickness of omega with respect to rho is the worst-case volume fraction
-|omega cap B(x, rho(x))| / |B(x, rho(x))| over ball centers x.
+A control set omega is a union of boxes, a periodic pattern, or the full
+space; thickness of omega with respect to rho is the worst-case volume
+fraction |omega cap B(x, rho(x))| / |B(x, rho(x))| over ball centers x.
 
-Every 1-D and 2-D measure is exact. Boxes, periodic patterns and the full
-space have slices that stay the same between consecutive first-axis
-breakpoints (``piecewise_slices``); in 2-D such a set cut to the disk's
-bounding square is a union of disjoint rectangles, and the disk's area
-inside each has a closed form; inside a union of disks it comes from
-Green's theorem over the boundary arcs. Only 3-D uses panel halving: the
-exact 2-D slice measure is integrated along the first axis by Gauss panels,
-halved until two sums agree, under the substitution x = c + r sin(theta),
-which absorbs the square-root behaviour at the ball's rim. Panels split at
-the set's own breakpoints and where the slice measure stops being analytic:
-where the slice disk becomes tangent to an edge line or passes through a
-corner of the slice's rectangles, or where two slice circles of a ball
-union touch. A cubic substitution that flattens each panel's ends makes the
-integrand smooth there.
+Every 1-D and 2-D measure is exact. Each control set has slices that stay
+the same between consecutive first-axis breakpoints; in 2-D a set cut to
+the disk's bounding square is a union of disjoint rectangles, and the
+disk's area inside each has a closed form. Only 3-D uses panel halving:
+the exact 2-D slice measure is integrated along the first axis by Gauss
+panels, halved until two sums agree, under the substitution
+x = c + r sin(theta), which absorbs the square-root behaviour at the
+ball's rim. Panels split at the set's own breakpoints and where the slice
+measure stops being analytic: where the slice disk becomes tangent to an
+edge line or passes through a corner of the slice's rectangles. A cubic
+substitution that flattens each panel's ends makes the integrand smooth
+there.
 
 The covering generator picks centers greedily from a fine grid, keeping a
 candidate only when it is at least a third of the summed radii away from
@@ -52,7 +50,6 @@ __all__ = [
     "BoxUnion",
     "interval_union",
     "PeriodicPattern",
-    "BallUnion",
     "graded_cells",
     "slice_pieces",
     "intersection_measure",
@@ -115,7 +112,7 @@ def _as_box(box) -> np.ndarray:
     arr = np.asarray(box, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != 2 or np.any(arr[:, 1] <= arr[:, 0]):
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(arr[:, 0] < arr[:, 1]):
         raise ValueError("box must be ((lo, hi), ...) with lo < hi per axis")
     return arr
 
@@ -238,14 +235,12 @@ class ControlSet:
     [lo, hi] as a merged (k, 2) array; `slice_first` (dim >= 2) returns the
     restriction to a hyperplane x_0 = value as a set one dimension down;
     `breakpoints_first` lists first-axis coordinates where the slice
-    structure jumps. `piecewise_slices` is set on the
-    classes whose slice is the same at every point strictly between two
-    consecutive breakpoints, so one `slice_first` call per piece (see
+    structure jumps. The slice is the same at every point strictly between
+    two consecutive breakpoints, so one `slice_first` call per piece (see
     `slice_pieces`) describes the whole set. Every set has dim >= 1.
     """
 
     dim: int
-    piecewise_slices = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -266,7 +261,6 @@ class FullSpace(ControlSet):
     """All of R^n."""
 
     dim: int = 1
-    piecewise_slices = True
 
     def intervals_1d(self, lo, hi):
         return np.array([[lo, hi]])
@@ -281,13 +275,12 @@ class BoxUnion(ControlSet):
 
     dim: int
     boxes: np.ndarray = field(repr=False)
-    piecewise_slices = True
 
     def __post_init__(self):
         super().__post_init__()
         b = np.asarray(self.boxes, dtype=np.float64).reshape(-1, self.dim, 2)
-        if np.any(b[:, :, 1] < b[:, :, 0]):
-            raise ValueError("each box needs lo <= hi per axis")
+        if not np.all(b[:, :, 0] <= b[:, :, 1]):
+            raise ValueError("each box needs lo <= hi per axis, neither NaN")
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "boxes", b)
@@ -323,7 +316,6 @@ class PeriodicPattern(ControlSet):
     period: float
     kept: float
     offset: float = 0.0
-    piecewise_slices = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -357,45 +349,6 @@ class PeriodicPattern(ControlSet):
     def breakpoints_first(self, lo, hi):
         iv = self._axis_intervals(lo - self.period, hi + self.period)
         edges = iv.ravel()
-        return edges[(edges > lo) & (edges < hi)]
-
-
-@dataclass(frozen=True)
-class BallUnion(ControlSet):
-    """Union of euclidean balls; centers (k, n), radii (k,)."""
-
-    dim: int
-    centers: np.ndarray = field(repr=False)
-    radii: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        c = np.asarray(self.centers, dtype=np.float64).reshape(-1, self.dim)
-        r = np.asarray(self.radii, dtype=np.float64).reshape(-1)
-        if c.shape[0] != r.shape[0]:
-            raise ValueError("centers and radii length mismatch")
-        if np.any(r < 0):
-            raise ValueError("radii must be non-negative")
-        c = c.copy()
-        r = r.copy()
-        c.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "radii", r)
-
-    def intervals_1d(self, lo, hi):
-        c = self.centers[:, 0]
-        return _merge_intervals(_clip_intervals(np.column_stack([c - self.radii, c + self.radii]), lo, hi))
-
-    def slice_first(self, value):
-        dx = value - self.centers[:, 0]
-        keep = np.abs(dx) < self.radii
-        red = np.sqrt(np.maximum(self.radii[keep] ** 2 - dx[keep] ** 2, 0.0))
-        return BallUnion(self.dim - 1, self.centers[keep][:, 1:], red)
-
-    def breakpoints_first(self, lo, hi):
-        c = self.centers[:, 0]
-        edges = np.concatenate([c - self.radii, c + self.radii])
         return edges[(edges > lo) & (edges < hi)]
 
 
@@ -433,8 +386,8 @@ def graded_cells(rho: DensityFn, gamma: float, extent: float) -> BoxUnion:
 def slice_pieces(omega: ControlSet, lo: float, hi: float) -> list:
     """Pieces (a, b, slice) of [lo, hi] between omega's first-axis breakpoints.
 
-    The slice is taken at each piece's midpoint; for a set with
-    piecewise_slices it is the slice at every interior point of the piece.
+    The slice is taken at each piece's midpoint, and it is the slice at
+    every interior point of the piece.
     The ends lo and hi are kept exactly.
     """
     breaks = np.asarray(omega.breakpoints_first(lo, hi), dtype=np.float64)
@@ -454,7 +407,7 @@ def ball_volume(dim: int, radius: float) -> float:
 
 
 def _rectangles(omega: ControlSet, center, radius: float) -> np.ndarray:
-    """A 2-D set with piecewise slices, cut to the square center +- radius.
+    """A 2-D set, cut to the square center +- radius.
 
     Returns disjoint rectangles as rows (x0, x1, y0, y1) relative to the
     center, clipped to [-radius, radius]; the square's own sides land on
@@ -512,38 +465,6 @@ def _disk_rect_area(rects: np.ndarray, radius) -> np.ndarray:
     return np.sum(np.where(const + rims * s_mid > 0.0, part, 0.0), axis=(-2, -1))
 
 
-def _disk_union_area(c0, r0: float, centers: np.ndarray, radii: np.ndarray) -> float:
-    """Area of B(c0, r0) inside the union of the disks B(centers[k], radii[k]), by Green's theorem.
-
-    The boundary is made of counter-clockwise arcs: the probe circle's arcs
-    inside the union, and each union circle's arcs inside the probe and in
-    no other union disk (repeated disks count once), cut where circles cross.
-    An arc of radius r about (cx, cy) from angle t0 to t1 adds
-    (r^2 (t1 - t0) + r (cx (sin t1 - sin t0) - cy (cos t1 - cos t0))) / 2.
-    """
-    disks = np.unique(np.column_stack([centers - c0, radii]), axis=0)
-    if np.any(np.hypot(disks[:, 0], disks[:, 1]) + r0 <= disks[:, 2]):
-        return math.pi * r0 * r0
-    circles = np.vstack([[0.0, 0.0, r0], disks])
-    arcs = []
-    for i, (cx, cy, r) in enumerate(circles):
-        others = np.delete(circles, i, axis=0)
-        dx, dy, ro = others[:, 0] - cx, others[:, 1] - cy, others[:, 2]
-        d = np.hypot(dx, dy)
-        cut = (d < r + ro) & (d > np.abs(r - ro))
-        alpha = np.arccos(np.clip((d[cut] ** 2 + r * r - ro[cut] ** 2) / (2.0 * d[cut] * r), -1.0, 1.0))
-        phi = np.arctan2(dy[cut], dx[cut])
-        t0 = np.sort(np.mod(np.concatenate([[0.0], phi - alpha, phi + alpha]), 2.0 * math.pi))
-        t1 = np.append(t0[1:], t0[0] + 2.0 * math.pi)
-        mid = (t0 + t1) / 2.0
-        on_arc = (r * np.cos(mid)[:, None] - dx) ** 2 + (r * np.sin(mid)[:, None] - dy) ** 2 < ro * ro
-        # a disk that does not cross this circle holds all of it or none of it, tangent points aside
-        inside = np.where(cut, on_arc, d + r <= ro)
-        keep = inside.any(axis=1) if i == 0 else inside[:, 0] & ~inside[:, 1:].any(axis=1)
-        arcs += list(keep * (r * r * (t1 - t0) + r * (cx * (np.sin(t1) - np.sin(t0)) - cy * (np.cos(t1) - np.cos(t0)))))
-    return math.fsum(arcs) / 2.0
-
-
 def _kink_radii(rects: np.ndarray, radius: float) -> np.ndarray:
     """Disk radii in (0, radius) where the disk's area inside rects is not analytic.
 
@@ -580,80 +501,50 @@ def _panel_halving(f, t0: float, t1: float, atol: float):
     return prev, False
 
 
-def _tangent_slices(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """First coordinates where the slices of two of the spheres B(centers[k], radii[k]) touch.
-
-    Two crossing spheres meet in a circle, and their slice circles touch at
-    its slices, so these are the circle's ends along the first axis.
-    """
-    v = centers[None, :, :] - centers[:, None, :]
-    d = np.linalg.norm(v, axis=-1)
-    i, j = np.nonzero((d > np.abs(radii[:, None] - radii)) & (d < radii[:, None] + radii))
-    d, n0 = d[i, j], v[i, j, 0] / d[i, j]
-    h = (d * d + radii[i] ** 2 - radii[j] ** 2) / (2.0 * d)  # from sphere i's center to the circle's plane
-    mid = centers[i, 0] + h * n0
-    w = np.sqrt(np.maximum(radii[i] ** 2 - h * h, 0.0) * np.maximum(1.0 - n0 * n0, 0.0))
-    return np.concatenate([mid - w, mid + w])
-
-
 def _rim_panels(omega: ControlSet, c: np.ndarray, radius: float) -> list:
     """Panels (theta0, theta1, f) of the first-axis integral under x = c0 + r sin(theta).
 
     f(theta) is the exact 2-D slice measure times the jacobian r cos(theta).
     The panels split at the set's breakpoints and where f stops being
-    analytic: over piecewise slices where the slice disk touches an edge line
-    or a corner, and for ball unions where two slice circles touch.
+    analytic: where the slice disk touches an edge line or a corner.
     """
     c0 = float(c[0])
     rest = c[1:]
 
     def theta(x):
-        return np.arcsin(np.clip((np.asarray(x, dtype=np.float64) - c0) / radius, -1.0, 1.0))
+        return float(np.arcsin(np.clip((x - c0) / radius, -1.0, 1.0)))
 
-    if omega.piecewise_slices:
-        panels = []
-        for a, b, sub in slice_pieces(omega, c0 - radius, c0 + radius):
-            rects = _rectangles(sub, rest, radius)
-            if rects.shape[0] == 0:
-                continue
-            d = _kink_radii(rects, radius)
-            half = np.arctan2(_rim(radius, d), d)
-            ta, tb = float(theta(a)), float(theta(b))
-            ts = np.concatenate([[ta, tb], -half, half])
-            ts = np.unique(ts[(ts >= ta) & (ts <= tb)])
+    panels = []
+    for a, b, sub in slice_pieces(omega, c0 - radius, c0 + radius):
+        rects = _rectangles(sub, rest, radius)
+        if rects.shape[0] == 0:
+            continue
+        d = _kink_radii(rects, radius)
+        half = np.arctan2(_rim(radius, d), d)
+        ta, tb = theta(a), theta(b)
+        ts = np.concatenate([[ta, tb], -half, half])
+        ts = np.unique(ts[(ts >= ta) & (ts <= tb)])
 
-            def f(t, rects=rects):
-                chord = radius * np.cos(t)
-                return _disk_rect_area(rects, chord) * chord
+        def f(t, rects=rects):
+            chord = radius * np.cos(t)
+            return _disk_rect_area(rects, chord) * chord
 
-            panels += [(t0, t1, f) for t0, t1 in zip(ts[:-1], ts[1:])]
-        return panels
-
-    def f(ts):
-        chords = radius * np.cos(ts)
-        xs = c0 + radius * np.sin(ts)
-        return np.array([intersection_measure(omega.slice_first(x), rest, h) * h for x, h in zip(xs, chords)])
-
-    # theta clips kinks outside the ball to the ends +-pi/2
-    touch = _tangent_slices(np.vstack([c, omega.centers]), np.append(radius, omega.radii))
-    kinks = np.append(omega.breakpoints_first(c0 - radius, c0 + radius), touch)
-    ts = np.unique(np.concatenate([[-math.pi / 2, math.pi / 2], theta(kinks)]))
-    return [(t0, t1, f) for t0, t1 in zip(ts[:-1], ts[1:])]
+        panels += [(t0, t1, f) for t0, t1 in zip(ts[:-1], ts[1:])]
+    return panels
 
 
 def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: float = 1e-6) -> float:
     """Lebesgue measure of omega intersected with the ball B(center, radius).
 
     Every 1-D and 2-D measure is exact, and rel_tol is read only in 3-D.
-    In 2-D the disk's area inside each rectangle of a set with piecewise
-    slices (boxes, periodic patterns, the full space), and inside a union of
-    disks, has a closed form. In 3-D the first axis is integrated with the
-    rim-absorbing substitution x = c + r sin(theta), on each panel by
-    16-node Gauss rules on 1, 2, 4, ... equal sub-panels until two
-    successive sums agree, over the exact 2-D slice measure; the result
-    carries relative error about rel_tol. The panels split wherever the
-    slice measure stops being analytic (see _rim_panels) and their ends are
-    flattened, so slab measures are exact to rounding.
+    In 2-D the disk's area inside each rectangle of the set has a closed
+    form. In 3-D the first axis is integrated with the rim-absorbing
+    substitution x = c + r sin(theta), on each panel by 16-node Gauss rules
+    on 1, 2, 4, ... equal sub-panels until two successive sums agree, over
+    the exact 2-D slice measure; the result carries relative error about
+    rel_tol. The panels split wherever the slice measure stops being
+    analytic (see _rim_panels) and their ends are flattened, so slab and
+    box-corner measures are exact to rounding.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -667,10 +558,8 @@ def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: floa
         raise ValueError(f"dimension {omega.dim} unsupported (1, 2, or 3)")
 
     scale = ball_volume(omega.dim, radius)
-    if omega.dim == 2 and omega.piecewise_slices:
+    if omega.dim == 2:
         total = float(_disk_rect_area(_rectangles(omega, c, radius), radius))
-    elif omega.dim == 2:
-        total = _disk_union_area(c, radius, omega.centers, omega.radii)
     else:
         total = 0.0
         for t0, t1, f in _rim_panels(omega, c, radius):

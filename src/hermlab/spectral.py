@@ -23,16 +23,16 @@ is the square of the smallest singular value of R (equal to that of B),
 from the singular values of R alone, taken block by block when R splits
 by parity, which stays accurate far below the eps*||G|| floor of a direct
 eigensolve; the bottom vector comes from inverse iteration on R, two
-triangular solves per step. A 2-D set must have piecewise slices (the
-full plane, boxes, periodic patterns): it is sliced once per piece between
-first-axis breakpoints, the pieces that share one slice are pooled, and
-each distinct slice adds one separable block Px[a1, a1] * My[a2, a2] of
-its x- and y-pairings to each rule, with one Hermite table per axis over
-both rules' nodes. Each block is the Hadamard product of two PSD
-matrices, so the 2-D Gram is PSD to rounding (Schur product theorem). Its
-lambda_min is the bottom eigenvalue of the tridiagonal matrix left by one
-Householder reduction, found by bisection with the top one, and the bottom
-vector comes from inverse iteration mapped back through the reflectors.
+triangular solves per step. A 2-D set (the full plane, boxes, periodic
+patterns) is sliced once per piece between first-axis breakpoints, the
+pieces that share one slice are pooled, and each distinct slice adds one
+separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
+rule, with one Hermite table per axis over both rules' nodes. Each block
+is the Hadamard product of two PSD matrices, so the 2-D Gram is PSD to
+rounding (Schur product theorem). Its lambda_min is the bottom eigenvalue
+of the tridiagonal matrix left by one Householder reduction, found by
+bisection with the top one, and the bottom vector comes from inverse
+iteration mapped back through the reflectors.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -226,8 +226,7 @@ def gram_matrix(
     In 1-D the returned entries are R^T R for the QR triangle R of the
     weighted evaluation factor, and R is kept as the factor; on a set that
     is its own mirror image R splits by parity (see _gram_1d) and nodes
-    counts each half-line node twice. A 2-D set without piecewise slices (a
-    ball union) raises ValueError before any table is built.
+    counts each half-line node twice.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -235,8 +234,6 @@ def gram_matrix(
         raise ValueError(f"dimension {omega.dim} unsupported for Gram assembly")
     if omega.dim == 2 and degree > _MAX_DEGREE_2D:
         raise ValueError(f"2-D Gram assembly capped at degree {_MAX_DEGREE_2D}")
-    if omega.dim == 2 and not omega.piecewise_slices:
-        raise ValueError("2-D Gram assembly needs piecewise slices: full, boxes or periodic")
     panel_len = _panel_length(degree)
 
     if omega.dim == 1:

@@ -146,6 +146,18 @@ def test_manifest_hashes_the_built_sensor_set(tmp_path):
     assert _scan_omega_hash(tmp_path, "p3", dict(periodic, offset=1.0)) != _scan_omega_hash(tmp_path, "p4", periodic)
 
 
+def test_ball_spec_scans_as_its_intervals(tmp_path):
+    balls = {"type": "balls", "centers": [[-3.0], [0.5], [4.0]], "radii": [1.0, 0.3, 2.5]}
+    intervals = {"type": "intervals", "intervals": [[-4.0, -2.0], [0.2, 0.8], [1.5, 6.5]]}
+    hashes, texts = [], []
+    for name, spec in (("balls", balls), ("intervals", intervals)):
+        cfg = {"kind": "spectral-scan", "seed": 0, "parameters": {"N_values": [4, 10], "omega": spec}}
+        hashes.append(run(cfg, out_override=str(tmp_path / name))["omega_hash"])
+        texts.append((tmp_path / name / "spectral.csv").read_bytes())
+    assert hashes[0] == hashes[1]
+    assert texts[0] == texts[1]
+
+
 def test_csv_dialect(tmp_path):
     run(_full_scan(str(tmp_path)))
     raw = (tmp_path / "spectral.csv").read_bytes()
@@ -314,7 +326,11 @@ _PROBES = {
     "full-space-3d": (_scan_probe({"type": "full", "dim": 3}), 1),
     "periodic-2d-above-degree-cap": (_scan_probe({"type": "periodic", "dim": 2, "period": 4.0, "kept": 0.25}, [30]), 1),
     "periodic-dim-0": (_scan_probe({"type": "periodic", "dim": 0, "period": 4.0, "kept": 0.25}), 2),
-    "balls-2d-gram": (_scan_probe({"type": "balls", "centers": [[0.0, 0.0], [3.0, 1.0]], "radii": [1.5, 1.0]}, [2]), 1),
+    "balls-2d": (_scan_probe({"type": "balls", "centers": [[0.0, 0.0], [3.0, 1.0]], "radii": [1.5, 1.0]}, [2]), 2),
+    "balls-radii-mismatch": (_scan_probe({"type": "balls", "centers": [[0.0], [3.0]], "radii": [1.5]}), 2),
+    "nan-interval": (_scan_probe({"type": "intervals", "intervals": [[math.nan, 1.0]]}), 2),
+    "nan-box": (_scan_probe({"type": "boxes", "boxes": [[[0.0, 1.0], [math.nan, 1.0]]]}, [2]), 2),
+    "nan-radius": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [math.nan]}), 2),
     "string-interval": (_scan_probe({"type": "intervals", "intervals": [["a", "b"]]}), 2),
     "string-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "offset": "x"}), 2),
     "unsorted-scan-with-epsilon": (_scan_probe({"type": "full"}, [4, 2, 8, 6, 10], epsilon=0.5), 1),
@@ -338,6 +354,10 @@ _PROBES = {
     ),
     "covering-reversed-extent": (
         {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1.0}, "extent": -1.0}},
+        2,
+    ),
+    "covering-nan-extent": (
+        {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1.0}, "extent": math.nan}},
         2,
     ),
     "covering-beyond-candidate-cap": (

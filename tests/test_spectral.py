@@ -520,20 +520,6 @@ def test_one_assembly_and_two_tables_per_distinct_slice(omega, slices, monkeypat
     assert len(tables) == 2 * slices
 
 
-def test_two_dim_ball_union_gram_is_rejected(monkeypatch):
-    tables = []
-
-    def counted_table(kmax, x):
-        tables.append(x.size)
-        return hermite_function_table(kmax, x)
-
-    monkeypatch.setattr(spectral, "hermite_function_table", counted_table)
-    omega = geometry.BallUnion(2, [[0.0, 0.0], [3.0, 1.0]], [1.5, 1.0])
-    with pytest.raises(ValueError, match="piecewise slices"):
-        gram_matrix(omega, 2)
-    assert not tables
-
-
 def test_growth_fit_recovers_exponential_law():
     eps = 1.0
     pairs = [(N, math.exp(0.3 * N ** (1 - eps / 2) + 0.2)) for N in range(10, 80, 10)]
