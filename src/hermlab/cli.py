@@ -201,7 +201,9 @@ def _prepare(config):
         if not out:  # a density that cannot be evaluated on the box fails before any grid is built
             build("parameters.density", lambda: inputs["rho"].min_on_box(inputs["box"]))
     elif kind == "dissipation":
-        inputs["t_values"] = build("parameters.t_values", lambda: [float(t) for t in p["t_values"]])
+        inputs["t_values"] = build(
+            "parameters.t_values", lambda: [semigroup._check_time(float(t)) for t in p["t_values"]]
+        )
     elif kind == "control-run":
         omega = build("parameters.omega", lambda: _build_omega(p["omega"]))
         if spec is not None:

@@ -8,8 +8,9 @@ controls come from the controllability Gramian W = int_0^tau E(t) G^2 E(t) dt
 (E the diagonal propagator) via the closed form u(t) = -G E(tau - t) mu,
 mu = W^{-1} E(tau) g; dyadic alternation of such controls on growing level
 blocks with free dissipation in between steers any initial state to zero.
-Every stage goes through one solver, and every terminal check through one
-Duhamel-quadrature replay that never uses the closed-form stage kernel.
+lebeau_robbiano_synthesize is the one control entry point: every stage goes
+through one solver, and the terminal check through one Duhamel-quadrature
+replay that never uses the closed-form stage kernel.
 
 Observability is estimated on the same span: the best constant C_T with
 ||f(T)||^2 <= C_T int_0^T ||f(t)||^2_{L2(omega)} dt solves a generalized
@@ -29,16 +30,13 @@ from .geometry import ControlSet
 from .hermite import HermiteExpansion
 from .quadrature import gauss_legendre
 from .semigroup import EvolutionSpec
-from .spectral import GramMatrix, gram_matrix
+from .spectral import gram_matrix
 
 __all__ = [
     "ControlError",
     "ControlProblem",
     "ControlSignal",
-    "gramian",
-    "min_energy_control",
     "lebeau_robbiano_synthesize",
-    "resimulate",
     "ObservabilityReport",
     "observability_lower_bound",
     "reference_blowup_exponent",
@@ -48,11 +46,7 @@ CONDITION_CAP = 1e12
 
 
 class ControlError(RuntimeError):
-    """Synthesis failure; carries the partial trace when one exists."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """A stage Gramian or observation form is unusable, or the terminal residual misses tol."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +67,8 @@ class ControlProblem:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("horizon T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("horizon T must be finite and positive")
         if self.N < 0:
             raise ValueError("truncation degree must be non-negative")
         if self.f0.dim != self.spec.dim:
@@ -97,7 +91,6 @@ class ControlSignal:
     """
 
     total_cost: float
-    residual: float
     condition: float
     stage_data: tuple
 
@@ -105,16 +98,6 @@ class ControlSignal:
 def _check_dim(omega, spec: EvolutionSpec):
     if omega.dim != spec.dim:
         raise ValueError(f"sensor set has dim {omega.dim}, spec has dim {spec.dim}")
-
-
-def _gram_block(omega, degree: int, spec: EvolutionSpec) -> np.ndarray:
-    _check_dim(omega, spec)
-    if isinstance(omega, GramMatrix):
-        if omega.degree < degree:
-            raise ValueError("provided Gram matrix has insufficient degree")
-        m = indexing.span_dim(spec.dim, degree)
-        return np.asarray(omega.entries[:m, :m])
-    return np.asarray(gram_matrix(omega, degree).entries)
 
 
 def _exact_kernel(lam_a: np.ndarray, lam_b: np.ndarray, tau: float) -> np.ndarray:
@@ -137,21 +120,6 @@ def _checked_eigs(W: np.ndarray) -> np.ndarray:
             "sensor set too thin at this resolution"
         )
     return eigs
-
-
-def gramian(tau: float, k: int, omega, spec: EvolutionSpec) -> np.ndarray:
-    """Controllability Gramian of the level-k truncation over [0, tau].
-
-    W = int_0^tau E(t) G^2 E(t) dt with E(t) = diag(e^{-t lambda}). The time
-    integral separates into the entrywise kernel
-    (1 - e^{-tau (la + lb)}) / (la + lb), evaluated in closed form. omega
-    may be a ControlSet or a preassembled GramMatrix of degree >= k.
-    """
-    if not tau > 0:
-        raise ValueError("duration must be positive")
-    W = _gramian(_gram_block(omega, k, spec), spec.eigenvalues(k), tau)
-    _checked_eigs(W)
-    return W
 
 
 def _stage(G: np.ndarray, lam: np.ndarray, m: int, tau: float, g: np.ndarray):
@@ -195,29 +163,6 @@ def _replay(G: np.ndarray, lam: np.ndarray, dim: int, state: np.ndarray, stage_d
     return float(np.linalg.norm(np.exp(-(T - cursor) * lam) * state))
 
 
-def min_energy_control(g: HermiteExpansion, tau: float, k: int, omega, spec: EvolutionSpec) -> ControlSignal:
-    """Minimal-energy control steering the level-k truncation of g to zero.
-
-    Closed form u(t) = -G E(tau - t) mu with mu = W^{-1} E(tau) g, whose
-    energy is the duality form gᵀE(tau)W⁻¹E(tau)g. The terminal state is
-    replayed by Duhamel quadrature and must come back below 1e-8 ||g||.
-    """
-    if g.dim != spec.dim:
-        raise ValueError("state dimension mismatch")
-    if not tau > 0:
-        raise ValueError("duration must be positive")
-    G = _gram_block(omega, k, spec)
-    gvec = g.with_degree(k).coeffs if g.degree != k else g.coeffs
-    lam = spec.eigenvalues(k)
-    mu, cost, condition = _stage(G, lam, lam.size, tau, gvec)
-    stage_data = ((0.0, tau, k, mu),)
-    residual = _replay(G, lam, spec.dim, gvec, stage_data, tau)
-    gnorm = float(np.linalg.norm(gvec))
-    if gnorm > 0 and residual > 1e-8 * gnorm:
-        raise ControlError(f"terminal residual {residual:.3e} exceeds 1e-8 ||g||")
-    return ControlSignal(cost, residual, condition, stage_data)
-
-
 # -- dyadic synthesis ---------------------------------------------------------
 
 
@@ -241,12 +186,12 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
     over CONDITION_CAP retries at half the level. Once k_j reaches N the
     state in the span is exactly controlled and the leftover time evolves
     freely. Window lengths are exact dyadic fractions of T, so they sum to T.
-    One Gram assembly serves every stage and the re-simulation.
+    One Gram assembly serves every stage and the replay.
 
     Returns (ControlSignal, trace); the trace dict carries per-stage
     {interval, level, cost, residual}, the total cost, the terminal
     residual, and verified_residual, the terminal norm of the independent
-    Duhamel-quadrature replay that resimulate performs.
+    Duhamel-quadrature replay (_replay).
     """
     spec = problem.spec
     N = problem.N
@@ -273,10 +218,7 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
                 break
             except ControlError:
                 if eff_level == 0:
-                    raise ControlError(
-                        f"stage {j}: Gramian unusable even at level 0",
-                        trace=_trace_dict(stages, total_cost, float(np.linalg.norm(state)), None),
-                    )
+                    raise ControlError(f"stage {j}: Gramian unusable even at level 0")
                 eff_level //= 2
         worst_condition = max(worst_condition, condition)
 
@@ -303,37 +245,16 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         state = np.exp(-float(remainder) * problem.T * lam) * state
     terminal_residual = float(np.linalg.norm(state))
 
-    signal = ControlSignal(total_cost, terminal_residual, worst_condition, tuple(stage_data))
-    verified = _replay(Gfull, lam, spec.dim, f0, signal.stage_data, problem.T)
-    trace = _trace_dict(stages, total_cost, terminal_residual, verified)
     if f0_norm > 0 and terminal_residual > tol * f0_norm:
-        raise ControlError(
-            f"terminal residual {terminal_residual:.3e} exceeds {tol:g} ||f0||", trace=trace
-        )
-    return signal, trace
-
-
-def _trace_dict(stages, total_cost, terminal_residual, verified):
-    return {
+        raise ControlError(f"terminal residual {terminal_residual:.3e} exceeds {tol:g} ||f0||")
+    signal = ControlSignal(total_cost, worst_condition, tuple(stage_data))
+    trace = {
         "stages": stages,
         "total_cost": total_cost,
         "terminal_residual": terminal_residual,
-        "verified_residual": verified,
+        "verified_residual": _replay(Gfull, lam, spec.dim, f0, signal.stage_data, problem.T),
     }
-
-
-def resimulate(problem: ControlProblem, signal: ControlSignal) -> float:
-    """Independent forward simulation of the synthesized control.
-
-    Assembles the Gram matrix of problem.omega, replays each stage's control
-    formula through Duhamel quadrature at 256 Gauss nodes with exact free
-    propagation in between, and returns the terminal norm. Agreement with
-    the synthesis residual, which uses the closed-form stage kernel,
-    confirms the terminal contract.
-    """
-    Gfull = np.asarray(gram_matrix(problem.omega, problem.N).entries)
-    f0 = problem.f0.with_degree(problem.N).coeffs.astype(np.float64)
-    return _replay(Gfull, problem.spec.eigenvalues(problem.N), problem.spec.dim, f0, signal.stage_data, problem.T)
+    return signal, trace
 
 
 # -- observability ------------------------------------------------------------
@@ -396,7 +317,8 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
     Ts = np.atleast_1d(np.asarray(T, dtype=np.float64))
     if np.any(Ts <= 0):
         raise ValueError("horizons must be positive")
-    G = _gram_block(omega, N, spec)
+    _check_dim(omega, spec)
+    G = np.asarray(gram_matrix(omega, N).entries)
     lam = spec.eigenvalues(N)
     values = [_c_t_single(float(t), G, lam) for t in Ts]
     nonincr = bool(np.all(np.diff(values) <= 1e-9 * np.maximum(values[:-1], 1.0)))

@@ -319,8 +319,8 @@ class PeriodicPattern(ControlSet):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError("period must be finite and positive")
         if not 0 < self.kept <= 1:
             raise ValueError("kept fraction must lie in (0, 1]")
         if not math.isfinite(self.offset):

@@ -46,10 +46,15 @@ class EvolutionSpec:
         return np.exp(-t * self.eigenvalues(degree))
 
 
+def _check_time(t: float) -> float:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("time must be finite and non-negative")
+    return t
+
+
 def evolve(f: HermiteExpansion, t: float, spec: EvolutionSpec) -> HermiteExpansion:
-    """e^{-t H^s} f by diagonal scaling; a contraction for every t >= 0."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    """e^{-t H^s} f by diagonal scaling; a contraction for every finite t >= 0."""
+    _check_time(t)
     if spec.dim != f.dim:
         raise ValueError("dimension mismatch between expansion and evolution")
     return HermiteExpansion(f.dim, f.degree, spec.decay_factors(f.degree, t) * f.coeffs)
@@ -73,8 +78,7 @@ class DissipationReport:
 
 def dissipation_tail(f: HermiteExpansion, k: int, t: float, spec: EvolutionSpec) -> DissipationReport:
     """Norm of (1 - pi_k) e^{-t H^s} f against the sharp exclusion rate."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    _check_time(t)
     evolved = evolve(f, t, spec)
     levels = indexing.level_of(f.dim, f.degree)
     tail = float(np.linalg.norm(np.where(levels > k, evolved.coeffs, 0.0)))

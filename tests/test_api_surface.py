@@ -17,9 +17,6 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 CORE = (
     ("cli", "validate", "the config check that the CLI documents for callers of the library"),
-    ("control", "gramian", "core control entry point: the closed-form Gramian of a window"),
-    ("control", "min_energy_control", "core control entry point: one minimum-energy stage with its certificate"),
-    ("control", "resimulate", "core control entry point: the independent replay of a control"),
     ("hermite", "apply_ladder", "core ladder calculus: the raising and lowering operators themselves"),
     ("hermite", "evaluate", "the n-D evaluator of an expansion, the pointwise view of every span"),
     ("hermite", "hermite_eval_1d", "the pointwise value of one Hermite function, pinned against mpmath"),

@@ -332,6 +332,7 @@ _PROBES = {
     "nan-box": (_scan_probe({"type": "boxes", "boxes": [[[0.0, 1.0], [math.nan, 1.0]]]}, [2]), 2),
     "nan-radius": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [math.nan]}), 2),
     "string-interval": (_scan_probe({"type": "intervals", "intervals": [["a", "b"]]}), 2),
+    "periodic-infinite-period": (_scan_probe({"type": "periodic", "period": math.inf, "kept": 0.25}), 2),
     "string-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "offset": "x"}), 2),
     "unsorted-scan-with-epsilon": (_scan_probe({"type": "full"}, [4, 2, 8, 6, 10], epsilon=0.5), 1),
     "graded-beyond-cell-cap": (
@@ -367,10 +368,18 @@ _PROBES = {
     "basis-index-above-N": (_control_probe(f0={"type": "basis", "alpha": [9]}), 2),
     "coeffs-too-short": (_control_probe(f0={"type": "coeffs", "coeffs": [1.0, 0.0]}), 2),
     "sensor-set-2d-spec-1d": (_control_probe(omega={"type": "periodic", "dim": 2, "period": 2.0, "kept": 0.5}), 2),
+    "control-infinite-horizon": (_control_probe(T=math.inf), 2),
     "dissipation-dim-0": (
         {
             "kind": "dissipation",
             "parameters": {"s": 1.0, "dim": 0, "k_values": [2], "t_values": [0.1], "degree": 5},
+        },
+        2,
+    ),
+    "dissipation-nan-time": (
+        {
+            "kind": "dissipation",
+            "parameters": {"s": 1.0, "k_values": [2], "t_values": [math.nan, 0.5], "degree": 5},
         },
         2,
     ),

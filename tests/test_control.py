@@ -10,26 +10,16 @@ from hermlab import control, geometry
 from hermlab.control import (
     ControlError,
     ControlProblem,
-    gramian,
     lebeau_robbiano_synthesize,
-    min_energy_control,
     observability_lower_bound,
     reference_blowup_exponent,
-    resimulate,
 )
 from hermlab.hermite import basis_state, random_expansion
 from hermlab.semigroup import EvolutionSpec
-from hermlab.spectral import GramMatrix, gram_matrix
+from hermlab.spectral import gram_matrix
 
 STRIPES = geometry.PeriodicPattern(dim=1, period=2.0, kept=0.5)
 HEAT = EvolutionSpec(s=1.0, dim=1)
-
-
-def _actuator(G, degree):
-    """A synthetic 1-D actuator block in place of an assembled Gram matrix."""
-    return GramMatrix(
-        degree=degree, dim=1, entries=np.asarray(G), factor=None, quad_tol=0.0, nodes=0
-    )
 
 
 def _expm_terminal(problem, signal):
@@ -69,11 +59,18 @@ def _control_energy(G, lam, stage_data, nodes=64):
     return energy
 
 
+def _replayed_norm(problem, signal):
+    """Terminal norm of the Duhamel replay, on the problem's own Gram matrix."""
+    G = np.asarray(gram_matrix(problem.omega, problem.N).entries)
+    f0 = np.asarray(problem.f0.coeffs, dtype=np.float64)
+    lam = problem.spec.eigenvalues(problem.N)
+    return control._replay(G, lam, problem.spec.dim, f0, signal.stage_data, problem.T)
+
+
 def test_gramian_matches_closed_form():
-    Gm = gram_matrix(STRIPES, 8)
-    G = np.asarray(Gm.entries)
+    G = np.asarray(gram_matrix(STRIPES, 8).entries)
     lam = HEAT.eigenvalues(8)
-    W = gramian(0.5, 8, Gm, HEAT)
+    W = control._gramian(G, lam, 0.5)
     # reference: 64-node Gauss-Legendre integral of exp(-t S) over [0, tau]
     tau = 0.5
     x, w = np.polynomial.legendre.leggauss(64)
@@ -83,58 +80,51 @@ def test_gramian_matches_closed_form():
     assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
 
 
-def test_gramian_needs_positive_duration():
-    with pytest.raises(ValueError):
-        gramian(0.0, 2, STRIPES, HEAT)
-
-
 def test_gramian_rejects_unresolvable_sensor():
     # sensor set entirely outside the quadrature-resolved envelope
     far = geometry.interval_union([(50.0, 51.0)])
-    with pytest.raises(ControlError):
-        gramian(0.5, 4, far, HEAT)
+    problem = ControlProblem(T=1.0, omega=far, spec=HEAT, N=4, f0=basis_state(1, 4, (2,)))
+    with pytest.raises(ControlError, match="Gramian unusable even at level 0"):
+        lebeau_robbiano_synthesize(problem)
 
 
 def test_scalar_cost_closed_form():
     # one mode, identity actuator, rate 1: cost = e^{-2} / int_0^1 e^{-2t} dt
-    ident = _actuator(np.eye(1), 0)
-    sig = min_energy_control(basis_state(1, 0, (0,)), 1.0, 0, ident, HEAT)
+    ident, lam, g = np.eye(1), np.ones(1), np.ones(1)
+    mu, cost, condition = control._stage(ident, lam, 1, 1.0, g)
+    stage_data = ((0.0, 1.0, 0, mu),)
     expected = math.exp(-2.0) / ((1.0 - math.exp(-2.0)) / 2.0)
-    assert sig.total_cost == pytest.approx(expected, abs=1e-13)
-    assert _control_energy(np.eye(1), np.ones(1), sig.stage_data) == pytest.approx(expected, rel=1e-10)
-    assert sig.residual <= 1e-12
-    assert sig.condition == pytest.approx(1.0)
+    assert cost == pytest.approx(expected, abs=1e-13)
+    assert _control_energy(ident, lam, stage_data) == pytest.approx(expected, rel=1e-10)
+    assert control._replay(ident, lam, 1, g, stage_data, 1.0) <= 1e-12
+    assert condition == pytest.approx(1.0)
 
 
 def test_min_energy_control_on_thick_set(rng):
-    g = random_expansion(rng, dim=1, degree=8)
-    sig = min_energy_control(g, 0.5, 8, STRIPES, HEAT)
-    assert sig.residual <= 1e-8 * g.norm()
+    # one stage on the whole span: the replayed terminal state vanishes and
+    # the duality cost is the control energy
+    g = random_expansion(rng, dim=1, degree=8).coeffs
     G = np.asarray(gram_matrix(STRIPES, 8).entries)
-    assert sig.total_cost == pytest.approx(_control_energy(G, HEAT.eigenvalues(8), sig.stage_data), rel=1e-8)
-    assert [(t0, tau, level) for t0, tau, level, _ in sig.stage_data] == [(0.0, 0.5, 8)]
-
-
-def test_costlier_to_control_faster(rng):
-    g = random_expansion(rng, dim=1, degree=6)
-    slow = min_energy_control(g, 1.0, 6, STRIPES, HEAT)
-    fast = min_energy_control(g, 0.25, 6, STRIPES, HEAT)
-    assert fast.total_cost > slow.total_cost
+    lam = HEAT.eigenvalues(8)
+    mu, cost, _ = control._stage(G, lam, lam.size, 0.5, g)
+    stage_data = ((0.0, 0.5, 8, mu),)
+    assert control._replay(G, lam, 1, g, stage_data, 0.5) <= 1e-8 * np.linalg.norm(g)
+    assert cost == pytest.approx(_control_energy(G, lam, stage_data), rel=1e-8)
 
 
 def test_condition_cap_raises():
     # an actuator that barely sees the second mode pushes the Gramian past
     # the conditioning cap
-    weak = _actuator(np.diag([1.0, 3e-7]), 1)
-    g = basis_state(1, 1, (1,))
+    weak = np.diag([1.0, 3e-7])
     with pytest.raises(ControlError, match="condition"):
-        min_energy_control(g, 0.5, 1, weak, HEAT)
+        control._stage(weak, HEAT.eigenvalues(1), 2, 0.5, np.array([0.0, 1.0]))
 
 
 def test_problem_validation():
     f0 = basis_state(1, 2, (2,))
-    with pytest.raises(ValueError):
-        ControlProblem(T=0.0, omega=STRIPES, spec=HEAT, N=4, f0=f0)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon T must be finite and positive"):
+            ControlProblem(T=T, omega=STRIPES, spec=HEAT, N=4, f0=f0)
     with pytest.raises(ValueError, match="δ < 2s−1 required"):
         ControlProblem(
             T=1.0, omega=STRIPES, spec=EvolutionSpec(s=0.6, dim=1), N=4, f0=f0, delta=0.3
@@ -143,19 +133,10 @@ def test_problem_validation():
         ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=1, f0=f0)
 
 
-@pytest.mark.parametrize("as_gram", [True, False])
-def test_control_functions_reject_sensor_set_of_other_dimension(as_gram):
+def test_observability_rejects_sensor_set_of_other_dimension():
     stripes_2d = geometry.PeriodicPattern(dim=2, period=2.0, kept=0.5)
-    omega = gram_matrix(stripes_2d, 4) if as_gram else stripes_2d
-    g = basis_state(1, 4, (2,))
-    calls = [
-        lambda: gramian(0.5, 4, omega, HEAT),
-        lambda: min_energy_control(g, 0.5, 4, omega, HEAT),
-        lambda: observability_lower_bound(1.0, 4, omega, HEAT),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="sensor set has dim 2, spec has dim 1"):
-            call()
+    with pytest.raises(ValueError, match="sensor set has dim 2, spec has dim 1"):
+        observability_lower_bound(1.0, 4, stripes_2d, HEAT)
 
 
 def test_problem_rejects_sensor_set_of_other_dimension():
@@ -172,7 +153,6 @@ def test_lr_synthesis_steers_to_zero(rng):
     signal, trace = lebeau_robbiano_synthesize(problem)
     assert trace["terminal_residual"] <= 1e-6 * f0.norm()
     assert trace["verified_residual"] <= 1e-6 * f0.norm()
-    assert signal.residual == trace["terminal_residual"]
 
 
 def test_lr_schedule_is_dyadic(rng):
@@ -230,14 +210,14 @@ def test_resimulation_consistency(rng):
     f0 = random_expansion(rng, dim=1, degree=8)
     problem = ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=8, f0=f0)
     signal, trace = lebeau_robbiano_synthesize(problem)
-    replay = resimulate(problem, signal)
+    replay = _replayed_norm(problem, signal)
     assert replay <= 1e-6 * f0.norm()
     # the synthesis verifies through the same replay on the same Gram matrix
     assert replay == trace["verified_residual"]
 
 
 def _loop_terminal(problem, signal, nodes=256):
-    """The same Duhamel quadrature as resimulate, one node at a time."""
+    """The same Duhamel quadrature as control._replay, one node at a time."""
     G = np.asarray(gram_matrix(problem.omega, problem.N).entries)
     lam = (2.0 * np.arange(problem.N + 1) + 1.0) ** problem.spec.s
     f = np.asarray(problem.f0.coeffs, dtype=np.float64)
@@ -267,7 +247,7 @@ def test_resimulate_matches_augmented_expm(rng, scale):
     reference = float(np.linalg.norm(_expm_terminal(problem, signal)))
     if scale < 1.0:
         assert reference > 1e-3 * f0.norm()
-    replay = resimulate(problem, signal)
+    replay = _replayed_norm(problem, signal)
     assert replay == pytest.approx(reference, abs=1e-9 * f0.norm())
     # the node-by-node loop differs from the vectorised replay only in summation order
     assert replay == pytest.approx(float(np.linalg.norm(_loop_terminal(problem, signal))), abs=1e-10 * f0.norm())
@@ -291,11 +271,31 @@ def test_synthesis_assembles_the_gram_once(rng, monkeypatch):
 
 
 def test_scalar_observability_closed_form():
-    ident = _actuator(np.eye(1), 0)
+    # the degree-0 span over the whole line: G = 1, rate 1
     for T in (0.3, 0.7, 1.5):
-        rep = observability_lower_bound(T, 0, ident, HEAT)
+        rep = observability_lower_bound(T, 0, geometry.FullSpace(1), HEAT)
         expected = 2.0 * math.exp(-2.0 * T) / (1.0 - math.exp(-2.0 * T))
         assert rep.C_T_lower[0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.75, 1.0])
+def test_observability_matches_generalized_eigenproblem(s):
+    # reference: the largest eigenvalue of e^{-2T Lambda} v = C Q v, with the
+    # observation form Q = int_0^T E(t) G E(t) dt by 64-node Gauss-Legendre
+    # quadrature in time, not the closed-form kernel
+    spec = EvolutionSpec(s=s, dim=1)
+    Ts = [0.1, 0.2, 0.4, 0.8, 1.6]
+    G = np.asarray(gram_matrix(STRIPES, 8).entries)
+    lam = spec.eigenvalues(8)
+    x, w = np.polynomial.legendre.leggauss(64)
+    rep = observability_lower_bound(Ts, 8, STRIPES, spec)
+    for T, C_T in zip(Ts, rep.C_T_lower):
+        Q = sum(
+            T / 2.0 * wi * np.outer(e, e) * G
+            for e, wi in zip(np.exp(-np.outer(T / 2.0 * (x + 1.0), lam)), w)
+        )
+        ref = scipy.linalg.eigh(np.diag(np.exp(-2.0 * T * lam)), Q, eigvals_only=True)[-1]
+        assert C_T == pytest.approx(ref, rel=1e-12)
 
 
 def test_observability_grid_monotone_with_blowup_fit():

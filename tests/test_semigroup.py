@@ -48,8 +48,12 @@ def test_ground_state_heat_decay():
 
 def test_negative_time_rejected(rng):
     f = random_expansion(rng, dim=1, degree=2)
-    with pytest.raises(ValueError):
-        evolve(f, -0.1, EvolutionSpec(s=0.9, dim=1))
+    spec = EvolutionSpec(s=0.9, dim=1)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be finite and non-negative"):
+            evolve(f, t, spec)
+        with pytest.raises(ValueError, match="time must be finite and non-negative"):
+            dissipation_tail(f, 1, t, spec)
 
 
 def test_dimension_mismatch_rejected(rng):

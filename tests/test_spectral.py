@@ -24,9 +24,12 @@ from hermlab.spectral import (
 HALF_LINE_C1 = (0.5 - (2.0 * math.pi) ** -0.5) ** -0.5
 
 
-def test_truncation_radius_floor():
-    assert truncation_radius(0) == pytest.approx(math.sqrt(20.0))
-    assert truncation_radius(40) == pytest.approx(math.sqrt(180.0))
+def test_truncation_radius_keeps_full_space_gram_exact():
+    # the Gaussian tails outside the radius hold no mass the rounding can see,
+    # which quad_tol cannot check: both of its rules share the truncated domain
+    for N in range(11):
+        G = gram_matrix(geometry.FullSpace(1), N)
+        assert np.max(np.abs(G.entries - np.eye(G.size))) <= 1e-15, N
 
 
 def test_full_space_gram_is_identity():
