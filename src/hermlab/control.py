@@ -315,8 +315,8 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
     power, reported next to the predicted exponent (never asserted).
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=np.float64))
-    if np.any(Ts <= 0):
-        raise ValueError("horizons must be positive")
+    if not np.all(np.isfinite(Ts) & (Ts > 0)):
+        raise ValueError("horizons must be finite and positive")
     _check_dim(omega, spec)
     G = np.asarray(gram_matrix(omega, N).entries)
     lam = spec.eigenvalues(N)

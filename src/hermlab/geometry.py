@@ -618,10 +618,6 @@ class Covering:
     grid_step: float
     candidates: int
 
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
 
 # A covering of this many candidates takes about 0.3-1 s on one thread of a
 # 2-vCPU x86-64 VM: 0.9 s in 1-D, 0.55 s in 2-D and 1.0 s in 3-D at m = 1,
@@ -700,17 +696,17 @@ def _coverage_counts(axes: list, centers: np.ndarray, radii: np.ndarray) -> np.n
     return np.cumsum(marks.reshape(-1, last + 1), axis=1)[:, :-1].ravel()
 
 
-def covering_generate(rho: DensityFn, box, grid_step: float | None = None) -> Covering:
+def covering_generate(rho: DensityFn, box) -> Covering:
     """Cover a box with balls B(x_k, rho(x_k)) whose third-radius cores are disjoint.
 
-    Candidates sweep a grid of the given step (default: min rho over the box
-    divided by 6) in row-major order; a candidate is kept iff its distance to
-    every kept center is at least the sum of the two radii over 3. Coverage
-    is then verified on the same grid and the observed overlap multiplicity
-    recorded. The overlap bound holds only for a 1/_SLOWNESS_CONSTANT-Lipschitz
-    density, a grid coarser than min rho / 5 cannot certify coverage, and a
-    grid of more than _MAX_CANDIDATES points would not finish in seconds;
-    all three are rejected before any grid is built.
+    Candidates sweep a grid of fixed step min rho / 6, the smallest density
+    on the box over 6, in row-major order; a candidate is kept iff its
+    distance to every kept center is at least the sum of the two radii over
+    3. Coverage is then verified on the same grid and the observed overlap
+    multiplicity recorded. The overlap bound holds only for a
+    1/_SLOWNESS_CONSTANT-Lipschitz density, and a grid of more than
+    _MAX_CANDIDATES points would not finish in seconds; both are rejected
+    before any grid is built.
     """
     b = _as_box(box)
     n = b.shape[0]
@@ -723,15 +719,7 @@ def covering_generate(rho: DensityFn, box, grid_step: float | None = None) -> Co
     rho_min = rho.min_on_box(b)
     if not rho_min > 0:
         raise InvalidDensityError("density must be positive on the box")
-    if grid_step is None:
-        grid_step = rho_min / 6.0
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
-    if grid_step >= rho_min / 5.0:
-        raise CoverageError(
-            f"candidate grid step {grid_step:g} too coarse for min density {rho_min:g}; "
-            f"need step < {rho_min / 5.0:g}"
-        )
+    grid_step = rho_min / 6.0
     cells = np.maximum(np.ceil((b[:, 1] - b[:, 0]) / grid_step), 1.0)
     count = float(np.prod(cells + 1.0))
     if not count <= _MAX_CANDIDATES:

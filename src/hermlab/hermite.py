@@ -22,7 +22,6 @@ and d/dx_j = (lower_j - raise_j)/sqrt2, so any x^alpha d^beta is computed in
 coefficient space with no quadrature at all.
 """
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,7 +51,8 @@ def hermite_eval_1d(k: int, x):
     """Value of the 1-D Hermite function h_k at x (scalar or array).
 
     Total on finite inputs: the recurrence carries a per-point power-of-two
-    exponent, so large |x| neither overflows nor underflows before h_k does.
+    exponent, so large |x| neither overflows nor underflows before h_k does,
+    and past |x| = 2^32, where h_k is 0 in binary64, the value is exactly 0.
     """
     if k < 0 or k > DEGREE_CAP:
         raise ValueError(f"degree k={k} outside [0, {DEGREE_CAP}]")
@@ -89,25 +89,11 @@ class HermiteExpansion:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    # -- norms and access ---------------------------------------------------
+    # -- norm and span ------------------------------------------------------
 
     def norm(self) -> float:
         """L2 norm, read off the coefficients (Parseval)."""
         return float(np.linalg.norm(self.coeffs))
-
-    def coefficient(self, alpha) -> complex | float:
-        """Coefficient of H_alpha (0.0 when |alpha| exceeds the degree)."""
-        i = _position(self.dim, self.degree, alpha)
-        if i is None:
-            return 0.0
-        val = self.coeffs[i]
-        return complex(val) if np.iscomplexobj(self.coeffs) else float(val)
-
-    def items(self):
-        """Iterate (alpha tuple, coefficient) over the enumeration."""
-        table = indexing.multi_indices(self.dim, self.degree)
-        for i, row in enumerate(table):
-            yield tuple(int(v) for v in row), self.coeffs[i]
 
     def with_degree(self, degree: int) -> "HermiteExpansion":
         """Same function viewed in a span of different degree.
@@ -125,30 +111,6 @@ class HermiteExpansion:
         if np.any(self.coeffs[m:] != 0):
             raise ValueError("cannot truncate: nonzero coefficients above target degree")
         return HermiteExpansion(self.dim, degree, self.coeffs[:m])
-
-    # -- serialization (binary64 round-trip exact) --------------------------
-
-    def to_json(self) -> str:
-        pairs = []
-        for alpha, c in self.items():
-            if np.iscomplexobj(self.coeffs):
-                pairs.append([list(alpha), [float(c.real), float(c.imag)]])
-            else:
-                pairs.append([list(alpha), float(c)])
-        return json.dumps({"dim": self.dim, "degree": self.degree, "coeffs": pairs})
-
-    @classmethod
-    def from_json(cls, text: str) -> "HermiteExpansion":
-        obj = json.loads(text)
-        dim, degree = int(obj["dim"]), int(obj["degree"])
-        any_complex = any(isinstance(v, list) for _, v in obj["coeffs"])
-        c = np.zeros(indexing.span_dim(dim, degree), dtype=np.complex128 if any_complex else np.float64)
-        for alpha, v in obj["coeffs"]:
-            i = _position(dim, degree, alpha)
-            if i is None:
-                raise ValueError(f"index {tuple(alpha)} lies above the dim-{dim} degree-{degree} span")
-            c[i] = complex(v[0], v[1]) if isinstance(v, list) else float(v)
-        return cls(dim, degree, c)
 
 
 def _position(dim: int, degree: int, alpha) -> int | None:
@@ -175,11 +137,10 @@ def basis_state(dim: int, degree: int, alpha) -> HermiteExpansion:
     return HermiteExpansion(dim, degree, c)
 
 
-def random_expansion(rng: np.random.Generator, dim: int, degree: int, normalize: bool = True) -> HermiteExpansion:
-    """Random real expansion with standard normal coefficients."""
+def random_expansion(rng: np.random.Generator, dim: int, degree: int) -> HermiteExpansion:
+    """Random real expansion of unit L2 norm: standard normal coefficients, normalized."""
     c = rng.standard_normal(indexing.span_dim(dim, degree))
-    if normalize:
-        c /= np.linalg.norm(c)
+    c /= np.linalg.norm(c)
     return HermiteExpansion(dim, degree, c)
 
 

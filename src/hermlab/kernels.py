@@ -20,6 +20,8 @@ __all__ = ["BACKEND", "hermite_function_table", "greedy_ball_select"]
 _LN2_HI = 0.693145751953125
 _LN2_LO = 1.4286068203094173e-06
 _RESCALE = 512
+# past this |x| every h_k a table can hold is 0 in binary64
+_ZERO_BEYOND = 2.0**32
 
 
 def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -34,6 +36,12 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     h_k stays right where e^{-x^2/2} alone underflows (|x| > 38.6), which
     degrees past about 750 reach inside their turning point.
 
+    Points with |x| > 2^32 get exact zero columns: the recurrence would
+    overflow past |x| ~ 1e154, and there every h_k a table can hold (k <
+    2^58) is 0 in binary64. Such |x| lies past every zero of H_k, all inside
+    sqrt(2k + 1), so |h_k(x)| <= (2x^2)^{k/2} e^{-x^2/2} < e^{-2^61}, far
+    below 2^-1075, half the least subnormal.
+
     Parameters
     ----------
     kmax : highest degree (>= 0).
@@ -44,6 +52,8 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     (kmax+1, len(x)) float64 array.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
+    zero = np.abs(x) > _ZERO_BEYOND
+    x = np.where(zero, 0.0, x)
     out = np.empty((kmax + 1, x.size), dtype=np.float64)
     half = 0.5 * x * x
     E = np.zeros(x.size, dtype=np.int64)
@@ -68,6 +78,7 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
             E[big] += _RESCALE
             row[big] = np.exp((E[big] * _LN2_HI - half[big]) + E[big] * _LN2_LO)
         np.multiply(p, row, out=out[k + 1])
+    out[:, zero] = 0.0
     return out
 
 

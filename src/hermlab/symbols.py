@@ -54,14 +54,6 @@ class QuadraticForm:
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
 
-    def __call__(self, X) -> complex:
-        v = np.asarray(X, dtype=np.complex128).reshape(2 * self.dim)
-        return complex(v @ self.Q @ v)
-
-    def real_part_nonnegative(self, tol: float = 1e-10) -> bool:
-        eig = np.linalg.eigvalsh(self.Q.real)
-        return bool(np.min(eig) >= -tol)
-
 
 @dataclass(frozen=True)
 class HamiltonMap:

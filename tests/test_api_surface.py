@@ -1,14 +1,18 @@
-"""Every public name of the library has a reader.
+"""Every public name of the library, and every public method of its classes, has a reader.
 
 A name in a module's __all__ must be read by another library module, by code
 of its own module outside its own definition, or by the acceptance criteria
 in tests/test_acceptance.py. Unit tests alone do not count as a reader: a
 public function that only its unit tests call is surface to maintain that
-produces no number anyone uses. The few entry points kept without such a
-reader are listed in CORE, each with its reason.
+produces no number anyone uses. The same rule holds for the public methods
+(properties included) of an exported class, read by name: some attribute
+access ".name" in those places, outside the method's own definition. The few
+entry points kept without such a reader are listed in CORE, each with its
+reason; a method is listed as "Class.method".
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,12 +112,47 @@ def unread_public_names() -> set[tuple[str, str]]:
     return unread
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute name is loaded within a syntax tree."""
+    return Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unread_public_methods() -> set[tuple[str, str]]:
+    """(module, "Class.method") for every public method of an exported class that has no reader."""
+    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    reads = {name: _attribute_reads(tree) for name, tree in trees.items()}
+    acceptance = _attribute_reads(_parse(ACCEPTANCE))
+    unread = set()
+    for module, tree in trees.items():
+        exported = set(_exported(tree))
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                name = method.name
+                if reads[module][name] > _attribute_reads(method)[name] or acceptance[name]:
+                    continue
+                if any(r[name] for other, r in reads.items() if other != module):
+                    continue
+                unread.add((module, f"{cls.name}.{name}"))
+    return unread
+
+
 def test_every_public_name_has_a_reader():
     core = {(module, name) for module, name, _ in CORE}
     assert sorted(unread_public_names() - core) == []
 
 
+def test_every_public_method_has_a_reader():
+    core = {(module, name) for module, name, _ in CORE}
+    assert sorted(unread_public_methods() - core) == []
+
+
 def test_core_exceptions_still_lack_a_reader():
     # an exception that gains a reader, or stops being public, leaves CORE
-    stale = {(module, name) for module, name, _ in CORE} - unread_public_names()
+    stale = {(module, name) for module, name, _ in CORE} - unread_public_names() - unread_public_methods()
     assert sorted(stale) == []

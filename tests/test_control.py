@@ -308,8 +308,10 @@ def test_observability_grid_monotone_with_blowup_fit():
 
 
 def test_observability_rejects_nonpositive_horizon():
-    with pytest.raises(ValueError):
-        observability_lower_bound([0.5, -0.1], 4, STRIPES, HEAT)
+    # an infinite horizon would read a silent constant 0, a NaN one fails inside LAPACK
+    for Ts in ([0.5, -0.1], [0.5, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="horizons must be finite and positive"):
+            observability_lower_bound(Ts, 4, STRIPES, HEAT)
 
 
 def test_reference_exponent_formula():

@@ -31,7 +31,7 @@ def test_eigenvalue_table():
 def test_frozen_decay_factor():
     f = basis_state(1, 3, (3,))
     g = evolve(f, 0.5, EvolutionSpec(s=0.6, dim=1))
-    assert g.coefficient((3,)) == pytest.approx(LEVEL3_FACTOR, abs=5e-16)
+    assert g.coeffs[indexing.index_lookup(1, 3)[(3,)]] == pytest.approx(LEVEL3_FACTOR, abs=5e-16)
 
 
 def test_zero_time_is_identity(rng):
@@ -43,7 +43,7 @@ def test_zero_time_is_identity(rng):
 def test_ground_state_heat_decay():
     f = basis_state(1, 0, (0,))
     g = evolve(f, 1.0, EvolutionSpec(s=1.0, dim=1))
-    assert g.coefficient((0,)) == pytest.approx(math.exp(-1.0), abs=1e-16)
+    assert g.coeffs[indexing.index_lookup(1, 0)[(0,)]] == pytest.approx(math.exp(-1.0), abs=1e-16)
 
 
 def test_negative_time_rejected(rng):

@@ -74,12 +74,6 @@ def test_quadratic_form_rejects_asymmetric_matrix():
         QuadraticForm(1, Q)
 
 
-def test_form_evaluation_matches_matrix_product(rng):
-    q = kramers_fokker_planck_form()
-    X = rng.standard_normal(4)
-    assert q(X) == pytest.approx(complex(X @ q.Q @ X), abs=1e-12)
-
-
 def test_catalog_against_exact_arithmetic():
     # the same nested-kernel computation in exact arithmetic
     expected = {}
@@ -158,10 +152,3 @@ def test_real_form_reduces_to_plain_kernel(rng):
     F = hamilton_map(QuadraticForm(2, Q.astype(complex))).F.real
     expected_dim = 4 - np.linalg.matrix_rank(F)
     assert res.dimS == expected_dim
-
-
-def test_real_part_nonnegative_flags():
-    assert harmonic_oscillator_form(1).real_part_nonnegative()
-    assert rotated_harmonic_form(np.pi / 4, 1).real_part_nonnegative()
-    indefinite = QuadraticForm(1, np.diag([1.0, -1.0]).astype(complex))
-    assert not indefinite.real_part_nonnegative()
