@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, bernstein, control, geometry, semigroup, spectral, symbols
-from .hermite import HermiteExpansion, basis_state, random_expansion
+from .hermite import DEGREE_CAP, HermiteExpansion, basis_state, random_expansion
 from .semigroup import EvolutionSpec
 
 __all__ = [
@@ -98,32 +98,52 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _is_int(x, minimum) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and (minimum is None or x >= minimum)
+def _is_int(x, lo, hi) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and (lo is None or x >= lo) and (hi is None or x <= hi)
 
 
-# Integer parameters per kind as (key, minimum, default); a None default marks
-# a required key, and a key ending in _values holds a non-empty list. The
-# range of a dim is left to the constructor that takes it.
-_INTEGERS = {
-    "spectral-scan": (("N_values", 0, None),),
-    "bernstein-check": (("N", 1, None), ("max_order", 1, None), ("dim", 1, 1)),
-    "covering": (("dim", None, 1),),
-    "dissipation": (("k_values", 0, None), ("degree", 0, None), ("count", 1, 1), ("dim", None, 1)),
-    "control-run": (("N", 0, None), ("dim", None, 1)),
-    "singular-space": (),
+_REQUIRED = object()
+_DEGREE = (0, DEGREE_CAP)
+_ANY = (None, None)
+
+# Every parameter key of each kind as key: (default, integer bounds). A
+# _REQUIRED default marks a required key; epsilon's None default means no
+# growth fit. Bounds (lo, hi), either end None when open, mark an integer
+# key, and a key ending in _values holds a non-empty list of such integers.
+# Degrees stop at the Hermite table's DEGREE_CAP. The range of a dim is left
+# to the constructor that takes it.
+_PARAMETERS = {
+    "spectral-scan": {"N_values": (_REQUIRED, _DEGREE), "omega": (_REQUIRED, None), "epsilon": (None, None)},
+    "bernstein-check": {
+        "N": (_REQUIRED, (1, DEGREE_CAP)), "max_order": (_REQUIRED, (1, DEGREE_CAP)), "dim": (1, (1, None)),
+    },
+    "covering": {"density": (_REQUIRED, None), "extent": (_REQUIRED, None), "dim": (1, _ANY)},
+    "dissipation": {
+        "s": (_REQUIRED, None), "dim": (1, _ANY), "degree": (_REQUIRED, _DEGREE),
+        "k_values": (_REQUIRED, _DEGREE), "t_values": (_REQUIRED, None), "count": (1, (1, None)),
+    },
+    "control-run": {
+        "s": (_REQUIRED, None), "dim": (1, _ANY), "N": (_REQUIRED, _DEGREE), "T": (_REQUIRED, None),
+        "omega": (_REQUIRED, None), "f0": ({"type": "random"}, None), "delta": (0.0, None),
+    },
+    "singular-space": {"names": ([], None), "forms": ([], None)},
 }
+_TOP_LEVEL = ("kind", "seed", "output_dir", "parameters", "acceptance")
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _check_envelope(config) -> list:
-    """The rules no library code owns: the config's shape and its integers."""
+def _check_envelope(config):
+    """The rules no library code owns: the config's keys, shape and integers.
+
+    Returns (diagnostics, parameters with every default filled in).
+    """
     if not isinstance(config, dict):
-        return [Diagnostic("$", "config must be a JSON object")]
+        return [Diagnostic("$", "config must be a JSON object")], None
     kind = config.get("kind")
     if kind not in KINDS:
-        return [Diagnostic("kind", "kind must be one of " + "|".join(KINDS))]
-    out = []
-    if not _is_int(config.get("seed", 0), 0):
+        return [Diagnostic("kind", "kind must be one of " + "|".join(KINDS))], None
+    out = [Diagnostic(str(key), "unknown key") for key in config if key not in _TOP_LEVEL]
+    if not _is_int(config.get("seed", 0), 0, None):
         out.append(Diagnostic("seed", "seed must be a non-negative integer"))
     if "output_dir" in config and not isinstance(config["output_dir"], str):
         out.append(Diagnostic("output_dir", "output_dir must be a path string"))
@@ -146,35 +166,42 @@ def _check_envelope(config) -> list:
     p = config.get("parameters")
     if not isinstance(p, dict):
         out.append(Diagnostic("parameters", "parameters object required"))
-        return out
-    if "tol" in p and (not _is_num(p["tol"]) or p["tol"] <= 0):
-        out.append(Diagnostic("parameters.tol", "tol must be positive"))
-    for key, minimum, default in _INTEGERS[kind]:
-        v = p.get(key, default)
-        bound = "" if minimum is None else f" >= {minimum}"
+        return out, None
+    out += [Diagnostic(f"parameters.{key}", "unknown key") for key in p if key not in _PARAMETERS[kind]]
+    filled = {}
+    for key, (default, bounds) in _PARAMETERS[kind].items():
+        v = filled[key] = p.get(key, default)
+        if v is _REQUIRED:
+            out.append(Diagnostic(f"parameters.{key}", "required key missing"))
+            continue
+        if bounds is None:
+            continue
+        lo, hi = bounds
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
         if key.endswith("_values"):
-            if not isinstance(v, list) or not v or not all(_is_int(x, minimum) for x in v):
+            if not isinstance(v, list) or not v or not all(_is_int(x, lo, hi) for x in v):
                 out.append(Diagnostic(f"parameters.{key}", f"need a non-empty list of integers{bound}"))
-        elif not _is_int(v, minimum):
+        elif not _is_int(v, lo, hi):
             out.append(Diagnostic(f"parameters.{key}", f"{key} must be an integer{bound}"))
     if kind == "singular-space" and "names" not in p and "forms" not in p:
         out.append(Diagnostic("parameters", "need names (catalog keys) or forms (matrices)"))
-    return out
+    return out, filled
 
 
 def _prepare(config):
     """Check a config and build its run's inputs with the library constructors.
 
-    Returns (diagnostics, inputs). After the envelope checks, each input is
-    built by the function its runner would call; its ValueError, or the
-    TypeError, KeyError or IndexError of a malformed spec, becomes one
-    Diagnostic addressed by the field being built. inputs holds the seeded
-    rng and the built objects, and is None unless diagnostics is empty.
+    Returns (diagnostics, parameters, inputs). After the envelope checks,
+    each input is built by the function its runner would call; its
+    ValueError, or the TypeError, KeyError or IndexError of a malformed spec,
+    becomes one Diagnostic addressed by the field being built. parameters
+    has every default filled in; inputs holds the seeded rng and the built
+    objects. Both are None unless diagnostics is empty.
     """
-    out = _check_envelope(config)
+    out, p = _check_envelope(config)
     if out:
-        return out, None
-    kind, p = config["kind"], config["parameters"]
+        return out, None, None
+    kind = config["kind"]
     rng = np.random.default_rng(config.get("seed", 0))
     inputs = {"rng": rng}
 
@@ -187,16 +214,16 @@ def _prepare(config):
             out.append(Diagnostic(field, str(exc)))
 
     if kind in ("dissipation", "control-run"):
-        spec = inputs["spec"] = build("parameters", lambda: EvolutionSpec(s=p["s"], dim=p.get("dim", 1)))
+        spec = inputs["spec"] = build("parameters", lambda: EvolutionSpec(s=p["s"], dim=p["dim"]))
     if kind == "spectral-scan":
         inputs["omega"] = build("parameters.omega", lambda: _build_omega(p["omega"]))
-        if "epsilon" in p:  # growth_fit's own check runs only after the scan
+        if p["epsilon"] is not None:  # growth_fit's own check runs only after the scan
             build("parameters.epsilon", lambda: spectral._check_epsilon(p["epsilon"]))
     elif kind == "covering":
         inputs["rho"] = build("parameters.density", lambda: _build_density(p["density"]))
         inputs["box"] = build(
             "parameters.extent",
-            lambda: geometry._as_box([(-float(p["extent"]), float(p["extent"]))] * p.get("dim", 1)),
+            lambda: geometry._as_box([(-float(p["extent"]), float(p["extent"]))] * p["dim"]),
         )
         if not out:  # a density that cannot be evaluated on the box fails before any grid is built
             build("parameters.density", lambda: inputs["rho"].min_on_box(inputs["box"]))
@@ -207,21 +234,21 @@ def _prepare(config):
     elif kind == "control-run":
         omega = build("parameters.omega", lambda: _build_omega(p["omega"]))
         if spec is not None:
-            f0 = build("parameters.f0", lambda: _build_f0(p.get("f0", {"type": "random"}), spec.dim, p["N"], rng))
+            f0 = build("parameters.f0", lambda: _build_f0(p["f0"], spec.dim, p["N"], rng))
             # the delta rule on its own field; ControlProblem applies it again
-            build("parameters.delta", lambda: control.reference_blowup_exponent(spec.s, p.get("delta", 0.0)))
+            build("parameters.delta", lambda: control.reference_blowup_exponent(spec.s, p["delta"]))
         if not out:
             inputs["problem"] = build(
                 "parameters",
                 lambda: control.ControlProblem(
-                    T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p.get("delta", 0.0)
+                    T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p["delta"]
                 ),
             )
     elif kind == "singular-space":
         catalog = symbols.catalog()
-        inputs["named"] = build("parameters.names", lambda: [(n, catalog[n]) for n in p.get("names", [])])
-        inputs["forms"] = build("parameters.forms", lambda: [_build_form(Q) for Q in p.get("forms", [])])
-    return out, (None if out else inputs)
+        inputs["named"] = build("parameters.names", lambda: [(n, catalog[n]) for n in p["names"]])
+        inputs["forms"] = build("parameters.forms", lambda: [_build_form(Q) for Q in p["forms"]])
+    return (out, None, None) if out else (out, p, inputs)
 
 
 def validate(config) -> list:
@@ -233,35 +260,32 @@ def validate(config) -> list:
 
 
 def _build_density(spec) -> geometry.DensityFn:
-    kind = spec["kind"]
-    if kind == "constant":
-        return geometry.DensityFn.constant(spec["m"])
-    if kind == "power":
-        return geometry.DensityFn.power(spec["R"], spec["eps"])
-    if kind == "tabulated":
-        return geometry.DensityFn.tabulated(spec["grid"], spec["values"])
-    raise ValueError("density kind must be constant|power|tabulated")
+    """The density of a spec; its keys besides kind go to the constructor as keywords."""
+    args, D = dict(spec), geometry.DensityFn
+    make = {"constant": D.constant, "power": D.power, "tabulated": D.tabulated}.get(args.pop("kind"))
+    if make is None:
+        raise ValueError("density kind must be constant|power|tabulated")
+    return make(**args)
 
 
 def _build_omega(spec) -> geometry.ControlSet:
-    t = spec["type"]
+    """The sensor set of a spec; its keys besides type go to the constructor as keywords."""
+    args = dict(spec)
+    t = args.pop("type")
     if t == "full":
-        return geometry.FullSpace(spec.get("dim", 1))
+        return geometry.FullSpace(**args)
     if t == "intervals":
-        return geometry.interval_union(spec["intervals"])
+        return geometry.interval_union(**args)
     if t == "periodic":
-        return geometry.PeriodicPattern(
-            dim=spec.get("dim", 1),
-            period=spec["period"],
-            kept=spec["kept"],
-            offset=spec.get("offset", 0.0),
-        )
+        return geometry.PeriodicPattern(**{"dim": 1, **args})
     if t == "boxes":
-        return geometry.BoxUnion(spec.get("dim", len(spec["boxes"][0])), np.asarray(spec["boxes"], dtype=np.float64))
+        return geometry.BoxUnion(**{"dim": len(args["boxes"][0]), **args})
     if t == "balls":
-        centers = np.asarray(spec["centers"], dtype=np.float64)
+        centers = np.asarray(args.pop("centers"), dtype=np.float64)
         centers = centers.reshape(centers.shape[0], -1)
-        radii = np.asarray(spec["radii"], dtype=np.float64)
+        radii = np.asarray(args.pop("radii"), dtype=np.float64)
+        if args:
+            raise TypeError(f"balls take centers and radii only, not {', '.join(sorted(args))}")
         if centers.shape[1] != 1:
             raise ValueError(f"balls are 1-D intervals [c - r, c + r]; centers have {centers.shape[1]} coordinates")
         if radii.shape != (centers.shape[0],):
@@ -270,7 +294,7 @@ def _build_omega(spec) -> geometry.ControlSet:
             raise ValueError("radii must be non-negative")
         return geometry.interval_union(np.column_stack([centers[:, 0] - radii, centers[:, 0] + radii]))
     if t == "graded":
-        return geometry.graded_cells(_build_density(spec["density"]), spec["gamma"], spec["extent"])
+        return geometry.graded_cells(_build_density(args.pop("density")), **args)
     raise ValueError("type must be full|intervals|periodic|boxes|balls|graded")
 
 
@@ -420,7 +444,7 @@ def _run_spectral_scan(p, inputs, ws):
         "min_lambda_min": min(r[1] for r in rows),
         "rows": len(rows),
     }
-    if len(rows) >= 5 and "epsilon" in p:
+    if len(rows) >= 5 and p["epsilon"] is not None:
         fit = spectral.growth_fit([(r[0], r[2]) for r in rows], p["epsilon"])
         metrics.update(
             fit_r2=fit.r2, fit_slope=fit.slope, fit_intercept=fit.intercept, epsilon=p["epsilon"]
@@ -436,7 +460,7 @@ def _run_spectral_scan(p, inputs, ws):
 
 
 def _run_bernstein_check(p, inputs, ws):
-    dim, N = p.get("dim", 1), p["N"]
+    dim, N = p["dim"], p["N"]
     rows = []
     t0 = time.perf_counter()
     pairs = bernstein._index_pairs(dim, p["max_order"])
@@ -457,7 +481,7 @@ def _run_bernstein_check(p, inputs, ws):
 
 
 def _run_covering(p, inputs, ws):
-    dim = p.get("dim", 1)
+    dim = p["dim"]
     t0 = time.perf_counter()
     cov = geometry.covering_generate(inputs["rho"], inputs["box"])
     ws.timings["covering_s"] = time.perf_counter() - t0
@@ -491,7 +515,7 @@ def _run_dissipation(p, inputs, ws):
             for t in inputs["t_values"]:
                 rep = semigroup.dissipation_tail(pure, k=k, t=t, spec=spec)
                 sharp_gap = max(sharp_gap, abs(rep.tail_norm - rep.bound))
-        for i in range(p.get("count", 1)):
+        for i in range(p["count"]):
             f = random_expansion(rng, dim=spec.dim, degree=degree)
             for t in inputs["t_values"]:
                 rep = semigroup.dissipation_tail(f, k=k, t=t, spec=spec)
@@ -516,7 +540,7 @@ def _run_control(p, inputs, ws):
     problem = inputs["problem"]
     ws.omega_hash = _omega_hash(problem.omega)
     t0 = time.perf_counter()
-    signal, trace = control.lebeau_robbiano_synthesize(problem, tol=p.get("tol", 1e-6))
+    signal, trace = control.lebeau_robbiano_synthesize(problem)
     ws.timings["synthesis_s"] = time.perf_counter() - t0
     levels = [st["level"] for st in trace["stages"]]
     ws.counters.update(stages=len(levels), max_level=max(levels, default=0))
@@ -542,23 +566,14 @@ def _run_control(p, inputs, ws):
 
 
 def _run_singular_space(p, inputs, ws):
-    tol = p.get("tol", 1e-10)
     todo = inputs["named"] + [(f"form{i}", q) for i, q in enumerate(inputs["forms"])]
     rows = []
     reports = {}
     t0 = time.perf_counter()
     for name, q in todo:
-        res = symbols.singular_space(symbols.hamilton_map(q), tol=tol)
-        summary = symbols.singular_space_summary(res)
-        rows.append((name, summary["dimS"], -1 if summary["k0"] is None else summary["k0"], int(res.ambiguous)))
-        reports[name] = {
-            "dimS": summary["dimS"],
-            "k0": summary["k0"],
-            "ambiguous": res.ambiguous,
-            "basis": [[float(x) for x in v] for v in np.atleast_2d(summary["basis"])]
-            if summary["dimS"]
-            else [],
-        }
+        res = symbols.singular_space(symbols.hamilton_map(q))
+        rows.append((name, res.dimS, -1 if res.k0 is None else res.k0, int(res.ambiguous)))
+        reports[name] = {"dimS": res.dimS, "k0": res.k0, "ambiguous": res.ambiguous, "basis": res.basis.tolist()}
     ws.timings["singular_space_s"] = time.perf_counter() - t0
     ws.counters["forms"] = len(rows)
     ws.write_csv("singular_space.csv", ["name", "dim_s", "k0", "ambiguous"], rows)
@@ -579,28 +594,26 @@ _RUNNERS = {
 # -- orchestration ------------------------------------------------------------
 
 
-def run(config, out_override=None, seed_override=None, threads=None) -> dict:
+def run(config, out_override=None) -> dict:
     """Execute one experiment config; returns the manifest dict.
 
-    The manifest is written to output_dir/manifest.json only after every
-    other artifact landed, so its presence marks a complete run. On any
-    failure the partial outputs are removed before the exception leaves.
-    threads caps the BLAS/OpenMP pools; threads_applied records whether the
-    cap took effect.
+    out_override, when given, replaces the config's output_dir. The manifest
+    is written to output_dir/manifest.json only after every other artifact
+    landed, so its presence marks a complete run. On any failure the partial
+    outputs are removed before the exception leaves. The manifest's
+    thread_env records the thread variables the BLAS and OpenMP pools read
+    when they load; run() does not set them.
     """
-    if seed_override is not None and isinstance(config, dict):
-        config = dict(config, seed=seed_override)
-    diags, inputs = _prepare(config)
+    diags, p, inputs = _prepare(config)
     if diags:
         raise ConfigError(diags)
     outdir = out_override or config.get("output_dir") or "."
     os.makedirs(outdir, exist_ok=True)
-    threads_applied = _apply_thread_cap(threads)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.monotonic()
     ws = _Workspace(outdir)
     try:
-        metrics = _RUNNERS[config["kind"]](config["parameters"], inputs, ws)
+        metrics = _RUNNERS[config["kind"]](p, inputs, ws)
     except BaseException:
         ws.cleanup()
         raise
@@ -625,8 +638,7 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
     manifest = {
         "kind": config["kind"],
         "seed": config.get("seed", 0),
-        "threads": threads,
-        "threads_applied": threads_applied,
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "config_hash": _config_hash(config),
         "tool_version": __version__,
         "started": started,
@@ -648,24 +660,6 @@ def run(config, out_override=None, seed_override=None, threads=None) -> dict:
     return manifest
 
 
-def _apply_thread_cap(threads) -> bool:
-    """Cap the BLAS/OpenMP pools; True only when threadpoolctl applied it.
-
-    The environment variables reach only pools started after this call;
-    numpy's and scipy's are already running by then.
-    """
-    if threads is None:
-        return False
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return False
-    threadpool_limits(threads)
-    return True
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hermlab", description="spectral-estimate and control experiments"
@@ -675,8 +669,6 @@ def main(argv=None) -> int:
         k = sub.add_parser(kind, help=f"run a {kind} experiment")
         k.add_argument("--config", required=True, help="path to the JSON experiment config")
         k.add_argument("--out", default=None, help="output directory (overrides config)")
-        k.add_argument("--seed", type=int, default=None, help="seed override")
-        k.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread cap")
     args = parser.parse_args(argv)
 
     try:
@@ -694,12 +686,13 @@ def main(argv=None) -> int:
         config.setdefault("kind", args.kind)
 
     try:
-        manifest = run(config, out_override=args.out, seed_override=args.seed, threads=args.threads)
+        manifest = run(config, out_override=args.out)
     except ConfigError as exc:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return 2
     except (
+        MemoryError,
         ValueError,
         control.ControlError,
         geometry.CoverageError,
@@ -707,7 +700,7 @@ def main(argv=None) -> int:
         spectral.DegenerateRestrictionError,
     ) as exc:
         # run() already removed partial outputs; no manifest means no complete run
-        print(f"error: run failed: {exc}", file=sys.stderr)
+        print(f"error: run failed: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
     outdir = args.out or config.get("output_dir") or "."
     for name in manifest["files"]:

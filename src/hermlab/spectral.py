@@ -46,6 +46,7 @@ import numpy as np
 
 from . import indexing
 from .geometry import ControlSet, QuadratureError, slice_pieces
+from .hermite import DEGREE_CAP
 from .kernels import hermite_function_table
 from .quadrature import panel_nodes
 
@@ -235,6 +236,8 @@ def gram_matrix(
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    if omega.dim == 1 and degree > DEGREE_CAP:
+        raise ValueError(f"1-D Gram assembly capped at degree {DEGREE_CAP}")
     if omega.dim not in (1, 2):
         raise ValueError(f"dimension {omega.dim} unsupported for Gram assembly")
     if omega.dim == 2 and degree > _MAX_DEGREE_2D:

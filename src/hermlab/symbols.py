@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "QuadraticForm",
-    "HamiltonMap",
     "SingularSpaceResult",
     "symplectic_matrix",
     "hamilton_map",
@@ -55,22 +54,6 @@ class QuadraticForm:
         object.__setattr__(self, "Q", Q)
 
 
-@dataclass(frozen=True)
-class HamiltonMap:
-    """F with q(X, Y) = sigma(X, F Y)."""
-
-    dim: int
-    F: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        F = np.array(self.F, dtype=np.complex128)
-        m = 2 * self.dim
-        if F.shape != (m, m):
-            raise ValueError(f"F must be {m}x{m} for dim {self.dim}")
-        F.setflags(write=False)
-        object.__setattr__(self, "F", F)
-
-
 def symplectic_matrix(n: int) -> np.ndarray:
     """Standard J = [[0, I], [-I, 0]] of size 2n."""
     J = np.zeros((2 * n, 2 * n))
@@ -79,13 +62,13 @@ def symplectic_matrix(n: int) -> np.ndarray:
     return J
 
 
-def hamilton_map(q: QuadraticForm) -> HamiltonMap:
-    """Hamilton map F = J Q of q.
+def hamilton_map(q: QuadraticForm) -> np.ndarray:
+    """Hamilton map F = J Q of q, a complex 2n x 2n matrix.
 
     J has only 0 and +-1 entries, so each entry of J Q is one entry of Q or
     its negative: F is exactly the Hessian-quarter block form.
     """
-    return HamiltonMap(q.dim, symplectic_matrix(q.dim) @ q.Q)
+    return symplectic_matrix(q.dim) @ q.Q
 
 
 @dataclass(frozen=True)
@@ -131,17 +114,21 @@ def _real_nullspace(rows: list[np.ndarray], size: int, tol: float):
     return Vt[rank:], ambiguous
 
 
-def singular_space(F: HamiltonMap, tol: float = 1e-9) -> SingularSpaceResult:
+def singular_space(F: np.ndarray, tol: float = 1e-9) -> SingularSpaceResult:
     """Real vectors killed by Re F (Im F)^j for all j up to 2n-1, plus k0.
 
-    The truncated kernels are computed for growing j; they are nested and
-    non-increasing in dimension, so the first trivial one gives k0.
+    F is a Hamilton map, a square matrix of even size 2n. The truncated
+    kernels are computed for growing j; they are nested and non-increasing
+    in dimension, so the first trivial one gives k0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    n = F.dim
-    ReF = F.F.real
-    ImF = F.F.imag
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape[0] % 2 or F.size == 0:
+        raise ValueError(f"F must be a square matrix of even size, not of shape {F.shape}")
+    n = F.shape[0] // 2
+    ReF = F.real
+    ImF = F.imag
     rows: list[np.ndarray] = []
     power = np.eye(2 * n)
     k0 = None
@@ -198,13 +185,4 @@ def catalog() -> dict[str, QuadraticForm]:
         "rotated-harmonic": rotated_harmonic_form(np.pi / 4, 1),
         "free-laplacian": free_laplacian_form(1),
         "kramers-fokker-planck": kramers_fokker_planck_form(),
-    }
-
-
-def singular_space_summary(result: SingularSpaceResult) -> dict:
-    """JSON-ready view: {dimS, k0, basis}."""
-    return {
-        "dimS": int(result.dimS),
-        "k0": result.k0,
-        "basis": [[float(v) for v in row] for row in result.basis],
     }

@@ -1,8 +1,8 @@
 import csv
-import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +13,7 @@ import pytest
 import hermlab
 from hermlab import bernstein, cli, control, geometry, spectral
 from hermlab.cli import ConfigError, load_config, main, run, validate
+from hermlab.hermite import DEGREE_CAP
 
 
 def _write(tmp_path, name, payload):
@@ -206,19 +207,17 @@ def test_spectral_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_manifest_records_whether_thread_cap_applied(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    have_threadpoolctl = importlib.util.find_spec("threadpoolctl") is not None
-    for threads, applied in ((None, False), (1, have_threadpoolctl)):
-        out = tmp_path / str(threads)
-        argv = ["spectral-scan", "--config", _write(tmp_path, "cfg.json", _full_scan(str(out)))]
-        if threads is not None:
-            argv += ["--threads", str(threads)]
-        assert main(argv) == 0
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["threads"] == threads
-        assert manifest["threads_applied"] is applied
+def test_manifest_records_the_thread_environment(tmp_path, monkeypatch):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    before = dict(os.environ)
+    path = _write(tmp_path, "cfg.json", _full_scan(str(tmp_path / "out")))
+    assert main(["spectral-scan", "--config", path]) == 0
+    assert dict(os.environ) == before
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["thread_env"] == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+    assert "threads" not in manifest and "threads_applied" not in manifest
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -386,6 +385,31 @@ _PROBES = {
     "ragged-form": ({"kind": "singular-space", "parameters": {"forms": [[[1, 0], [0]]]}}, 2),
     "nan-form": ({"kind": "singular-space", "parameters": {"forms": [[[1, 0], [0, math.nan]]]}}, 2),
     "infinite-form": ({"kind": "singular-space", "parameters": {"forms": [[[math.inf, 0], [0, 1]]]}}, 2),
+    "misspelled-acceptance": (dict(_scan_probe({"type": "full"}), acceptanse=[]), 2),
+    "unknown-parameter": (_scan_probe({"type": "full"}, tolerance=1e-12), 2),
+    "misspelled-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "ofset": 1.0}), 2),
+    "extra-boxes-key": (_scan_probe({"type": "boxes", "boxes": [[[0.0, 1.0]]], "dims": 1}), 2),
+    "extra-balls-key": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [1.0], "radius": 2.0}), 2),
+    "extra-graded-key": (
+        _scan_probe(
+            {"type": "graded", "density": {"kind": "constant", "m": 0.5}, "gamma": 0.5, "extent": 5.0, "extnt": 9.0}
+        ),
+        2,
+    ),
+    "extra-density-key": (
+        {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1, "R": 5}, "extent": 5.0}},
+        2,
+    ),
+    "scan-above-degree-cap": (_scan_probe({"type": "full"}, [DEGREE_CAP + 1]), 2),
+    "bernstein-above-degree-cap": ({"kind": "bernstein-check", "parameters": {"N": DEGREE_CAP + 1, "max_order": 1}}, 2),
+    "dissipation-above-degree-cap": (
+        {
+            "kind": "dissipation",
+            "parameters": {"s": 1.0, "k_values": [2], "t_values": [0.1], "degree": DEGREE_CAP + 1},
+        },
+        2,
+    ),
+    "control-above-degree-cap": (_control_probe(N=DEGREE_CAP + 1), 2),
     "covering-steep-power": (
         {
             "kind": "covering",
@@ -407,10 +431,12 @@ def test_validated_config_runs_or_fails_in_one_line(tmp_path, capsys, name):
     assert code == expected
     assert "Traceback" not in "\n".join(lines)
     assert (validate(cfg) == []) == (expected == 1)
+    assert len(lines) == 1
     if expected == 1:
-        assert len(lines) == 1 and lines[0].startswith("error: run failed: ")
-    else:
-        assert lines and all(line.startswith("error: parameters") for line in lines)
+        assert lines[0].startswith("error: run failed: ")
+    else:  # addressed by the config field at fault
+        field = lines[0].removeprefix("error: ").split(":")[0]
+        assert re.split(r"[.\[]", field)[0] in cfg
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -427,14 +453,25 @@ def test_main_rejects_kind_mismatch(tmp_path, capsys):
     assert main(["covering", "--config", path]) == 2
 
 
-def test_main_seed_and_out_overrides(tmp_path):
-    cfg = _full_scan(str(tmp_path / "ignored"))
+def test_main_out_overrides_the_output_dir(tmp_path):
+    cfg = dict(_full_scan(str(tmp_path / "ignored")), seed=9)
     path = _write(tmp_path, "cfg.json", cfg)
-    code = main(["spectral-scan", "--config", path, "--out", str(tmp_path / "o"), "--seed", "9"])
-    assert code == 0
+    assert main(["spectral-scan", "--config", path, "--out", str(tmp_path / "o")]) == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert not (tmp_path / "ignored").exists()
+
+
+def test_main_reports_a_refused_allocation_in_one_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(bernstein, "crude_bernstein_check", refuse)
+    cfg = {"kind": "bernstein-check", "parameters": {"N": 4, "max_order": 1}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["bernstein-check", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: run failed: Unable to allocate 7.28 TiB"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_covering_run_exports_centers(tmp_path):

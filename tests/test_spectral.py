@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from hermlab import geometry, indexing, spectral
+from hermlab.hermite import DEGREE_CAP
 from hermlab.kernels import hermite_function_table
 from hermlab.quadrature import gauss_legendre, panel_nodes
 from hermlab.spectral import (
@@ -45,6 +46,11 @@ def test_high_degree_full_space_gram_is_identity(N, tol):
     # recurrence started from e^{-x^2/2} underflows to zero
     G = gram_matrix(geometry.FullSpace(1), N)
     assert np.max(np.abs(G.entries - np.eye(G.size))) <= tol
+
+
+def test_1d_degree_above_the_hermite_cap_is_refused():
+    with pytest.raises(ValueError, match=f"1-D Gram assembly capped at degree {DEGREE_CAP}"):
+        gram_matrix(geometry.FullSpace(1), DEGREE_CAP + 1)
 
 
 def test_full_space_constant_is_one():
