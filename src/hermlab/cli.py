@@ -156,6 +156,7 @@ def _check_envelope(config):
             if not isinstance(item, dict):
                 out.append(Diagnostic(f, "assertion must be an object"))
                 continue
+            out += [Diagnostic(f"{f}.{key}", "unknown key") for key in item if key not in ("metric", "op", "value")]
             if not isinstance(item.get("metric"), str):
                 out.append(Diagnostic(f + ".metric", "metric name required"))
             if item.get("op") not in _OPS:
@@ -183,6 +184,8 @@ def _check_envelope(config):
                 out.append(Diagnostic(f"parameters.{key}", f"need a non-empty list of integers{bound}"))
         elif not _is_int(v, lo, hi):
             out.append(Diagnostic(f"parameters.{key}", f"{key} must be an integer{bound}"))
+    if kind == "bernstein-check" and not out and p["N"] + p["max_order"] > DEGREE_CAP:
+        out.append(Diagnostic("parameters.max_order", f"N + max_order must be <= {DEGREE_CAP}, the output degree cap"))
     if kind == "singular-space" and "names" not in p and "forms" not in p:
         out.append(Diagnostic("parameters", "need names (catalog keys) or forms (matrices)"))
     return out, filled
@@ -235,14 +238,12 @@ def _prepare(config):
         omega = build("parameters.omega", lambda: _build_omega(p["omega"]))
         if spec is not None:
             f0 = build("parameters.f0", lambda: _build_f0(p["f0"], spec.dim, p["N"], rng))
-            # the delta rule on its own field; ControlProblem applies it again
+            # delta is read only by the reported reference exponent, so its rule is checked here
             build("parameters.delta", lambda: control.reference_blowup_exponent(spec.s, p["delta"]))
         if not out:
             inputs["problem"] = build(
                 "parameters",
-                lambda: control.ControlProblem(
-                    T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0, delta=p["delta"]
-                ),
+                lambda: control.ControlProblem(T=float(p["T"]), omega=omega, spec=spec, N=p["N"], f0=f0),
             )
     elif kind == "singular-space":
         catalog = symbols.catalog()
@@ -561,7 +562,7 @@ def _run_control(p, inputs, ws):
         "verified_residual_rel": trace["verified_residual"] / f0n if f0n else 0.0,
         "stages": len(trace["stages"]),
         "worst_condition": signal.condition,
-        "reference_exponent": control.reference_blowup_exponent(problem.spec.s, problem.delta),
+        "reference_exponent": control.reference_blowup_exponent(problem.spec.s, p["delta"]),
     }
 
 

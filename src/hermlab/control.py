@@ -13,10 +13,10 @@ through one solver, and the terminal check through one Duhamel-quadrature
 replay that never uses the closed-form stage kernel.
 
 Observability is estimated on the same span: the best constant C_T with
-||f(T)||^2 <= C_T int_0^T ||f(t)||^2_{L2(omega)} dt solves a generalized
-eigenproblem between the time-integrated observation form and the squared
-terminal propagator, computed through a Cholesky-whitened eigensolve so the
-e^{-2T Lambda} underflow never meets an explicit inverse.
+||f(T)||^2 <= C_T int_0^T ||f(t)||^2_{L2(omega)} dt is the top eigenvalue of
+the symmetric-definite pencil (e^{-2T Lambda}, observation form), taken from
+one generalized eigensolve so the e^{-2T Lambda} underflow never meets an
+explicit inverse.
 """
 
 import math
@@ -51,12 +51,10 @@ class ControlError(RuntimeError):
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Null-control instance on the degree-N span.
+    """Null-control instance: steer f0 to zero at time T on the degree-N span.
 
-    delta is the density-growth exponent. The synthesis does not read it;
-    a control run reports the predicted cost blow-up power
-    reference_blowup_exponent(s, delta), which needs delta < 2s - 1 so the
-    spectral growth rate stays below the dissipation rate.
+    omega is the sensor set and spec the fractional-oscillator flow; both
+    must share f0's dimension.
     """
 
     T: float
@@ -64,7 +62,6 @@ class ControlProblem:
     spec: EvolutionSpec
     N: int
     f0: HermiteExpansion
-    delta: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
@@ -76,7 +73,6 @@ class ControlProblem:
         if self.f0.degree > self.N:
             raise ValueError("initial state must lie in the degree-N span")
         _check_dim(self.omega, self.spec)
-        reference_blowup_exponent(self.spec.s, self.delta)  # raises unless 0 <= δ < 2s−1
 
 
 @dataclass(frozen=True)
@@ -106,39 +102,32 @@ def _exact_kernel(lam_a: np.ndarray, lam_b: np.ndarray, tau: float) -> np.ndarra
     return -np.expm1(-tau * S) / S
 
 
-def _gramian(G: np.ndarray, lam: np.ndarray, tau: float) -> np.ndarray:
-    M2 = G @ G
-    M2 = (M2 + M2.T) / 2.0
-    return M2 * _exact_kernel(lam, lam, tau)
+def _stage_matrix(G: np.ndarray, lam: np.ndarray, m: int, tau: float) -> np.ndarray:
+    """M = int_0^tau E(tau - t) G[:, :m] G_lo E_lo(tau - t) dt in closed form.
+
+    The stage control u(t) = -G_lo E_lo(tau - t) mu moves f(tau) by -M @ mu; M[:m] is the stage Gramian.
+    """
+    return (G[:, :m] @ G[:m, :m]) * _exact_kernel(lam, lam[:m], tau)
 
 
-def _checked_eigs(W: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(W)
-    if eigs[0] <= 0.0:
+def _stage(M: np.ndarray, rhs: np.ndarray):
+    """Minimal-energy control of the leading m = M.shape[1] modes from rhs = E(tau) g on them.
+
+    Returns (mu, cost, condition): mu = W⁻¹rhs for the Gramian W = M[:m], cost = rhsᵀmu and W's
+    eigenvalue ratio, all from one eigendecomposition. Raises ControlError if W is singular or its
+    condition exceeds CONDITION_CAP.
+    """
+    m = M.shape[1]
+    w, V = np.linalg.eigh((M[:m] + M[:m].T) / 2.0)
+    if w[0] <= 0.0:
         raise ControlError(
-            f"singular controllability Gramian on {W.shape[0]} modes (min eigenvalue {eigs[0]:.3e}); "
+            f"singular controllability Gramian on {m} modes (min eigenvalue {w[0]:.3e}); "
             "sensor set too thin at this resolution"
         )
-    return eigs
-
-
-def _stage(G: np.ndarray, lam: np.ndarray, m: int, tau: float, g: np.ndarray):
-    """Minimal-energy control of the leading m modes of g over [0, tau].
-
-    Returns (mu, cost, condition) with mu = W^{-1} E(tau) g and cost the
-    duality form gᵀE(tau)W⁻¹E(tau)g; raises ControlError when the Gramian
-    is singular or its condition exceeds CONDITION_CAP.
-    """
-    from scipy.linalg import cho_factor, cho_solve
-
-    lam_lo = lam[:m]
-    W = _gramian(G[:m, :m], lam_lo, tau)
-    eigs = _checked_eigs(W)
-    condition = float(eigs[-1] / eigs[0])
+    condition = float(w[-1] / w[0])
     if condition > CONDITION_CAP:
         raise ControlError(f"Gramian condition {condition:.3e} exceeds cap {CONDITION_CAP:.0e} on {m} modes")
-    rhs = np.exp(-tau * lam_lo) * g[:m]
-    mu = cho_solve(cho_factor(W), rhs)
+    mu = V @ ((V.T @ rhs) / w)
     return mu, float(rhs @ mu), condition
 
 
@@ -210,11 +199,13 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         tau = problem.T * float(window) / 2.0
         t0 = float(elapsed) * problem.T
 
+        new_state = np.exp(-tau * lam) * state
         eff_level = level
         while True:
             m = indexing.span_dim(spec.dim, eff_level)
+            M = _stage_matrix(Gfull, lam, m, tau)
             try:
-                mu, stage_cost, condition = _stage(Gfull, lam, m, tau, state)
+                mu, stage_cost, condition = _stage(M, new_state[:m])
                 break
             except ControlError:
                 if eff_level == 0:
@@ -222,11 +213,7 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
                 eff_level //= 2
         worst_condition = max(worst_condition, condition)
 
-        # exact effect of the stage control on every mode of the span:
-        # terminal += -(G[:, :m] E_lo(tau - t) mu) propagated, which separates
-        # into the same entrywise kernel as the Gramian itself
-        M = (Gfull[:, :m] @ Gfull[:m, :m]) * _exact_kernel(lam, lam[:m], tau)
-        new_state = np.exp(-tau * lam) * state
+        # exact effect of the stage control on every mode of the span
         new_state -= M @ mu
         low_resid = float(np.linalg.norm(new_state[:m]))
 
@@ -260,16 +247,14 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
 # -- observability ------------------------------------------------------------
 
 
-# The blow-up exponent m1 of the dissipation estimate: the pure fractional
-# flow has no blow-up factor, so m1 = 0 is the faithful instantiation.
-_M1 = 0.0
-
-
 def reference_blowup_exponent(s: float, delta: float) -> float:
-    """Predicted power of 1/T in log C_T: (1+delta)(2 m1 s + 1)/(2s - 1 - delta)."""
+    """Predicted power of 1/T in log C_T: (1+delta)/(2s - 1 - delta) for density-growth exponent delta.
+
+    The pure fractional flow has no blow-up factor (m1 = 0 in the general (1+delta)(2 m1 s + 1)/(2s - 1 - delta)).
+    """
     if not 0 <= delta < 2 * s - 1:
         raise ValueError("δ < 2s−1 required")
-    return (1.0 + delta) * (2.0 * _M1 * s + 1.0) / (2.0 * s - 1.0 - delta)
+    return (1.0 + delta) / (2.0 * s - 1.0 - delta)
 
 
 @dataclass(frozen=True)
@@ -277,32 +262,29 @@ class ObservabilityReport:
     """Best observability constants over a horizon grid, with a blow-up fit.
 
     C_T_lower[i] is the sharpest constant on the span at horizon T[i];
-    (fit_C, fit_kappa) fit log C_T ~ fit_C / T^fit_kappa over the grid
-    points with C_T > 1, and reference_exponent is the predicted kappa.
+    fit_kappa fits log C_T ~ c / T^fit_kappa over the grid points with
+    C_T > 1, and reference_exponent is the predicted kappa.
     """
 
     T: tuple
     N: int
     C_T_lower: tuple
-    fit_C: float | None
     fit_kappa: float | None
     reference_exponent: float
     nonincreasing: bool
 
 
 def _c_t_single(T: float, G: np.ndarray, lam: np.ndarray) -> float:
-    from scipy.linalg import solve_triangular
+    """Top eigenvalue of e^{-2T Lambda} v = C Q v, Q = int_0^T E(t) G E(t) dt."""
+    from scipy.linalg import eigh
 
     Q = G * _exact_kernel(lam, lam, T)
-    Q = (Q + Q.T) / 2.0
+    m = lam.size
     try:
-        L = np.linalg.cholesky(Q)
+        top = eigh(np.diag(np.exp(-2.0 * T * lam)), (Q + Q.T) / 2.0, eigvals_only=True, subset_by_index=(m - 1, m - 1))
     except np.linalg.LinAlgError as exc:
         raise ControlError(f"observation form singular at T={T:g}") from exc
-    # whiten: C_T = lambda_max(L^{-1} e^{-2T Lambda} L^{-T})
-    E = np.exp(-2.0 * T * lam)
-    X = solve_triangular(L, np.diag(np.sqrt(E)), lower=True)
-    return float(np.linalg.eigvalsh(X @ X.T)[-1])
+    return float(top[0])
 
 
 def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> ObservabilityReport:
@@ -323,18 +305,15 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
     values = [_c_t_single(float(t), G, lam) for t in Ts]
     nonincr = bool(np.all(np.diff(values) <= 1e-9 * np.maximum(values[:-1], 1.0)))
     mask = np.array(values) > 1.0
-    fit_C = fit_kappa = None
+    fit_kappa = None
     if int(np.sum(mask)) >= 2:
         lx = np.log(Ts[mask])
         ly = np.log(np.log(np.array(values)[mask]))
-        slope, intercept = np.polyfit(lx, ly, 1)
-        fit_kappa = float(-slope)
-        fit_C = float(math.exp(intercept))
+        fit_kappa = float(-np.polyfit(lx, ly, 1)[0])
     return ObservabilityReport(
         T=tuple(float(t) for t in Ts),
         N=N,
         C_T_lower=tuple(values),
-        fit_C=fit_C,
         fit_kappa=fit_kappa,
         reference_exponent=reference_blowup_exponent(spec.s, 0.0),
         nonincreasing=nonincr,

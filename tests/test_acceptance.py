@@ -183,9 +183,9 @@ def test_criterion_11_null_control_end_to_end():
     stripes = geometry.PeriodicPattern(dim=1, period=2.0, kept=0.5)
     spec = EvolutionSpec(s=1.0, dim=1)
     f0 = random_expansion(rng, dim=1, degree=25)
-    unit = control.ControlProblem(T=1.0, omega=stripes, spec=spec, N=25, f0=f0, delta=0.0)
+    unit = control.ControlProblem(T=1.0, omega=stripes, spec=spec, N=25, f0=f0)
     signal, trace = control.lebeau_robbiano_synthesize(unit)
-    short = control.ControlProblem(T=0.25, omega=stripes, spec=spec, N=25, f0=f0, delta=0.0)
+    short = control.ControlProblem(T=0.25, omega=stripes, spec=spec, N=25, f0=f0)
     _, trace_short = control.lebeau_robbiano_synthesize(short)
     elapsed = time.monotonic() - t0
     rel = trace["terminal_residual"] / f0.norm()

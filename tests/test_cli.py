@@ -402,6 +402,14 @@ _PROBES = {
     ),
     "scan-above-degree-cap": (_scan_probe({"type": "full"}, [DEGREE_CAP + 1]), 2),
     "bernstein-above-degree-cap": ({"kind": "bernstein-check", "parameters": {"N": DEGREE_CAP + 1, "max_order": 1}}, 2),
+    "bernstein-output-above-degree-cap": (
+        {"kind": "bernstein-check", "parameters": {"N": DEGREE_CAP - 2, "max_order": 3}},
+        2,
+    ),
+    "misspelled-assertion-key": (
+        dict(_scan_probe({"type": "full"}), acceptance=[{"metric": "rows", "op": "==", "value": 1, "vaule": 2}]),
+        2,
+    ),
     "dissipation-above-degree-cap": (
         {
             "kind": "dissipation",

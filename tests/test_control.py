@@ -67,17 +67,20 @@ def _replayed_norm(problem, signal):
     return control._replay(G, lam, problem.spec.dim, f0, signal.stage_data, problem.T)
 
 
-def test_gramian_matches_closed_form():
+def test_stage_matrix_matches_time_quadrature():
+    # reference: 64-node Gauss-Legendre integral over [0, tau] of
+    # E(tau - t) G[:, :m] G_lo E_lo(tau - t), whose leading m rows are the Gramian
     G = np.asarray(gram_matrix(STRIPES, 8).entries)
     lam = HEAT.eigenvalues(8)
-    W = control._gramian(G, lam, 0.5)
-    # reference: 64-node Gauss-Legendre integral of exp(-t S) over [0, tau]
-    tau = 0.5
+    tau, m = 0.5, 4
+    M = control._stage_matrix(G, lam, m, tau)
     x, w = np.polynomial.legendre.leggauss(64)
-    S = lam[:, None] + lam[None, :]
-    K = sum(tau / 2.0 * wi * np.exp(-tau / 2.0 * (xi + 1.0) * S) for xi, wi in zip(x, w))
-    W_ref = (G @ G) * K
-    assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+    M_ref = sum(
+        tau / 2.0 * wi * (np.exp(-lag * lam)[:, None] * (G[:, :m] @ G[:m, :m]) * np.exp(-lag * lam[:m])[None, :])
+        for lag, wi in zip(tau / 2.0 * (1.0 - x), w)
+    )
+    assert M.shape == (lam.size, m)
+    assert np.linalg.norm(M - M_ref) <= 1e-12 * np.linalg.norm(M_ref)
 
 
 def test_gramian_rejects_unresolvable_sensor():
@@ -91,7 +94,7 @@ def test_gramian_rejects_unresolvable_sensor():
 def test_scalar_cost_closed_form():
     # one mode, identity actuator, rate 1: cost = e^{-2} / int_0^1 e^{-2t} dt
     ident, lam, g = np.eye(1), np.ones(1), np.ones(1)
-    mu, cost, condition = control._stage(ident, lam, 1, 1.0, g)
+    mu, cost, condition = control._stage(control._stage_matrix(ident, lam, 1, 1.0), np.exp(-lam) * g)
     stage_data = ((0.0, 1.0, 0, mu),)
     expected = math.exp(-2.0) / ((1.0 - math.exp(-2.0)) / 2.0)
     assert cost == pytest.approx(expected, abs=1e-13)
@@ -106,7 +109,7 @@ def test_min_energy_control_on_thick_set(rng):
     g = random_expansion(rng, dim=1, degree=8).coeffs
     G = np.asarray(gram_matrix(STRIPES, 8).entries)
     lam = HEAT.eigenvalues(8)
-    mu, cost, _ = control._stage(G, lam, lam.size, 0.5, g)
+    mu, cost, _ = control._stage(control._stage_matrix(G, lam, lam.size, 0.5), np.exp(-0.5 * lam) * g)
     stage_data = ((0.0, 0.5, 8, mu),)
     assert control._replay(G, lam, 1, g, stage_data, 0.5) <= 1e-8 * np.linalg.norm(g)
     assert cost == pytest.approx(_control_energy(G, lam, stage_data), rel=1e-8)
@@ -115,9 +118,9 @@ def test_min_energy_control_on_thick_set(rng):
 def test_condition_cap_raises():
     # an actuator that barely sees the second mode pushes the Gramian past
     # the conditioning cap
-    weak = np.diag([1.0, 3e-7])
+    weak, lam = np.diag([1.0, 3e-7]), HEAT.eigenvalues(1)
     with pytest.raises(ControlError, match="condition"):
-        control._stage(weak, HEAT.eigenvalues(1), 2, 0.5, np.array([0.0, 1.0]))
+        control._stage(control._stage_matrix(weak, lam, 2, 0.5), np.exp(-0.5 * lam) * np.array([0.0, 1.0]))
 
 
 def test_problem_validation():
@@ -125,10 +128,6 @@ def test_problem_validation():
     for T in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="horizon T must be finite and positive"):
             ControlProblem(T=T, omega=STRIPES, spec=HEAT, N=4, f0=f0)
-    with pytest.raises(ValueError, match="δ < 2s−1 required"):
-        ControlProblem(
-            T=1.0, omega=STRIPES, spec=EvolutionSpec(s=0.6, dim=1), N=4, f0=f0, delta=0.3
-        )
     with pytest.raises(ValueError):
         ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=1, f0=f0)
 
@@ -267,6 +266,37 @@ def test_synthesis_assembles_the_gram_once(rng, monkeypatch):
     assert calls == [8]
 
 
+def test_synthesis_factors_each_stage_attempt_once(rng, monkeypatch):
+    # one stage matrix and one symmetric eigendecomposition per attempt, no Cholesky
+    counts = {"stage_matrix": 0, "eig": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cholesky factorization called")
+
+    monkeypatch.setattr(control, "_stage_matrix", counted("stage_matrix", control._stage_matrix))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eig", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
+    f0 = random_expansion(rng, dim=1, degree=8)
+    _, trace = lebeau_robbiano_synthesize(ControlProblem(T=1.0, omega=STRIPES, spec=HEAT, N=8, f0=f0))
+    assert counts == {"stage_matrix": 4, "eig": 4} and len(trace["stages"]) == 4
+    # a sensor set the span cannot see: stage 0 tries level 1, then level 0
+    counts.update(stage_matrix=0, eig=0)
+    far = geometry.interval_union([(50.0, 51.0)])
+    problem = ControlProblem(T=1.0, omega=far, spec=HEAT, N=4, f0=basis_state(1, 4, (2,)))
+    with pytest.raises(ControlError, match="Gramian unusable even at level 0"):
+        lebeau_robbiano_synthesize(problem)
+    assert counts == {"stage_matrix": 2, "eig": 2}
+
+
 # -- observability ---------------------------------------------------------------
 
 
@@ -305,6 +335,11 @@ def test_observability_grid_monotone_with_blowup_fit():
     assert rep.fit_kappa is not None and rep.fit_kappa > 0
     assert rep.reference_exponent == pytest.approx(1.0)
     assert len(rep.C_T_lower) == len(Ts)
+
+
+def test_observability_on_a_sensor_set_the_span_cannot_see_raises():
+    with pytest.raises(ControlError, match="observation form singular"):
+        observability_lower_bound([0.5], 4, geometry.interval_union([(50.0, 51.0)]), HEAT)
 
 
 def test_observability_rejects_nonpositive_horizon():
