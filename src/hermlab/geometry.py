@@ -492,7 +492,7 @@ def _panel_halving(f, t0: float, t1: float, atol: float):
     prev, k = None, 1
     while k <= _MAX_PANELS:
         # (t1 - t0) / k is exact for k a power of two, so the rule has k panels
-        x, w = panel_nodes(np.array([[t0, t1]]), (t1 - t0) / k, 16)
+        x, w, _ = panel_nodes(np.array([[t0, t1]]), (t1 - t0) / k, 16)
         u = (x - t0) / (t1 - t0)
         cur = math.fsum(w * (f(t0 + (t1 - t0) * u * u * (3.0 - 2.0 * u)) * 6.0 * u * (1.0 - u)))
         if prev is not None and abs(cur - prev) <= atol:
@@ -756,7 +756,6 @@ class TransferReport:
     """Outcome of an empirical thickness-transfer check between densities."""
 
     hypothesis_ok: bool
-    input_thickness: float
     predicted: float
     measured: float
     transfer_ok: bool
@@ -800,7 +799,6 @@ def thickness_transfer_check(
     transfer_ok = hypothesis_ok and measured >= predicted - _TRANSFER_SLACK
     return TransferReport(
         hypothesis_ok=hypothesis_ok,
-        input_thickness=float(input_thickness),
         predicted=float(predicted),
         measured=float(measured),
         transfer_ok=bool(transfer_ok),

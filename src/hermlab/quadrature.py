@@ -21,11 +21,13 @@ def gauss_legendre(order: int):
 
 
 def panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
-    """Composite Gauss-Legendre nodes/weights over an interval union.
+    """Composite Gauss-Legendre (nodes, weights, counts) over an interval union.
 
     Each interval [a, b] is cut into k = max(ceil((b - a) / panel_len), 1)
     equal panels with edges j * ((b - a) / k) + a and the last edge pinned
-    to b, the edges np.linspace(a, b, k + 1) gives.
+    to b, the edges np.linspace(a, b, k + 1) gives. The nodes run interval
+    by interval, and counts[i] = k * order is how many of them interval i
+    gets. Each interval's nodes depend on that interval alone.
     """
     base_x, base_w = gauss_legendre(order)
     iv = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
@@ -38,4 +40,4 @@ def panel_nodes(intervals: np.ndarray, panel_len: float, order: int):
     hi = np.where(j + 1 == k[owner], b[owner], (j + 1) * step + a[owner])[:, None]
     x = ((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel()
     w = ((hi - lo) / 2 * base_w[None, :]).ravel()
-    return x, w
+    return x, w, k * order

@@ -27,12 +27,13 @@ triangular solves per step. A 2-D set (the full plane, boxes, periodic
 patterns) is sliced once per piece between first-axis breakpoints, the
 pieces that share one slice are pooled, and each distinct slice adds one
 separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
-rule, with one Hermite table per axis over both rules' nodes. Each block
-is the Hadamard product of two PSD matrices, so the 2-D Gram is PSD to
-rounding (Schur product theorem). Its lambda_min is the bottom eigenvalue
-of the tridiagonal matrix left by one Householder reduction, found by
-bisection with the top one, and the bottom vector comes from inverse
-iteration mapped back through the reflectors.
+rule. All slices' x-pieces and y-intervals take one panel_nodes call per
+rule, and one Hermite table serves both axes' and both rules' nodes. Each
+block is the Hadamard product of two PSD matrices, so the 2-D Gram is PSD
+to rounding (Schur product theorem). Its lambda_min is the bottom
+eigenvalue of the tridiagonal matrix left by one Householder reduction,
+found by bisection (LAPACK dstebz) with the top one, and the bottom vector
+comes from inverse iteration (dstein) mapped back through the reflectors.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -63,6 +64,7 @@ __all__ = [
 
 _MAX_DEGREE_2D = 24
 _ORDER = 16  # Gauss nodes per panel, in both rules
+_BLOCK_ROWS = 64  # rows of the 2-D Gram assembled at a time
 
 
 class DegenerateRestrictionError(RuntimeError):
@@ -129,8 +131,8 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
         classes, weight = (slice(0, None, 2), slice(1, None, 2)), 2.0
     else:
         classes, weight = (slice(None),), 1.0
-    x_check, w_check = panel_nodes(iv, 2.0 * panel_len, _ORDER)
-    x, w = panel_nodes(iv, panel_len, _ORDER)
+    x_check, w_check, _ = panel_nodes(iv, 2.0 * panel_len, _ORDER)
+    x, w, _ = panel_nodes(iv, panel_len, _ORDER)
     table = hermite_function_table(degree, np.concatenate([x_check, x]))
     n = x_check.size
     check = table[:, :n]
@@ -173,45 +175,44 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
     The x-pieces between omega's first-axis breakpoints, on which omega has
     piecewise slices, are pooled by their slice intervals. Each distinct
     non-empty slice adds Px[a1, a1] * My[a2, a2] of its x- and y-pairings to
-    G, on panels of panel_len, and to G_check, on panels of 2 * panel_len,
-    with one Hermite table per axis over both rules' nodes.
+    G, on panels of panel_len, and to G_check, on panels of 2 * panel_len.
+    The slices' x-pieces and y-intervals go through one panel_nodes call per
+    rule and one Hermite table over both axes' and both rules' nodes; each
+    pairing is B B^T of its part's columns of the weighted table.
     """
     R = truncation_radius(degree)
     a1, a2 = indexing.multi_indices(2, degree).T
-    lens = (panel_len, 2.0 * panel_len)
     # the slice of a piece holds at every one of its nodes
     spans = {}
     for a, b, sub in slice_pieces(omega, -R, R):
         if b - a > 1e-14:
             iv = sub.intervals_1d(-R, R)
             spans.setdefault(iv.tobytes(), (iv, []))[1].append((a, b))
+    # parts alternate each distinct non-empty slice's x-pieces and y-intervals
+    parts = [p for iv, ab in spans.values() if iv.shape[0] for p in (np.array(ab), iv)]
+    intervals = np.concatenate(parts) if parts else np.empty((0, 2))
+    last = np.cumsum([p.shape[0] for p in parts], dtype=np.int64) - 1  # each part's last interval
+    rules = [panel_nodes(intervals, L, _ORDER) for L in (panel_len, 2.0 * panel_len)]
+    B = hermite_function_table(degree, np.concatenate([x for x, _, _ in rules]))
+    B *= np.sqrt(np.concatenate([w for _, w, _ in rules]))
+    # nodes per part in each rule, and every part's columns of B in table order
+    sizes = [np.diff(np.cumsum(counts)[last], prepend=0) for _, _, counts in rules]
+    cuts = np.cumsum(np.concatenate([[0], *sizes]))
+    pairings = [B[:, i:j] @ B[:, i:j].T for i, j in zip(cuts[:-1], cuts[1:])]
     m = a1.size
     G = (np.zeros((m, m)), np.zeros((m, m)))
-    nodes = 0
-    for iv, ab in spans.values():
-        if iv.shape[0] == 0:
-            continue
-        xs = [panel_nodes(np.array(ab), L, _ORDER) for L in lens]
-        ys = [panel_nodes(iv, L, _ORDER) for L in lens]
-        for g, px, my in zip(G, _pairings(degree, xs), _pairings(degree, ys)):
-            block = px[a1][:, a1]
-            block *= my[a2][:, a2]
-            g += block
-        nodes += xs[0][0].size * ys[0][0].size
+    by_rule = (pairings[: len(parts)], pairings[len(parts) :])
+    # blocks of rows keep each product's temporaries small; every entry still
+    # adds its slices' products in slice order
+    for lo in range(0, m, _BLOCK_ROWS):
+        r = slice(lo, lo + _BLOCK_ROWS)
+        for g, rule in zip(G, by_rule):
+            for px, my in zip(rule[0::2], rule[1::2]):
+                block = px.take(a1[r], axis=0).take(a1, axis=1)
+                block *= my.take(a2[r], axis=0).take(a2, axis=1)
+                g[r] += block
+    nodes = int(sizes[0][0::2] @ sizes[0][1::2])
     return G[0], G[1], nodes
-
-
-def _pairings(degree: int, parts: list) -> list:
-    """B B^T of each (nodes, weights) part's weighted Hermite table, from one table over all parts."""
-    B = hermite_function_table(degree, np.concatenate([x for x, _ in parts]))
-    B *= np.sqrt(np.concatenate([w for _, w in parts]))
-    out = []
-    start = 0
-    for x, _ in parts:
-        b = B[:, start : start + x.size]
-        out.append(b @ b.T)
-        start += x.size
-    return out
 
 
 def gram_matrix(
@@ -249,7 +250,8 @@ def gram_matrix(
     else:
         G, G_check, nodes = _gram_2d(omega, degree, panel_len)
         R = None
-    quad_tol = float(np.max(np.abs(G - G_check)))
+    G_check -= G  # |G_check - G| is |G - G_check| exactly
+    quad_tol = float(np.max(np.abs(G_check, out=G_check)))
     if quad_tol > fail_tol:
         raise QuadratureError(f"Gram quadrature unstable: refinement moved entries by {quad_tol:.3e}")
 
@@ -310,6 +312,28 @@ def _bottom_vector(T: np.ndarray, lam: float, lam_err: float) -> np.ndarray:
     return np.linalg.svd(T)[2][-1]
 
 
+def _tridiagonal_eigenvalue(d: np.ndarray, e: np.ndarray, i: int) -> tuple:
+    """(w, iblock, isplit) of eigenvalue i (0 the bottom) of the symmetric tridiagonal (d, e), for dstein.
+
+    Bisection (LAPACK dstebz) to relative accuracy, not eps * ||T||, over
+    the index range [i, i]. Where rounding makes its Sturm counts
+    non-monotonic, as on a tridiagonal within a few eps of the identity, that
+    range fails with info 2 or 3; LAPACK's documented cure then runs: every
+    eigenvalue is bisected in ascending order and the i-th is kept.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    tol = 2.0 * np.finfo(np.float64).tiny
+    found, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, i + 1, i + 1, tol, "E")
+    if info in (2, 3):
+        found, w, iblock, isplit, info = dstebz(d, e, 0, 0.0, 1.0, 1, 1, tol, "E")
+        # the i-th goes first, where dstein reads it
+        found, w, iblock = found - i, w[i:], np.roll(iblock, -i)
+    if info != 0 or found < 1:
+        raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+    return w[:1], iblock, isplit
+
+
 def spectral_constant(G: GramMatrix) -> SpectralResult:
     """C_N(omega) = lambda_min(G)^{-1/2} with the extremal coefficient vector.
 
@@ -327,10 +351,12 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
     is far below machine epsilon times ||G||. A set with fewer nodes than
     the m basis functions leaves zero rows in R, whose singular values are
     zero. Otherwise (2-D) the entries are reduced to a tridiagonal
-    T = Q^T G Q by one Householder reduction (LAPACK dsytrd); bisection finds
-    T's bottom and top eigenvalues to relative accuracy, inverse iteration
-    T's bottom vector, and the reflectors map it back to the extremizer
-    (dormqr). Only these two of the m eigenvalues are computed. The
+    T = Q^T G Q by one Householder reduction (LAPACK dsytrd); bisection
+    (dstebz) finds T's bottom and top eigenvalues to relative accuracy,
+    inverse iteration (dstein) T's bottom vector, and the reflectors map it
+    back to the extremizer (dormqr). Only these two of the m eigenvalues are
+    computed, unless bisection over one index fails (see
+    _tridiagonal_eigenvalue). The
     reduction's backward error gives lambda_err = m * eps * lambda_top.
     Raises DegenerateRestrictionError when lambda_min <= 0; floor is set
     when lambda_min <= lambda_err.
@@ -362,15 +388,17 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         if lam > 0.0:
             vec[bottom] = _bottom_vector(np.asfortranarray(F[bottom, bottom]), lam, lam_err)
     else:
-        from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-        from scipy.linalg.lapack import dormqr, dsytrd, dsytrd_lwork
+        from scipy.linalg.lapack import dormqr, dstein, dsytrd, dsytrd_lwork
 
         lwork, _ = dsytrd_lwork(m, lower=1)
         qt, d, e, tau, _ = dsytrd(G.entries, lower=1, lwork=int(lwork))
-        tol = 2.0 * np.finfo(np.float64).tiny  # bisect to relative accuracy, not eps * ||T||
-        w, V = eigh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=tol)
+        e = e if m > 1 else np.zeros(1)  # the wrappers want max(m - 1, 1) off-diagonal entries
+        w, iblock, isplit = _tridiagonal_eigenvalue(d, e, 0)
         lam = float(w[0])
-        top = float(eigvalsh_tridiagonal(d, e, select="i", select_range=(m - 1, m - 1), tol=tol)[0])
+        top = float(_tridiagonal_eigenvalue(d, e, m - 1)[0][0])
+        V, info = dstein(d, e, w, iblock, isplit)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstein failed with info={info}")
         if m > 1:
             V[1:] = dormqr("L", "N", qt[1:, :-1], tau, V[1:], 1)[0]
         vec = V[:, 0]
@@ -393,8 +421,6 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
 class GrowthFitReport:
     """Least-squares fit of log C_N against N^{1-eps/2}."""
 
-    pairs: tuple
-    epsilon: float
     intercept: float
     slope: float
     r2: float
@@ -433,8 +459,6 @@ def growth_fit(pairs, epsilon: float) -> GrowthFitReport:
     else:
         r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return GrowthFitReport(
-        pairs=tuple(pts),
-        epsilon=float(epsilon),
         intercept=float(intercept),
         slope=float(slope),
         r2=float(r2),

@@ -102,7 +102,7 @@ def _tall_factor(omega, N, panel_len=None, order=16):
     R = truncation_radius(N)
     if panel_len is None:
         panel_len = _panel_length(N)
-    x, w = panel_nodes(omega.intervals_1d(-R, R), panel_len, order)
+    x, w, _ = panel_nodes(omega.intervals_1d(-R, R), panel_len, order)
     return (hermite_function_table(N, x) * np.sqrt(w)).T
 
 
@@ -257,19 +257,6 @@ def test_periodic_set_keeps_off_parity_entries():
     assert G.entries[0::2, 1::2].any() and G.entries[1::2, 0::2].any()
 
 
-@pytest.mark.parametrize("omega", [GRADED_1D, PERIODIC_1D])
-def test_one_hermite_table_per_1d_gram(omega, monkeypatch):
-    calls = []
-
-    def counted(kmax, x):
-        calls.append(x.size)
-        return hermite_function_table(kmax, x)
-
-    monkeypatch.setattr(spectral, "hermite_function_table", counted)
-    gram_matrix(omega, 50)
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("omega, N", [(GRADED_1D, 400), (PERIODIC_1D, 150)])
 def test_1d_gram_is_psd_to_rounding(omega, N):
     # the 1-D assembly runs no eigensolve of its own; R^T R keeps G PSD
@@ -302,7 +289,7 @@ def test_fewer_nodes_than_basis_functions_degenerates():
 
 
 def _panel_nodes_by_interval(intervals, panel_len, order):
-    """Composite rule built one np.linspace per interval."""
+    """Composite rule built one np.linspace per interval, with each interval's node count."""
     base_x, base_w = gauss_legendre(order)
     xs, ws = [], []
     for a, b in intervals:
@@ -313,8 +300,8 @@ def _panel_nodes_by_interval(intervals, panel_len, order):
         xs.append(((hi + lo) / 2 + (hi - lo) / 2 * base_x[None, :]).ravel())
         ws.append(((hi - lo) / 2 * base_w[None, :]).ravel())
     if not xs:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(xs), np.concatenate(ws)
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+    return np.concatenate(xs), np.concatenate(ws), np.array([x.size for x in xs])
 
 
 def test_panel_nodes_match_linspace_panels():
@@ -324,9 +311,10 @@ def test_panel_nodes_match_linspace_panels():
         cases.append(np.sort(rng.uniform(-40.0, 40.0, 2 * n)).reshape(-1, 2))
     for iv in cases:
         for panel_len in (0.5, 6.0 / math.sqrt(401.0), 3.0 / math.sqrt(801.0), rng.uniform(0.01, 2.0)):
-            x, w = panel_nodes(iv, panel_len, 16)
-            x_ref, w_ref = _panel_nodes_by_interval(iv, panel_len, 16)
+            x, w, counts = panel_nodes(iv, panel_len, 16)
+            x_ref, w_ref, counts_ref = _panel_nodes_by_interval(iv, panel_len, 16)
             assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+            assert np.array_equal(counts, counts_ref)
 
 
 def test_empty_window_degenerates():
@@ -342,6 +330,16 @@ def test_two_dim_full_space_gram():
     # one slice: every x-node pairs with every y-node
     R = truncation_radius(6)
     assert G.nodes == panel_nodes(np.array([[-R, R]]), _panel_length(6), 16)[0].size ** 2
+
+
+@pytest.mark.parametrize("omega", [geometry.FullSpace(2), geometry.BoxUnion(2, [[[-50.0, 50.0], [-50.0, 50.0]]])])
+def test_full_plane_constant_is_one_within_lambda_err(omega):
+    # the plane-filling Gram is the identity to rounding; at N = 6 its tridiagonal
+    # (d within 1.1e-15 of 1, |e| <= 8.2e-16) makes dstebz's index range fail
+    for N in range(25):
+        res = spectral_constant(gram_matrix(omega, N))
+        assert abs(res.constant - 1.0) <= res.lambda_err, N
+        assert not res.floor
 
 
 def test_quadrature_tolerance_reported():
@@ -407,7 +405,7 @@ def _per_run_gram_2d(omega, degree, panel_len, order):
     G = np.zeros((alphas.shape[0],) * 2)
     nodes = 0
     for start, stop, iv in runs:
-        y, wy = panel_nodes(iv, panel_len, order)
+        y, wy, _ = panel_nodes(iv, panel_len, order)
         if y.size == 0:
             continue
         By = hermite_function_table(degree, y) * np.sqrt(wy)
@@ -509,24 +507,54 @@ def test_2d_solve_makes_no_full_eigendecomposition(monkeypatch):
     assert res.lambda_min > res.lambda_err
 
 
-@pytest.mark.parametrize("omega, slices", [(PERIODIC_2D, 1), (BOXES_2D, 2), (geometry.FullSpace(2), 1)])
-def test_one_assembly_and_two_tables_per_distinct_slice(omega, slices, monkeypatch):
-    tables = []
-    assemblies = []
+def test_2d_solve_bisects_every_eigenvalue_when_dstebz_index_range_fails(monkeypatch):
+    # near the identity dstebz fails its index range with info 2; fail every such call here,
+    # so both the bottom pair (with dstein) and the top come from the all-eigenvalue fallback
+    from scipy.linalg import lapack
 
-    def counted_table(kmax, x):
-        tables.append(x.size)
-        return hermite_function_table(kmax, x)
+    dstebz = lapack.dstebz
 
-    def counted_gram_2d(*args):
-        assemblies.append(args)
-        return _gram_2d(*args)
+    def index_range_fails(d, e, rng, *args):
+        if rng == 2:
+            n = d.size
+            return 0, np.zeros(n), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32), 2
+        return dstebz(d, e, rng, *args)
 
-    monkeypatch.setattr(spectral, "hermite_function_table", counted_table)
-    monkeypatch.setattr(spectral, "_gram_2d", counted_gram_2d)
-    gram_matrix(omega, 12)
+    G = gram_matrix(BOXES_2D, 12)
+    ref = spectral_constant(G)
+    monkeypatch.setattr(lapack, "dstebz", index_range_fails)
+    res = spectral_constant(G)
+    assert abs(res.lambda_min - ref.lambda_min) <= res.lambda_err
+    assert abs(res.condition * res.lambda_min - ref.condition * ref.lambda_min) <= res.lambda_err
+    v = res.extremizer
+    assert abs(np.linalg.norm(v) - 1.0) <= G.size * EPS
+    assert abs(v @ G.entries @ v - res.lambda_min) <= res.lambda_err
+
+
+@pytest.mark.parametrize(
+    "omega, N",
+    [(GRADED_1D, 50), (PERIODIC_1D, 50), (PERIODIC_2D, 12), (BOXES_2D, 12), (geometry.FullSpace(2), 12)],
+)
+def test_one_table_and_one_panel_node_call_per_rule_per_gram(omega, N, monkeypatch):
+    # the 2-D cases hold one (PERIODIC_2D, FullSpace) and two (BOXES_2D) distinct slices
+    def counted(fn, calls):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    tables, node_calls, assemblies = [], [], []
+    assembly = f"_gram_{omega.dim}d"
+    monkeypatch.setattr(spectral, "hermite_function_table", counted(hermite_function_table, tables))
+    monkeypatch.setattr(spectral, "panel_nodes", counted(panel_nodes, node_calls))
+    monkeypatch.setattr(spectral, assembly, counted(getattr(spectral, assembly), assemblies))
+    gram_matrix(omega, N)
     assert len(assemblies) == 1
-    assert len(tables) == 2 * slices
+    assert len(tables) == 1
+    assert len(node_calls) == 2
+    # the table holds every node of both rules
+    assert tables[0][1].size == sum(panel_nodes(*args)[0].size for args in node_calls)
 
 
 def test_growth_fit_recovers_exponential_law():
