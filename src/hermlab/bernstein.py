@@ -42,8 +42,6 @@ class BernsteinCheck:
     """One instance of the factorial bound; ratio <= 1 up to 1e-10 slack."""
 
     N: int
-    alpha: tuple
-    beta: tuple
     lhs: float
     rhs: float
     ratio: float
@@ -77,7 +75,7 @@ def crude_bernstein_check(dim: int, N: int, alpha, beta) -> BernsteinCheck:
     order = sum(alpha) + sum(beta)
     lhs = float(np.linalg.norm(_operator_matrix(dim, N, alpha, beta), 2))
     rhs = math.exp(0.5 * order * math.log(2.0) + 0.5 * (math.lgamma(N + order + 1) - math.lgamma(N + 1)))
-    return BernsteinCheck(N, alpha, beta, lhs, rhs, lhs / rhs)
+    return BernsteinCheck(N, lhs, rhs, lhs / rhs)
 
 
 @lru_cache(maxsize=64)

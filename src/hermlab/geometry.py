@@ -7,18 +7,18 @@ A control set omega is a union of boxes, a periodic pattern, or the full
 space; thickness of omega with respect to rho is the worst-case volume
 fraction |omega cap B(x, rho(x))| / |B(x, rho(x))| over ball centers x.
 
-Every 1-D and 2-D measure is exact. Each control set has slices that stay
-the same between consecutive first-axis breakpoints; in 2-D a set cut to
-the disk's bounding square is a union of disjoint rectangles, and the
-disk's area inside each has a closed form. Only 3-D uses panel halving:
-the exact 2-D slice measure is integrated along the first axis by Gauss
-panels, halved until two sums agree, under the substitution
-x = c + r sin(theta), which absorbs the square-root behaviour at the
-ball's rim. Panels split at the set's own breakpoints and where the slice
-measure stops being analytic: where the slice disk becomes tangent to an
-edge line or passes through a corner of the slice's rectangles. A cubic
-substitution that flattens each panel's ends makes the integrand smooth
-there.
+Every 1-D and 2-D measure is exact. Each control set cuts itself to a
+window as disjoint cells, boxes swept along the first axis (see
+ControlSet.cells); in 2-D the cells in the disk's bounding square are
+rectangles, and the disk's area inside each has a closed form. Only 3-D
+uses panel halving: the exact 2-D measure of the cells over each
+first-axis piece is integrated along the first axis by Gauss panels,
+halved until two sums agree, under the substitution x = c + r sin(theta),
+which absorbs the square-root behaviour at the ball's rim. Panels split at
+the pieces' ends and where the slice measure stops being analytic: where
+the slice disk becomes tangent to an edge line or passes through a corner
+of the piece's rectangles. A cubic substitution that flattens each panel's
+ends makes the integrand smooth there.
 
 The covering generator picks centers greedily from a fine grid, keeping a
 candidate only when it is at least a third of the summed radii away from
@@ -51,7 +51,7 @@ __all__ = [
     "interval_union",
     "PeriodicPattern",
     "graded_cells",
-    "slice_pieces",
+    "cell_runs",
     "intersection_measure",
     "ball_volume",
     "thickness_estimate",
@@ -81,30 +81,19 @@ class CoverageError(RuntimeError):
 # -- interval helpers (1-D exact arithmetic) ---------------------------------
 
 
-def _merge_intervals(iv: np.ndarray) -> np.ndarray:
-    """Sort and merge an (k, 2) interval array into disjoint intervals."""
-    iv = np.asarray(iv, dtype=np.float64).reshape(-1, 2)
-    iv = iv[iv[:, 1] > iv[:, 0]]
-    if iv.shape[0] == 0:
-        return iv.reshape(0, 2)
-    iv = iv[np.argsort(iv[:, 0], kind="stable")]
-    out = [list(iv[0])]
-    for a, b in iv[1:]:
-        if a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return np.asarray(out)
+def _merge_intervals(iv: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The (k, 2) intervals iv clipped to [lo, hi], sorted and merged into disjoint intervals.
 
-
-def _clip_intervals(iv: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    iv = np.asarray(iv, dtype=np.float64).reshape(-1, 2)
-    if iv.shape[0] == 0:
-        return iv
+    A start at most the running maximum of the ends joins the interval before.
+    """
     a = np.maximum(iv[:, 0], lo)
     b = np.minimum(iv[:, 1], hi)
-    keep = b > a
-    return np.column_stack([a[keep], b[keep]])
+    order = np.flatnonzero(b > a)
+    order = order[np.argsort(a[order], kind="stable")]
+    a, b = a[order], np.maximum.accumulate(b[order])
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] > b[:-1]
+    return np.column_stack([a[first], np.append(b[:-1][first[1:]], b[-1:])])
 
 
 def _as_box(box) -> np.ndarray:
@@ -228,16 +217,13 @@ class DensityFn:
 
 
 class ControlSet:
-    """A measurable sensor region, described by its slices.
+    """A measurable sensor region, described by its cells.
 
-    Subclasses implement the slicing hooks used by the measure quadrature:
-    `intervals_1d` (dim 1 only) returns the kept intervals clipped to
-    [lo, hi] as a merged (k, 2) array; `slice_first` (dim >= 2) returns the
-    restriction to a hyperplane x_0 = value as a set one dimension down;
-    `breakpoints_first` lists first-axis coordinates where the slice
-    structure jumps. The slice is the same at every point strictly between
-    two consecutive breakpoints, so one `slice_first` call per piece (see
-    `slice_pieces`) describes the whole set. Every set has dim >= 1.
+    Subclasses implement `cells(window)`: omega cut to the window, an
+    (n, 2) array of per-axis bounds, as disjoint boxes in a (k, n, 2) array.
+    The boxes are swept along the first axis: the first-axis pieces ascend
+    without overlap, and the boxes over one piece are adjacent rows that
+    carry its bounds exactly (see `cell_runs`). Every set has dim >= 1.
     """
 
     dim: int
@@ -246,14 +232,8 @@ class ControlSet:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
 
-    def intervals_1d(self, lo: float, hi: float) -> np.ndarray:
+    def cells(self, window) -> np.ndarray:
         raise NotImplementedError
-
-    def slice_first(self, value: float) -> "ControlSet":
-        raise NotImplementedError
-
-    def breakpoints_first(self, lo: float, hi: float) -> np.ndarray:
-        return np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -262,11 +242,29 @@ class FullSpace(ControlSet):
 
     dim: int = 1
 
-    def intervals_1d(self, lo, hi):
-        return np.array([[lo, hi]])
+    def cells(self, window):
+        return np.asarray(window, dtype=np.float64).reshape(1, self.dim, 2)
 
-    def slice_first(self, value):
-        return FullSpace(self.dim - 1)
+
+def _box_cells(boxes: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Cells of the union of boxes (k, n, 2) inside window (n, 2).
+
+    The window's first axis is cut at every box edge inside it; a piece
+    holds the boxes that contain its midpoint, whose cells in the remaining
+    axes come from the same sweep. On the last axis the boxes' intervals
+    are clipped and merged.
+    """
+    lo, hi = window[0]
+    if window.shape[0] == 1:
+        return _merge_intervals(boxes[:, 0, :], lo, hi)[:, None, :]
+    edges = boxes[:, 0, :].ravel()
+    edges = np.unique(np.concatenate([[lo, hi], edges[(edges > lo) & (edges < hi)]]))
+    mid = 0.5 * (edges[:-1, None] + edges[1:, None])
+    holds = (boxes[:, 0, 0] <= mid) & (mid <= boxes[:, 0, 1])  # piece by box
+    rests = [_box_cells(boxes[keep, 1:, :], window[1:]) for keep in holds]
+    pieces = np.repeat(np.column_stack([edges[:-1], edges[1:]]), [r.shape[0] for r in rests], axis=0)
+    rest = np.concatenate([np.empty((0, window.shape[0] - 1, 2)), *rests])
+    return np.concatenate([pieces[:, None, :], rest], axis=1)
 
 
 @dataclass(frozen=True)
@@ -285,16 +283,8 @@ class BoxUnion(ControlSet):
         b.setflags(write=False)
         object.__setattr__(self, "boxes", b)
 
-    def intervals_1d(self, lo, hi):
-        return _merge_intervals(_clip_intervals(self.boxes[:, 0, :], lo, hi))
-
-    def slice_first(self, value):
-        keep = (self.boxes[:, 0, 0] <= value) & (value <= self.boxes[:, 0, 1])
-        return BoxUnion(self.dim - 1, self.boxes[keep][:, 1:, :])
-
-    def breakpoints_first(self, lo, hi):
-        edges = self.boxes[:, 0, :].ravel()
-        return edges[(edges > lo) & (edges < hi)]
+    def cells(self, window):
+        return _box_cells(self.boxes, np.asarray(window, dtype=np.float64).reshape(self.dim, 2))
 
 
 def interval_union(intervals) -> BoxUnion:
@@ -331,25 +321,13 @@ class PeriodicPattern(ControlSet):
         k1 = math.ceil((hi - self.offset) / self.period) + 1
         ks = np.arange(k0, k1 + 1, dtype=np.float64)
         starts = self.offset + ks * self.period
-        return _merge_intervals(
-            _clip_intervals(np.column_stack([starts, starts + self.kept * self.period]), lo, hi)
-        )
+        return _merge_intervals(np.column_stack([starts, starts + self.kept * self.period]), lo, hi)
 
-    def intervals_1d(self, lo, hi):
-        return self._axis_intervals(lo, hi)
-
-    def slice_first(self, value):
-        frac = math.fmod(value - self.offset, self.period) / self.period
-        if frac < 0:
-            frac += 1.0
-        if frac < self.kept:
-            return PeriodicPattern(self.dim - 1, self.period, self.kept, self.offset)
-        return BoxUnion(self.dim - 1, np.empty((0, self.dim - 1, 2)))
-
-    def breakpoints_first(self, lo, hi):
-        iv = self._axis_intervals(lo - self.period, hi + self.period)
-        edges = iv.ravel()
-        return edges[(edges > lo) & (edges < hi)]
+    def cells(self, window):
+        window = np.asarray(window, dtype=np.float64).reshape(self.dim, 2)
+        axes = [self._axis_intervals(lo, hi) for lo, hi in window]
+        index = np.meshgrid(*[np.arange(iv.shape[0]) for iv in axes], indexing="ij")
+        return np.stack([iv[i.ravel()] for iv, i in zip(axes, index)], axis=1)
 
 
 _MAX_CELLS = 100_000  # per side; the marching loop is pure Python
@@ -383,16 +361,14 @@ def graded_cells(rho: DensityFn, gamma: float, extent: float) -> BoxUnion:
     return interval_union(kept)
 
 
-def slice_pieces(omega: ControlSet, lo: float, hi: float) -> list:
-    """Pieces (a, b, slice) of [lo, hi] between omega's first-axis breakpoints.
-
-    The slice is taken at each piece's midpoint, and it is the slice at
-    every interior point of the piece.
-    The ends lo and hi are kept exactly.
-    """
-    breaks = np.asarray(omega.breakpoints_first(lo, hi), dtype=np.float64)
-    edges = np.unique(np.concatenate([[lo, hi], breaks]))
-    return [(a, b, omega.slice_first(0.5 * (a + b))) for a, b in zip(edges[:-1], edges[1:])]
+def cell_runs(cells: np.ndarray):
+    """Yield (a, b, rest) per first-axis piece of cells: its bounds and the (j, n - 1, 2) cells over it."""
+    first = cells[:, 0, :]
+    new = np.ones(cells.shape[0], dtype=bool)
+    new[1:] = np.any(first[1:] != first[:-1], axis=1)
+    starts = np.flatnonzero(new).tolist()
+    for i, j in zip(starts, starts[1:] + [cells.shape[0]]):
+        yield first[i, 0], first[i, 1], cells[i:j, 1:]
 
 
 # -- intersection measure ----------------------------------------------------
@@ -406,23 +382,14 @@ def ball_volume(dim: int, radius: float) -> float:
     return _UNIT_BALL_VOLUME[dim] * radius**dim
 
 
-def _rectangles(omega: ControlSet, center, radius: float) -> np.ndarray:
-    """A 2-D set, cut to the square center +- radius.
+def _relative(cells: np.ndarray, center, radius: float) -> np.ndarray:
+    """2-D cells inside the square center +- radius, as rows (x0, x1, y0, y1) relative to the center.
 
-    Returns disjoint rectangles as rows (x0, x1, y0, y1) relative to the
-    center, clipped to [-radius, radius]; the square's own sides land on
-    exactly +-radius.
+    Each bound is clipped to [-radius, radius]; the square's own sides land
+    on exactly +-radius.
     """
-    cx, cy = float(center[0]), float(center[1])
-    rows = [
-        (a, b, y0, y1)
-        for a, b, sub in slice_pieces(omega, cx - radius, cx + radius)
-        for y0, y1 in sub.intervals_1d(cy - radius, cy + radius)
-    ]
-    if not rows:
-        return np.empty((0, 4))
-    rect = np.array(rows, dtype=np.float64)
-    c = np.array([cx, cx, cy, cy])
+    rect = cells.reshape(-1, 4)
+    c = np.repeat(np.asarray(center, dtype=np.float64), 2)
     rel = np.clip(rect - c, -radius, radius)
     rel[rect <= c - radius] = -radius
     rel[rect >= c + radius] = radius
@@ -501,24 +468,23 @@ def _panel_halving(f, t0: float, t1: float, atol: float):
     return prev, False
 
 
-def _rim_panels(omega: ControlSet, c: np.ndarray, radius: float) -> list:
+def _rim_panels(cells: np.ndarray, c: np.ndarray, radius: float) -> list:
     """Panels (theta0, theta1, f) of the first-axis integral under x = c0 + r sin(theta).
 
-    f(theta) is the exact 2-D slice measure times the jacobian r cos(theta).
-    The panels split at the set's breakpoints and where f stops being
-    analytic: where the slice disk touches an edge line or a corner.
+    cells are a 3-D set's cells in the cube c +- radius. f(theta) is the
+    exact 2-D measure of the cells over one first-axis piece times the
+    jacobian r cos(theta). The panels split at the pieces' ends and where f
+    stops being analytic: where the slice disk touches an edge line or a
+    corner.
     """
     c0 = float(c[0])
-    rest = c[1:]
 
     def theta(x):
         return float(np.arcsin(np.clip((x - c0) / radius, -1.0, 1.0)))
 
     panels = []
-    for a, b, sub in slice_pieces(omega, c0 - radius, c0 + radius):
-        rects = _rectangles(sub, rest, radius)
-        if rects.shape[0] == 0:
-            continue
+    for a, b, rest in cell_runs(cells):
+        rects = _relative(rest, c[1:], radius)
         d = _kink_radii(rects, radius)
         half = np.arctan2(_rim(radius, d), d)
         ta, tb = theta(a), theta(b)
@@ -551,18 +517,19 @@ def intersection_measure(omega: ControlSet, center, radius: float, rel_tol: floa
     c = np.atleast_1d(np.asarray(center, dtype=np.float64))
     if c.size != omega.dim:
         raise ValueError(f"center has {c.size} coordinates, set has dim {omega.dim}")
+    window = np.column_stack([c - radius, c + radius])
     if omega.dim == 1:
-        iv = omega.intervals_1d(c[0] - radius, c[0] + radius)
+        iv = omega.cells(window)[:, 0]
         return float(np.sum(iv[:, 1] - iv[:, 0]))
     if omega.dim not in (2, 3):
         raise ValueError(f"dimension {omega.dim} unsupported (1, 2, or 3)")
 
     scale = ball_volume(omega.dim, radius)
     if omega.dim == 2:
-        total = float(_disk_rect_area(_rectangles(omega, c, radius), radius))
+        total = float(_disk_rect_area(_relative(omega.cells(window), c, radius), radius))
     else:
         total = 0.0
-        for t0, t1, f in _rim_panels(omega, c, radius):
+        for t0, t1, f in _rim_panels(omega.cells(window), c, radius):
             if t1 - t0 <= 1e-14:
                 continue
             atol = rel_tol * scale * max((t1 - t0) / math.pi, 1e-3)

@@ -70,7 +70,6 @@ class DissipationReport:
     """
 
     k: int
-    t: float
     tail_norm: float
     bound: float
     weak_bound: float
@@ -85,4 +84,4 @@ def dissipation_tail(f: HermiteExpansion, k: int, t: float, spec: EvolutionSpec)
     fnorm = f.norm()
     sharp = math.exp(-t * (2.0 * (k + 1) + spec.dim) ** spec.s) * fnorm
     weak = math.exp(-t * float(k) ** spec.s) * fnorm
-    return DissipationReport(k=k, t=float(t), tail_norm=tail, bound=sharp, weak_bound=weak)
+    return DissipationReport(k=k, tail_norm=tail, bound=sharp, weak_bound=weak)

@@ -24,16 +24,17 @@ from the singular values of R alone, taken block by block when R splits
 by parity, which stays accurate far below the eps*||G|| floor of a direct
 eigensolve; the bottom vector comes from inverse iteration on R, two
 triangular solves per step. A 2-D set (the full plane, boxes, periodic
-patterns) is sliced once per piece between first-axis breakpoints, the
-pieces that share one slice are pooled, and each distinct slice adds one
-separable block Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each
-rule. All slices' x-pieces and y-intervals take one panel_nodes call per
-rule, and one Hermite table serves both axes' and both rules' nodes. Each
-block is the Hadamard product of two PSD matrices, so the 2-D Gram is PSD
-to rounding (Schur product theorem). Its lambda_min is the bottom
-eigenvalue of the tridiagonal matrix left by one Householder reduction,
-found by bisection (LAPACK dstebz) with the top one, and the bottom vector
-comes from inverse iteration (dstein) mapped back through the reflectors.
+patterns) is cut to the truncation square as cells, rectangles swept along
+the first axis; the first-axis pieces whose cells have the same y-intervals
+are pooled, and each distinct set of y-intervals adds one separable block
+Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each rule. All x-pieces
+and y-intervals take one panel_nodes call per rule, and one Hermite table
+serves both axes' and both rules' nodes. Each block is the Hadamard product
+of two PSD matrices, so the 2-D Gram is PSD to rounding (Schur product
+theorem). Its lambda_min is the bottom eigenvalue of the tridiagonal
+matrix left by one Householder reduction, found by bisection (LAPACK
+dstebz) with the top one, and the bottom vector comes from inverse
+iteration (dstein) mapped back through the reflectors.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import indexing
-from .geometry import ControlSet, QuadratureError, slice_pieces
+from .geometry import ControlSet, QuadratureError, cell_runs
 from .hermite import DEGREE_CAP
 from .kernels import hermite_function_table
 from .quadrature import panel_nodes
@@ -124,7 +125,7 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     Both rules' nodes go through one Hermite table.
     """
     R = truncation_radius(degree)
-    iv = omega.intervals_1d(-R, R)
+    iv = omega.cells([[-R, R]])[:, 0]
     if np.array_equal(iv, -iv[::-1, ::-1]):
         iv = np.clip(iv, 0.0, None)
         iv = iv[iv[:, 1] > iv[:, 0]]
@@ -172,24 +173,25 @@ def _triangle(B: np.ndarray) -> np.ndarray:
 def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
     """(G, G_check, node count): one separable block per distinct slice and rule.
 
-    The x-pieces between omega's first-axis breakpoints, on which omega has
-    piecewise slices, are pooled by their slice intervals. Each distinct
-    non-empty slice adds Px[a1, a1] * My[a2, a2] of its x- and y-pairings to
-    G, on panels of panel_len, and to G_check, on panels of 2 * panel_len.
-    The slices' x-pieces and y-intervals go through one panel_nodes call per
-    rule and one Hermite table over both axes' and both rules' nodes; each
-    pairing is B B^T of its part's columns of the weighted table.
+    omega's cells in the truncation square come in runs over first-axis
+    pieces (see cell_runs); the pieces are pooled by the y-intervals of
+    their cells, their slice. Each distinct slice adds Px[a1, a1] *
+    My[a2, a2] of its x- and y-pairings to G, on panels of panel_len, and
+    to G_check, on panels of 2 * panel_len. The x-pieces and y-intervals go
+    through one panel_nodes call per rule and one Hermite table over both
+    axes' and both rules' nodes; each pairing is B B^T of its part's columns
+    of the weighted table.
     """
     R = truncation_radius(degree)
     a1, a2 = indexing.multi_indices(2, degree).T
-    # the slice of a piece holds at every one of its nodes
+    # the y-intervals of a piece hold at every one of its nodes
     spans = {}
-    for a, b, sub in slice_pieces(omega, -R, R):
+    for a, b, rest in cell_runs(omega.cells([[-R, R], [-R, R]])):
         if b - a > 1e-14:
-            iv = sub.intervals_1d(-R, R)
+            iv = rest[:, 0]
             spans.setdefault(iv.tobytes(), (iv, []))[1].append((a, b))
-    # parts alternate each distinct non-empty slice's x-pieces and y-intervals
-    parts = [p for iv, ab in spans.values() if iv.shape[0] for p in (np.array(ab), iv)]
+    # parts alternate each distinct slice's x-pieces and y-intervals
+    parts = [p for iv, ab in spans.values() for p in (np.array(ab), iv)]
     intervals = np.concatenate(parts) if parts else np.empty((0, 2))
     last = np.cumsum([p.shape[0] for p in parts], dtype=np.int64) - 1  # each part's last interval
     rules = [panel_nodes(intervals, L, _ORDER) for L in (panel_len, 2.0 * panel_len)]
@@ -233,7 +235,9 @@ def gram_matrix(
     In 1-D the returned entries are R^T R for the QR triangle R of the
     weighted evaluation factor, and R is kept as the factor; on a set that
     is its own mirror image R splits by parity (see _gram_1d) and nodes
-    counts each half-line node twice.
+    counts each half-line node twice. In 2-D the entries sum one separable
+    block per distinct slice of omega's cells in the truncation square (see
+    _gram_2d).
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")

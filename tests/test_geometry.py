@@ -139,6 +139,98 @@ def test_covering_step_rule_sees_a_dip_between_samples():
     assert cov.grid_step == 0.01 / 6.0
 
 
+# -- cells ------------------------------------------------------------------------
+
+# box sides: small integers give shared and touching edges, and some sides are infinite
+_SIDE = st.one_of(
+    st.integers(-5, 5).map(float),
+    st.floats(-6.0, 6.0),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(_SIDE, _SIDE).map(sorted), max_size=8), st.floats(-6.0, 0.0), st.floats(0.0, 6.0))
+def test_merge_intervals_matches_a_merge_loop(pairs, lo, hi):
+    out = []
+    for a, b in sorted((max(a, lo), min(b, hi)) for a, b in pairs):
+        if b <= a:
+            continue
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    merged = geometry._merge_intervals(np.array(pairs, dtype=np.float64).reshape(-1, 2), lo, hi)
+    assert np.array_equal(merged, np.array(out, dtype=np.float64).reshape(-1, 2))
+
+
+@st.composite
+def _sets_in_windows(draw):
+    """A 1-, 2- or 3-D box union, offset periodic pattern or full space, and a window."""
+    dim = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
+    width = draw(st.lists(st.floats(0.1, 6.0), min_size=dim, max_size=dim))
+    window = np.column_stack([lo, np.add(lo, width)])
+    kind = draw(st.sampled_from(["boxes", "periodic", "full"]))
+    if kind == "boxes":
+        sides = st.lists(st.tuples(_SIDE, _SIDE).map(sorted), min_size=dim, max_size=dim)
+        return BoxUnion(dim, np.array(draw(st.lists(sides, max_size=5)), dtype=np.float64)), window
+    if kind == "periodic":
+        period = draw(st.floats(1.0, 4.0))
+        return PeriodicPattern(dim, period, draw(st.floats(0.1, 1.0)), draw(st.floats(-3.0, 3.0))), window
+    return FullSpace(dim), window
+
+
+def _reference_volume(omega, window):
+    """Volume of omega in the window, from the grid of midpoints between each axis's distinct edges."""
+    axes = []
+    for j, (lo, hi) in enumerate(window):
+        if isinstance(omega, BoxUnion):
+            edges = omega.boxes[:, j, :].ravel()
+        elif isinstance(omega, PeriodicPattern):
+            k0, k1 = math.floor((lo - omega.offset) / omega.period), math.ceil((hi - omega.offset) / omega.period)
+            starts = omega.offset + np.arange(k0 - 1, k1 + 2) * omega.period
+            edges = np.concatenate([starts, starts + omega.kept * omega.period])
+        else:
+            edges = np.empty(0)
+        axes.append(np.unique(np.concatenate([[lo, hi], edges[(edges > lo) & (edges < hi)]])))
+    mids = np.meshgrid(*[(e[:-1] + e[1:]) / 2.0 for e in axes], indexing="ij")
+    vols = np.meshgrid(*[np.diff(e) for e in axes], indexing="ij")
+    pts = np.stack([m.ravel() for m in mids], axis=1)
+    if isinstance(omega, BoxUnion):
+        inside = np.any(
+            np.all((omega.boxes[:, :, 0] <= pts[:, None, :]) & (pts[:, None, :] <= omega.boxes[:, :, 1]), axis=2),
+            axis=1,
+        )
+    elif isinstance(omega, PeriodicPattern):
+        inside = np.all(((pts - omega.offset) / omega.period) % 1.0 < omega.kept, axis=1)
+    else:
+        inside = np.ones(pts.shape[0], dtype=bool)
+    return float(np.sum(np.prod([v.ravel() for v in vols], axis=0)[inside]))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_sets_in_windows())
+def test_cells_are_disjoint_boxes_swept_along_the_first_axis(case):
+    omega, window = case
+    cells = omega.cells(window)
+    assert cells.shape[1:] == (omega.dim, 2)
+    lo, hi = cells[:, :, 0], cells[:, :, 1]
+    assert np.all((window[:, 0] <= lo) & (lo < hi) & (hi <= window[:, 1]))
+    # two cells are disjoint when on some axis one ends where or before the other starts
+    apart = (hi[:, None, :] <= lo[None, :, :]) | (hi[None, :, :] <= lo[:, None, :])
+    assert np.all(np.any(apart, axis=2) | np.eye(cells.shape[0], dtype=bool))
+    runs = list(geometry.cell_runs(cells))
+    for (_, b, _), (a, _, _) in zip(runs, runs[1:]):
+        assert b <= a
+    assert all(a < b for a, b, _ in runs)
+    # every row is in one run, under that run's first-axis bounds
+    regrouped = [np.concatenate([np.broadcast_to([[[a, b]]], (len(rest), 1, 2)), rest], axis=1) for a, b, rest in runs]
+    assert np.array_equal(np.concatenate(regrouped) if runs else cells, cells)
+    volume = float(np.sum(np.prod(hi - lo, axis=1)))
+    assert volume == pytest.approx(_reference_volume(omega, window), rel=1e-12, abs=1e-12)
+
+
 # -- exact 1-D measures ---------------------------------------------------------
 
 

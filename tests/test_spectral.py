@@ -102,7 +102,7 @@ def _tall_factor(omega, N, panel_len=None, order=16):
     R = truncation_radius(N)
     if panel_len is None:
         panel_len = _panel_length(N)
-    x, w, _ = panel_nodes(omega.intervals_1d(-R, R), panel_len, order)
+    x, w, _ = panel_nodes(omega.cells([[-R, R]])[:, 0], panel_len, order)
     return (hermite_function_table(N, x) * np.sqrt(w)).T
 
 
@@ -144,7 +144,8 @@ def test_entries_match_finer_independent_rule(omega, N):
     assert G.quad_tol <= 1e-12
     if omega is GRADED_1D:
         # the mirror-symmetric set is integrated on x >= 0, each node counted twice
-        half = _half_line(omega.intervals_1d(-truncation_radius(N), truncation_radius(N)))
+        R = truncation_radius(N)
+        half = _half_line(omega.cells([[-R, R]])[:, 0])
         assert G.nodes == 2 * panel_nodes(half, _panel_length(N), 16)[0].size
     else:
         assert G.nodes == _tall_factor(omega, N).shape[0]
@@ -383,28 +384,31 @@ def test_periodic_2d_lambda_min_is_bottom_and_constant_rises():
 
 
 def _per_run_gram_2d(omega, degree, panel_len, order):
-    """Reference 2-D assembly: one block per run of consecutive x-nodes sharing a slice."""
+    """Reference 2-D assembly: one block per run of adjacent x-pieces sharing their y-intervals."""
     R = truncation_radius(degree)
     alphas = indexing.multi_indices(2, degree)
     a1 = alphas[:, 0]
     a2 = alphas[:, 1]
-    pieces = [(a, b, sub) for a, b, sub in geometry.slice_pieces(omega, -R, R) if b - a > 1e-14]
+    pieces = [
+        (a, b, rest[:, 0])
+        for a, b, rest in geometry.cell_runs(omega.cells([[-R, R], [-R, R]]))
+        if b - a > 1e-14
+    ]
     parts = [panel_nodes(np.array([[a, b]]), panel_len, order) for a, b, _ in pieces]
     x = np.concatenate([p[0] for p in parts])
     wx = np.concatenate([p[1] for p in parts])
     runs = []
     start = 0
-    for size, sub in zip([p[0].size for p in parts], [sub for _, _, sub in pieces]):
-        iv = sub.intervals_1d(-R, R)
-        if runs and np.array_equal(iv, runs[-1][2]):
-            runs[-1][1] = start + size
+    for size, (a, b, iv) in zip([p[0].size for p in parts], pieces):
+        if runs and runs[-1][3] == a and np.array_equal(iv, runs[-1][2]):
+            runs[-1][1], runs[-1][3] = start + size, b
         else:
-            runs.append([start, start + size, iv])
+            runs.append([start, start + size, iv, b])
         start += size
     Bx = hermite_function_table(degree, x) * np.sqrt(wx)
     G = np.zeros((alphas.shape[0],) * 2)
     nodes = 0
-    for start, stop, iv in runs:
+    for start, stop, iv, _ in runs:
         y, wy, _ = panel_nodes(iv, panel_len, order)
         if y.size == 0:
             continue
@@ -454,8 +458,8 @@ def test_grouped_2d_assembly_matches_per_run_reference(omega, N):
     assert np.max(np.abs(G_check - ref_check)) <= 1e-15
     assert abs(np.max(np.abs(G - G_check)) - np.max(np.abs(ref - ref_check))) <= 1e-15
     R = truncation_radius(N)
-    slices = [sub.intervals_1d(-R, R) for a, b, sub in geometry.slice_pieces(omega, -R, R) if b - a > 1e-14]
-    kept = [iv.tobytes() for iv in slices if iv.size]
+    runs = geometry.cell_runs(omega.cells([[-R, R], [-R, R]]))
+    kept = [rest[:, 0].tobytes() for a, b, rest in runs if b - a > 1e-14]
     if isinstance(omega, geometry.BoxUnion) and len(set(kept)) == len(kept):
         # every non-empty slice is one run, so both sums run in the same order
         assert np.array_equal(G, ref) and np.array_equal(G_check, ref_check)
