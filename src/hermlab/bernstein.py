@@ -39,9 +39,8 @@ _MAX_POWER = 12
 
 @dataclass(frozen=True)
 class BernsteinCheck:
-    """One instance of the factorial bound; ratio <= 1 up to 1e-10 slack."""
+    """The factorial bound at the caller's degree and orders; ratio = lhs / rhs <= 1 up to 1e-10 slack."""
 
-    N: int
     lhs: float
     rhs: float
     ratio: float
@@ -75,7 +74,7 @@ def crude_bernstein_check(dim: int, N: int, alpha, beta) -> BernsteinCheck:
     order = sum(alpha) + sum(beta)
     lhs = float(np.linalg.norm(_operator_matrix(dim, N, alpha, beta), 2))
     rhs = math.exp(0.5 * order * math.log(2.0) + 0.5 * (math.lgamma(N + order + 1) - math.lgamma(N + 1)))
-    return BernsteinCheck(N, lhs, rhs, lhs / rhs)
+    return BernsteinCheck(lhs, rhs, lhs / rhs)
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,6 @@ explicit inverse.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -174,7 +173,9 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
     dissipation crushes what remains. A stage whose Gramian is singular or
     over CONDITION_CAP retries at half the level. Once k_j reaches N the
     state in the span is exactly controlled and the leftover time evolves
-    freely. Window lengths are exact dyadic fractions of T, so they sum to T.
+    freely. The window fractions 2^-(j+1) are at most 12 powers of two (N <=
+    DEGREE_CAP = 2^11), so their float sums are exact: the windows and the
+    leftover time add up to T.
     One Gram assembly serves every stage and the replay.
 
     Returns (ControlSignal, trace); the trace dict carries per-stage
@@ -193,11 +194,11 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
     stage_data = []
     total_cost = 0.0
     worst_condition = 1.0
-    elapsed = Fraction(0)
+    elapsed = 0.0
     for j, level in _stage_levels(N):
-        window = Fraction(1, 2 ** (j + 1))
-        tau = problem.T * float(window) / 2.0
-        t0 = float(elapsed) * problem.T
+        window = 0.5 ** (j + 1)
+        tau = problem.T * window / 2.0
+        t0 = elapsed * problem.T
 
         new_state = np.exp(-tau * lam) * state
         eff_level = level
@@ -227,9 +228,8 @@ def lebeau_robbiano_synthesize(problem: ControlProblem, tol: float = 1e-6):
         )
         elapsed += window
 
-    remainder = Fraction(1) - elapsed
-    if remainder > 0:
-        state = np.exp(-float(remainder) * problem.T * lam) * state
+    remainder = 1.0 - elapsed
+    state = np.exp(-remainder * problem.T * lam) * state
     terminal_residual = float(np.linalg.norm(state))
 
     if f0_norm > 0 and terminal_residual > tol * f0_norm:
@@ -261,13 +261,11 @@ def reference_blowup_exponent(s: float, delta: float) -> float:
 class ObservabilityReport:
     """Best observability constants over a horizon grid, with a blow-up fit.
 
-    C_T_lower[i] is the sharpest constant on the span at horizon T[i];
-    fit_kappa fits log C_T ~ c / T^fit_kappa over the grid points with
-    C_T > 1, and reference_exponent is the predicted kappa.
+    C_T_lower[i] is the sharpest constant on the span at the caller's i-th
+    horizon; fit_kappa fits log C_T ~ c / T^fit_kappa over the horizons
+    with C_T > 1, and reference_exponent is the predicted kappa.
     """
 
-    T: tuple
-    N: int
     C_T_lower: tuple
     fit_kappa: float | None
     reference_exponent: float
@@ -311,8 +309,6 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
         ly = np.log(np.log(np.array(values)[mask]))
         fit_kappa = float(-np.polyfit(lx, ly, 1)[0])
     return ObservabilityReport(
-        T=tuple(float(t) for t in Ts),
-        N=N,
         C_T_lower=tuple(values),
         fit_kappa=fit_kappa,
         reference_exponent=reference_blowup_exponent(spec.s, 0.0),

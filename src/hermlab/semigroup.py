@@ -62,14 +62,13 @@ def evolve(f: HermiteExpansion, t: float, spec: EvolutionSpec) -> HermiteExpansi
 
 @dataclass(frozen=True)
 class DissipationReport:
-    """Exact tail of the evolved state above a level, with its two rates.
+    """Exact tail above the caller's level k of the state evolved to time t, with its two rates.
 
     bound uses the first excluded eigenvalue, exp(-t (2(k+1)+n)^s) ||f||,
     and is attained with equality by a pure level-(k+1) mode; weak_bound is
     the cruder exp(-t k^s) ||f|| rate, implied by the sharp one.
     """
 
-    k: int
     tail_norm: float
     bound: float
     weak_bound: float
@@ -84,4 +83,4 @@ def dissipation_tail(f: HermiteExpansion, k: int, t: float, spec: EvolutionSpec)
     fnorm = f.norm()
     sharp = math.exp(-t * (2.0 * (k + 1) + spec.dim) ** spec.s) * fnorm
     weak = math.exp(-t * float(k) ** spec.s) * fnorm
-    return DissipationReport(k=k, tail_norm=tail, bound=sharp, weak_bound=weak)
+    return DissipationReport(tail_norm=tail, bound=sharp, weak_bound=weak)

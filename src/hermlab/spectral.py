@@ -8,33 +8,32 @@ bottom eigenvector is the extremal expansion.
 
 Assembly evaluates the basis on composite 16-node Gauss-Legendre panels
 restricted to omega, of length L = min(0.5, 6 / sqrt(2N + 1)); a check rule
-on panels of 2L bounds the quadrature error as quad_tol. Against an order-20
-rule on panels of L/4 the returned entries are off by at most 4e-15 on the
-graded, periodic and control sets at N <= 400. In 1-D the panels cover the
-exact interval decomposition; one recursive-panel QR of the weighted
+on panels of 2L bounds the quadrature error as quad_tol, the largest change
+of an entry between the rules. Against an order-20 rule on panels of L/4
+the returned entries are off by at most 4e-15 on the graded, periodic and
+control sets at N <= 400. In both dimensions the intervals take one
+panel_nodes call per rule and both rules' nodes one weighted Hermite table,
+and no check Gram is kept. In 1-D one recursive-panel QR of the weighted
 evaluation factor B leaves the m x m triangle R, G = R^T R, and only R is
 kept. A set equal to its mirror image (graded cells, their complement, the
 whole line) splits by parity, since h_k(-x) = (-1)^k h_k(x): the entries
 pairing even with odd degrees are exactly zero, the even and the odd
 columns are integrated on x >= 0 with doubled weights and factored apart,
-and each half-size triangle sits on its own rows and columns of R. The
-nodes of both rules of a 1-D Gram go through one Hermite table. lambda_min
-is the square of the smallest singular value of R (equal to that of B),
-from the singular values of R alone, taken block by block when R splits
-by parity, which stays accurate far below the eps*||G|| floor of a direct
-eigensolve; the bottom vector comes from inverse iteration on R, two
-triangular solves per step. A 2-D set (the full plane, boxes, periodic
+and each half-size triangle sits on its own rows and columns of R.
+lambda_min is the square of the smallest singular value of R (equal to
+that of B), from the singular values of R alone, taken block by block when
+R splits by parity, which stays accurate far below the eps*||G|| floor of
+a direct eigensolve; the bottom vector comes from inverse iteration on R,
+two triangular solves per step. A 2-D set (the full plane, boxes, periodic
 patterns) is cut to the truncation square as cells, rectangles swept along
 the first axis; the first-axis pieces whose cells have the same y-intervals
 are pooled, and each distinct set of y-intervals adds one separable block
-Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each rule. All x-pieces
-and y-intervals take one panel_nodes call per rule, and one Hermite table
-serves both axes' and both rules' nodes. Each block is the Hadamard product
-of two PSD matrices, so the 2-D Gram is PSD to rounding (Schur product
-theorem). Its lambda_min is the bottom eigenvalue of the tridiagonal
-matrix left by one Householder reduction, found by bisection (LAPACK
-dstebz) with the top one, and the bottom vector comes from inverse
-iteration (dstein) mapped back through the reflectors.
+Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each rule. Each block
+is the Hadamard product of two PSD matrices, so the 2-D Gram is PSD to
+rounding (Schur product theorem). Its lambda_min is the bottom eigenvalue
+of the tridiagonal matrix left by one Householder reduction, found by
+bisection (LAPACK dstebz) with the top one, and the bottom vector comes
+from inverse iteration (dstein) mapped back through the reflectors.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -88,13 +87,12 @@ class GramMatrix:
     factor holds, when the assembly is one-dimensional, the m x m upper
     triangle R with R^T R = entries: the QR triangle of the weighted
     evaluation matrix, zero below its rank when the set has fewer nodes than
-    basis functions. quad_tol is the observed change under halving the
-    quadrature panels. nodes counts the quadrature points of the returned
-    rule: in 2-D the sum over distinct slices of x-nodes times y-nodes.
+    basis functions. quad_tol is the largest entrywise change under doubling
+    the quadrature panels. nodes counts the quadrature points of the
+    returned rule: in 2-D the sum over distinct slices of x-nodes times
+    y-nodes.
     """
 
-    degree: int
-    dim: int
     entries: np.ndarray = field(repr=False)
     factor: np.ndarray | None = field(repr=False)
     quad_tol: float
@@ -113,8 +111,27 @@ def _panel_length(degree: int) -> float:
     return min(1.0, 12.0 / math.sqrt(2.0 * degree + 1.0)) / 2.0
 
 
+def _weighted_tables(parts, degree: int, panel_len: float, weight: float = 1.0):
+    """Per rule, each part's (degree + 1) x nodes columns of sqrt(weight * w) h_k(x).
+
+    parts are arrays of intervals, all integrated by one panel_nodes call per
+    rule, the returned one on panels of panel_len and the check rule on
+    2 * panel_len; both rules' nodes go through one Hermite table.
+    """
+    intervals = np.concatenate(parts) if parts else np.empty((0, 2))
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])  # each part's first interval, then the end
+    rules = [panel_nodes(intervals, L, _ORDER) for L in (panel_len, 2.0 * panel_len)]
+    table = hermite_function_table(degree, np.concatenate([x for x, _, _ in rules]))
+    table *= np.sqrt(weight * np.concatenate([w for _, w, _ in rules]))
+    # each rule's node count per part, then every part's columns in table order
+    sizes = [np.diff(np.concatenate([[0], np.cumsum(counts)])[bounds]) for _, _, counts in rules]
+    cuts = np.cumsum(np.concatenate([[0], *sizes]))
+    columns = [table[:, i:j] for i, j in zip(cuts[:-1], cuts[1:])]
+    return columns[: len(parts)], columns[len(parts) :]
+
+
 def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
-    """(G, G_check, R, node count) of a 1-D set on panels of panel_len and 2 * panel_len.
+    """(G, R, quad_tol, node count) of a 1-D set on panels of panel_len, checked on 2 * panel_len.
 
     h_k(-x) = (-1)^k h_k(x), so on a set equal to its mirror image every
     entry pairing an even with an odd degree vanishes and the rest are twice
@@ -122,7 +139,8 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     intervals with doubled weights, one parity class of columns at a time,
     and each class's triangle sits on its own rows and columns of R, which
     keeps R upper triangular. Any other set is one class on the whole line.
-    Both rules' nodes go through one Hermite table.
+    quad_tol compares each class's check pairing B_c B_c^T with its block
+    of G, the only entries the check rule does not leave zero.
     """
     R = truncation_radius(degree)
     iv = omega.cells([[-R, R]])[:, 0]
@@ -132,29 +150,22 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
         classes, weight = (slice(0, None, 2), slice(1, None, 2)), 2.0
     else:
         classes, weight = (slice(None),), 1.0
-    x_check, w_check, _ = panel_nodes(iv, 2.0 * panel_len, _ORDER)
-    x, w, _ = panel_nodes(iv, panel_len, _ORDER)
-    table = hermite_function_table(degree, np.concatenate([x_check, x]))
-    n = x_check.size
-    check = table[:, :n]
-    check *= np.sqrt(weight * w_check)
-    sqrt_w = np.sqrt(weight * w)
+    (B,), (B_check,) = _weighted_tables([iv], degree, panel_len, weight)
     m = degree + 1
-    G_check = np.zeros((m, m))
     F = np.zeros((m, m))
     for p in classes:
-        B = check[p]
-        G_check[p, p] = B @ B.T
-        # the weighted product is the one contiguous block dgeqrt overwrites
-        F[p, p] = _triangle((table[p, n:] * sqrt_w).T)
-    return F.T @ F, G_check, F, int(weight) * x.size
+        F[p, p] = _triangle(B[p].T)
+    G = F.T @ F
+    # initial=0.0: a degree-0 symmetric set leaves the odd class empty
+    quad_tol = np.max([np.max(np.abs(B_check[p] @ B_check[p].T - G[p, p]), initial=0.0) for p in classes])
+    return G, F, float(quad_tol), int(weight) * B.shape[1]
 
 
 def _triangle(B: np.ndarray) -> np.ndarray:
     """The m x m upper triangle R of a QR of B (nodes x m), so R^T R = B^T B.
 
-    One recursive-panel Householder QR (LAPACK dgeqrt) overwrites B. When B
-    has k < m rows, R keeps zero rows below its first k, so the missing
+    One recursive-panel Householder QR (LAPACK dgeqrt) of a copy of B. When
+    B has k < m rows, R keeps zero rows below its first k, so the missing
     singular values stay zero.
     """
     from scipy.linalg.lapack import dgeqrt
@@ -163,7 +174,7 @@ def _triangle(B: np.ndarray) -> np.ndarray:
     k = min(B.shape)
     R = np.zeros((m, m))
     if k:
-        qr, _, info = dgeqrt(min(64, k), B, overwrite_a=1)
+        qr, _, info = dgeqrt(min(64, k), B)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
         R[:k] = np.triu(qr[:k])
@@ -171,16 +182,15 @@ def _triangle(B: np.ndarray) -> np.ndarray:
 
 
 def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
-    """(G, G_check, node count): one separable block per distinct slice and rule.
+    """(G, None, quad_tol, node count): one separable block per distinct slice and rule.
 
     omega's cells in the truncation square come in runs over first-axis
     pieces (see cell_runs); the pieces are pooled by the y-intervals of
     their cells, their slice. Each distinct slice adds Px[a1, a1] *
-    My[a2, a2] of its x- and y-pairings to G, on panels of panel_len, and
-    to G_check, on panels of 2 * panel_len. The x-pieces and y-intervals go
-    through one panel_nodes call per rule and one Hermite table over both
-    axes' and both rules' nodes; each pairing is B B^T of its part's columns
-    of the weighted table.
+    My[a2, a2] of its x- and y-pairings to G, on panels of panel_len; each
+    pairing is B B^T of its part's columns (see _weighted_tables). G and the
+    check rule's sum, on panels of 2 * panel_len, are built 64 rows at a
+    time, and quad_tol is their largest difference over every row.
     """
     R = truncation_radius(degree)
     a1, a2 = indexing.multi_indices(2, degree).T
@@ -192,29 +202,27 @@ def _gram_2d(omega: ControlSet, degree: int, panel_len: float):
             spans.setdefault(iv.tobytes(), (iv, []))[1].append((a, b))
     # parts alternate each distinct slice's x-pieces and y-intervals
     parts = [p for iv, ab in spans.values() for p in (np.array(ab), iv)]
-    intervals = np.concatenate(parts) if parts else np.empty((0, 2))
-    last = np.cumsum([p.shape[0] for p in parts], dtype=np.int64) - 1  # each part's last interval
-    rules = [panel_nodes(intervals, L, _ORDER) for L in (panel_len, 2.0 * panel_len)]
-    B = hermite_function_table(degree, np.concatenate([x for x, _, _ in rules]))
-    B *= np.sqrt(np.concatenate([w for _, w, _ in rules]))
-    # nodes per part in each rule, and every part's columns of B in table order
-    sizes = [np.diff(np.cumsum(counts)[last], prepend=0) for _, _, counts in rules]
-    cuts = np.cumsum(np.concatenate([[0], *sizes]))
-    pairings = [B[:, i:j] @ B[:, i:j].T for i, j in zip(cuts[:-1], cuts[1:])]
+    columns = _weighted_tables(parts, degree, panel_len)
+    pairings = [[b @ b.T for b in rule] for rule in columns]
     m = a1.size
-    G = (np.zeros((m, m)), np.zeros((m, m)))
-    by_rule = (pairings[: len(parts)], pairings[len(parts) :])
+    G = np.zeros((m, m))
+    check = np.empty((min(m, _BLOCK_ROWS), m))  # the check rule's rows, one block at a time
+    gaps = []
     # blocks of rows keep each product's temporaries small; every entry still
     # adds its slices' products in slice order
     for lo in range(0, m, _BLOCK_ROWS):
         r = slice(lo, lo + _BLOCK_ROWS)
-        for g, rule in zip(G, by_rule):
+        rows, rows_check = G[r], check[: a1[r].size]
+        rows_check.fill(0.0)
+        for g, rule in zip((rows, rows_check), pairings):
             for px, my in zip(rule[0::2], rule[1::2]):
                 block = px.take(a1[r], axis=0).take(a1, axis=1)
                 block *= my.take(a2[r], axis=0).take(a2, axis=1)
-                g[r] += block
-    nodes = int(sizes[0][0::2] @ sizes[0][1::2])
-    return G[0], G[1], nodes
+                g += block
+        rows_check -= rows
+        gaps.append(np.max(np.abs(rows_check, out=rows_check)))
+    nodes = sum(bx.shape[1] * by.shape[1] for bx, by in zip(columns[0][0::2], columns[0][1::2]))
+    return G, None, float(np.max(gaps)), nodes
 
 
 def gram_matrix(
@@ -226,9 +234,10 @@ def gram_matrix(
 
     The quadrature domain is truncated at truncation_radius(N), outside
     which each basis function keeps at most 3.1e-17 of its squared mass,
-    so the full-space Gram is the identity to rounding. Two rules of 16-node Gauss panels are assembled:
-    the returned one, with panels of length L = min(0.5, 6 / sqrt(2N + 1)),
-    and a check rule with panels of 2L. Their entrywise difference is
+    so the full-space Gram is the identity to rounding. Two rules of 16-node
+    Gauss panels share one Hermite table (see _weighted_tables): the
+    returned one, with panels of length L = min(0.5, 6 / sqrt(2N + 1)), and
+    a check rule with panels of 2L. Their largest entrywise difference is
     reported as quad_tol; it reads at most 1.1e-13 on the benchmark sets,
     while the returned entries are within 4e-15 of an order-20 rule on
     panels of L/4. Raises QuadratureError when quad_tol exceeds fail_tol.
@@ -247,29 +256,15 @@ def gram_matrix(
         raise ValueError(f"dimension {omega.dim} unsupported for Gram assembly")
     if omega.dim == 2 and degree > _MAX_DEGREE_2D:
         raise ValueError(f"2-D Gram assembly capped at degree {_MAX_DEGREE_2D}")
-    panel_len = _panel_length(degree)
-
-    if omega.dim == 1:
-        G, G_check, R, nodes = _gram_1d(omega, degree, panel_len)
-    else:
-        G, G_check, nodes = _gram_2d(omega, degree, panel_len)
-        R = None
-    G_check -= G  # |G_check - G| is |G - G_check| exactly
-    quad_tol = float(np.max(np.abs(G_check, out=G_check)))
+    assemble = _gram_1d if omega.dim == 1 else _gram_2d
+    G, R, quad_tol, nodes = assemble(omega, degree, _panel_length(degree))
     if quad_tol > fail_tol:
         raise QuadratureError(f"Gram quadrature unstable: refinement moved entries by {quad_tol:.3e}")
 
     if R is not None:
         R.setflags(write=False)
     G.setflags(write=False)
-    return GramMatrix(
-        degree=degree,
-        dim=omega.dim,
-        entries=G,
-        factor=R,
-        quad_tol=quad_tol,
-        nodes=nodes,
-    )
+    return GramMatrix(entries=G, factor=R, quad_tol=quad_tol, nodes=nodes)
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,14 @@ def hamilton_map(q: QuadraticForm) -> np.ndarray:
 class SingularSpaceResult:
     """Singular space basis, its dimension, and the truncation index k0.
 
-    basis: (dimS, 2n) orthonormal real rows spanning the space. k0 is the
+    basis: (dimS, 2n) orthonormal real rows spanning the space, for the
+    caller's 2n x 2n Hamilton map. k0 is the
     smallest j such that the vectors killed by Re F (Im F)^i for all i < j+1
     already reduce to {0}; it is None when the full space is nontrivial.
     ambiguous flags a rank decision where some singular value fell inside
     the threshold band (tol/8, 8 tol) relative to the largest.
     """
 
-    dim: int
     basis: np.ndarray = field(repr=False)
     k0: int | None
     ambiguous: bool
@@ -143,7 +143,7 @@ def singular_space(F: np.ndarray, tol: float = 1e-9) -> SingularSpaceResult:
         power = power @ ImF
     if basis.shape[0] > 0:
         k0 = None
-    return SingularSpaceResult(dim=n, basis=basis, k0=k0, ambiguous=ambiguous)
+    return SingularSpaceResult(basis=basis, k0=k0, ambiguous=ambiguous)
 
 
 # -- catalog of named forms --------------------------------------------------

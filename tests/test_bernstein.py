@@ -80,7 +80,8 @@ def test_no_violations_on_random_span_vectors(rng):
 def test_two_dim_check(rng):
     chk = crude_bernstein_check(2, 8, (1, 0), (0, 2))
     assert chk.ratio <= 1.0 + 1e-10
-    assert chk.N == 8
+    # the bound at N = 8 and order 3: 2^{3/2} sqrt(11! / 8!)
+    assert chk.rhs == pytest.approx(2.0**1.5 * math.sqrt(11 * 10 * 9), rel=1e-13)
     for _ in range(200):
         f = random_expansion(rng, dim=2, degree=8)
         image = apply_position_derivative(f, (1, 0), (0, 2))

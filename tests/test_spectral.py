@@ -221,7 +221,7 @@ def test_near_degenerate_bottom_pair_falls_back_to_svd(monkeypatch):
     U = np.linalg.qr(rng.standard_normal((m, m)))[0]
     V = np.linalg.qr(rng.standard_normal((m, m)))[0]
     R = np.linalg.qr((U * s) @ V.T, mode="r")
-    G = GramMatrix(m - 1, 1, R.T @ R, R, 0.0, m)
+    G = GramMatrix(R.T @ R, R, 0.0, m)
     full_svd = np.linalg.svd
     calls = []
 
@@ -349,6 +349,23 @@ def test_quadrature_tolerance_reported():
     assert 0.0 <= G.quad_tol <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "omega, N",
+    [(geometry.FullSpace(1), N) for N in range(4)]
+    + [(GRADED_1D, N) for N in (0, 1, 2, 25, 150)]
+    + [(PERIODIC_1D, N) for N in (0, 1, 25, 100)]
+    + [(geometry.interval_union([(50.0, 51.0)]), N) for N in (0, 2)],
+)
+def test_quad_tol_is_largest_change_under_doubled_panels(omega, N):
+    # the full-line rules, unfolded even where the set is its own mirror image;
+    # at degree 0 a symmetric set leaves the odd parity class empty
+    L = _panel_length(N)
+    B = _tall_factor(omega, N)
+    B_check = _tall_factor(omega, N, panel_len=2.0 * L)
+    G = gram_matrix(omega, N)
+    assert abs(G.quad_tol - np.max(np.abs(B.T @ B - B_check.T @ B_check))) <= 1e-15
+
+
 PERIODIC_2D = geometry.PeriodicPattern(dim=2, period=4.0, kept=0.25)
 BOXES_2D = geometry.BoxUnion(2, np.array([[[-3.0, -1.0], [-2.0, 2.0]], [[0.0, 2.0], [-4.0, -1.0]]]))
 
@@ -450,33 +467,34 @@ GROUPED_CASES = (
 @pytest.mark.parametrize("omega, N", GROUPED_CASES)
 def test_grouped_2d_assembly_matches_per_run_reference(omega, N):
     L = _panel_length(N)
-    G, G_check, nodes = _gram_2d(omega, N, L)
+    G, factor, quad_tol, nodes = _gram_2d(omega, N, L)
     ref, ref_nodes = _per_run_gram_2d(omega, N, L, 16)
     ref_check, _ = _per_run_gram_2d(omega, N, 2.0 * L, 16)
+    ref_tol = np.max(np.abs(ref - ref_check))
+    assert factor is None
     assert nodes == ref_nodes
     assert np.max(np.abs(G - ref)) <= 1e-15
-    assert np.max(np.abs(G_check - ref_check)) <= 1e-15
-    assert abs(np.max(np.abs(G - G_check)) - np.max(np.abs(ref - ref_check))) <= 1e-15
+    assert abs(quad_tol - ref_tol) <= 1e-15
     R = truncation_radius(N)
     runs = geometry.cell_runs(omega.cells([[-R, R], [-R, R]]))
     kept = [rest[:, 0].tobytes() for a, b, rest in runs if b - a > 1e-14]
     if isinstance(omega, geometry.BoxUnion) and len(set(kept)) == len(kept):
         # every non-empty slice is one run, so both sums run in the same order
-        assert np.array_equal(G, ref) and np.array_equal(G_check, ref_check)
+        assert np.array_equal(G, ref) and quad_tol == ref_tol
 
 
 @pytest.mark.parametrize("omega, N", GROUPED_CASES)
 def test_2d_gram_is_psd_to_rounding(omega, N):
     # each slice block is the Hadamard product of two PSD pairings (Schur product theorem)
-    for G in _gram_2d(omega, N, _panel_length(N))[:2]:
-        w = np.linalg.eigvalsh(G)
-        assert w[0] >= -G.shape[0] * EPS * w[-1]
+    G = _gram_2d(omega, N, _panel_length(N))[0]
+    w = np.linalg.eigvalsh(G)
+    assert w[0] >= -G.shape[0] * EPS * w[-1]
 
 
 def _unchecked_gram_2d(omega, N):
     """The 2-D Gram without the quadrature check, so the solve is tested on every set."""
-    entries, _, nodes = _gram_2d(omega, N, _panel_length(N))
-    return GramMatrix(N, 2, entries, None, 0.0, nodes)
+    entries, _, _, nodes = _gram_2d(omega, N, _panel_length(N))
+    return GramMatrix(entries, None, 0.0, nodes)
 
 
 @pytest.mark.parametrize("omega, N", GROUPED_CASES + [(PERIODIC_2D, 0)])
