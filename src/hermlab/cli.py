@@ -53,15 +53,6 @@ __all__ = [
     "KINDS",
 ]
 
-KINDS = (
-    "spectral-scan",
-    "bernstein-check",
-    "covering",
-    "dissipation",
-    "control-run",
-    "singular-space",
-)
-
 _OPS = {
     "<=": lambda a, b: a <= b,
     ">=": lambda a, b: a >= b,
@@ -128,6 +119,7 @@ _PARAMETERS = {
     },
     "singular-space": {"names": ([], None), "forms": ([], None)},
 }
+KINDS = tuple(_PARAMETERS)
 _TOP_LEVEL = ("kind", "seed", "output_dir", "parameters", "acceptance")
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 

@@ -1,7 +1,8 @@
 """Densities, thick control sets, intersection measures, and ball coverings.
 
-A density is a positive radius field rho on R^n, pinched between a constant
-m and R<x>^{1-eps}; a covering needs it slowly varying (1/2-Lipschitz), and
+A density is a positive radius field rho on R^n: the power law R<x>^{1-eps},
+whose eps = 1 is the constant density, or a 1-D table, taking points of any
+shape. A covering needs it slowly varying (1/2-Lipschitz), and
 covering_generate checks that from its exact Lipschitz constant.
 A control set omega is a union of boxes, a periodic pattern, or the full
 space; thickness of omega with respect to rho is the worst-case volume
@@ -33,6 +34,7 @@ ball reaches.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,14 +111,22 @@ def _as_box(box) -> np.ndarray:
 # -- densities ---------------------------------------------------------------
 
 
+def _finite(name: str, x) -> float:
+    """x as a float if it is a finite real number; a bool is not one."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise InvalidDensityError(f"{name} must be a finite number, not {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class DensityFn:
-    """Positive radius field rho on R^n.
+    """Positive radius field rho on R^n, of finite parameters.
 
-    kind 'constant': rho = m. kind 'power': rho(x) = R <x>^{1-eps} with
-    <x> = sqrt(1 + |x|^2) and eps in (0, 1]. kind 'tabulated': 1-D linear
-    interpolation of (grid, values), clamped outside the grid, with m and R
-    its smallest and largest value.
+    kind 'power': rho(x) = R <x>^{1-eps} with <x> = sqrt(1 + |x|^2) and eps
+    in (0, 1]; the constant m is the law at R = m, eps = 1. kind 'tabulated':
+    1-D linear interpolation of (grid, values), clamped outside the grid,
+    with m and R its smallest and largest value. rho takes a scalar, (k,)
+    1-D points or (k, n) points, and a table also takes (k, 1).
     """
 
     kind: str
@@ -126,27 +136,32 @@ class DensityFn:
     grid: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.kind not in ("power", "tabulated"):
+            raise InvalidDensityError(f"unknown density kind {self.kind!r}")
+
     @staticmethod
     def constant(m: float) -> "DensityFn":
-        if not m > 0:
+        if not _finite("m", m) > 0:
             raise InvalidDensityError("constant density requires m > 0")
-        return DensityFn("constant", float(m), float(m), 1.0)
+        return DensityFn.power(m, 1.0)
 
     @staticmethod
     def power(R: float, eps: float) -> "DensityFn":
+        R, eps = _finite("R", R), _finite("eps", eps)
         if not R > 0:
             raise InvalidDensityError("power density requires R > 0")
         if not 0 < eps <= 1:
             raise InvalidDensityError("ε must lie in (0,1]")
         # <x> >= 1, so R is also the infimum of rho
-        return DensityFn("power", float(R), float(R), float(eps))
+        return DensityFn("power", R, R, eps)
 
     @staticmethod
     def tabulated(grid, values) -> "DensityFn":
         g = np.asarray(grid, dtype=np.float64)
         v = np.asarray(values, dtype=np.float64)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 2:
-            raise InvalidDensityError("tabulated density needs matching 1-D grid/values")
+        if g.ndim != 1 or g.shape != v.shape or g.size < 2 or not np.isfinite([g, v]).all():
+            raise InvalidDensityError("tabulated density needs matching finite 1-D grid/values")
         if np.any(np.diff(g) <= 0):
             raise InvalidDensityError("tabulated grid must be strictly increasing")
         if np.any(v <= 0):
@@ -159,22 +174,16 @@ class DensityFn:
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        scalar = pts.ndim == 0
-        if pts.ndim <= 1:
-            r = np.abs(np.atleast_1d(pts))
-        else:
-            r = np.linalg.norm(pts, axis=-1)
-        if self.kind == "constant":
-            out = np.full_like(r, self.m)
-        elif self.kind == "power":
+        # a scalar goes through numpy's array pow too, which may round unlike its scalar pow
+        x = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else np.atleast_1d(pts)
+        if self.kind == "power":
+            r = np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
             out = self.R * (1.0 + r * r) ** ((1.0 - self.eps) / 2.0)
-        elif self.kind == "tabulated":
-            if pts.ndim > 1:
-                raise InvalidDensityError("tabulated density is 1-D only")
-            out = np.interp(np.atleast_1d(pts), self.grid, self.values)
+        elif x.ndim > 1:
+            raise InvalidDensityError(f"tabulated density is 1-D only, got {x.shape[-1]}-D points")
         else:
-            raise InvalidDensityError(f"unknown density kind {self.kind!r}")
-        return float(out[0]) if scalar else out
+            out = np.interp(x, self.grid, self.values)
+        return float(out[0]) if pts.ndim == 0 else out
 
     def min_on_box(self, box) -> float:
         """Infimum of rho over the box, exact for every kind.
@@ -184,18 +193,11 @@ class DensityFn:
         It is 1-D only, so it rejects a box of more axes.
         """
         b = _as_box(box)
-        if self.kind == "constant":
-            return self.m
         if self.kind == "power":
-            nearest = np.clip(0.0, b[:, 0], b[:, 1])
-            if b.shape[0] == 1:
-                return float(self(nearest[0]))
-            return float(self(nearest[None, :])[0])
-        if b.shape[0] > 1:
-            raise InvalidDensityError(f"tabulated density is 1-D only, got a {b.shape[0]}-D box")
-        lo, hi = b[0]
-        inside = self.values[(self.grid > lo) & (self.grid < hi)]
-        return float(min(np.min(self(b[0])), np.min(inside, initial=np.inf)))
+            return float(self(np.clip(0.0, b[:, 0], b[:, 1])[None, :])[0])
+        ends = self(b.T)
+        inside = self.values[(self.grid > b[0, 0]) & (self.grid < b[0, 1])]
+        return float(min(np.min(ends), np.min(inside, initial=np.inf)))
 
     @property
     def lipschitz(self) -> float:
@@ -205,8 +207,6 @@ class DensityFn:
         at |x| = t, largest at t^2 = 1/eps. A tabulated rho is clamped flat
         outside its grid, so its steepest piece sets the constant.
         """
-        if self.kind == "constant":
-            return 0.0
         if self.kind == "power":
             e = self.eps
             return self.R * (1.0 - e) * e ** (e / 2.0) * (1.0 + e) ** (-(1.0 + e) / 2.0)
@@ -350,12 +350,12 @@ def graded_cells(rho: DensityFn, gamma: float, extent: float) -> BoxUnion:
     kept = []
     a = 0.0
     while a < extent:
-        w = float(rho(a))
+        w = rho(a)
         kept.append((a, min(a + gamma * w, extent)))
         a += w
     a = 0.0
     while a > -extent:
-        w = float(rho(a))
+        w = rho(a)
         kept.append((max(a - gamma * w, -extent), a))
         a -= w
     return interval_union(kept)
@@ -556,7 +556,7 @@ def thickness_estimate(omega: ControlSet, rho: DensityFn, centers) -> float:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != omega.dim:
         raise ValueError("centers must be a non-empty (m, dim) array")
-    radii = np.atleast_1d(rho(pts[:, 0] if omega.dim == 1 else pts))
+    radii = rho(pts)
     worst = 1.0
     for row, r in zip(pts, radii.tolist()):
         frac = intersection_measure(omega, row, r, _THICKNESS_REL_TOL) / ball_volume(omega.dim, r)
@@ -692,7 +692,7 @@ def covering_generate(rho: DensityFn, box) -> Covering:
     if not count <= _MAX_CANDIDATES:
         raise CoverageError(f"candidate grid of {count:.3g} points exceeds the cap {_MAX_CANDIDATES}")
     axes, grid = _box_grid(b, (cells + 1.0).astype(np.int64))
-    radii = np.atleast_1d(rho(grid if n > 1 else grid[:, 0])).astype(np.float64)
+    radii = rho(grid)
     kept = greedy_ball_select(axes, radii)
     centers = grid[kept]
     kept_radii = radii[kept]
@@ -743,13 +743,9 @@ def thickness_transfer_check(
     rho2 must reach it up to _TRANSFER_SLACK. A violated hypothesis is
     reported in the result, not raised.
     """
-    pts = np.asarray(centers, dtype=np.float64)
-    if omega.dim == 1 and pts.ndim == 1:
-        pts = pts[:, None]
     n = omega.dim
-    flat = pts[:, 0] if n == 1 else pts
-    r1 = np.atleast_1d(rho1(flat))
-    r2 = np.atleast_1d(rho2(flat))
+    r1 = rho1(centers)
+    r2 = rho2(centers)
     notes = []
     pointwise_ok = bool(np.all(r1 <= r2 + 1e-12))
     gamma_ok = gamma > 1.0 - 6.0 ** (-n)
@@ -758,10 +754,10 @@ def thickness_transfer_check(
     if not gamma_ok:
         notes.append(f"gamma={gamma:g} not above 1 - 6^-{n}")
     predicted = 1.0 - (1.0 - gamma) * 6.0**n
-    input_thickness = thickness_estimate(omega, rho1, pts)
+    input_thickness = thickness_estimate(omega, rho1, centers)
     if input_thickness < gamma - _TRANSFER_SLACK:
         notes.append(f"claimed thickness {gamma:g} not met on sample ({input_thickness:.6f})")
-    measured = thickness_estimate(omega, rho2, pts)
+    measured = thickness_estimate(omega, rho2, centers)
     hypothesis_ok = pointwise_ok and gamma_ok and input_thickness >= gamma - _TRANSFER_SLACK
     transfer_ok = hypothesis_ok and measured >= predicted - _TRANSFER_SLACK
     return TransferReport(

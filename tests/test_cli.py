@@ -352,6 +352,44 @@ _PROBES = {
         },
         2,
     ),
+    "covering-infinite-constant": (
+        {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": math.inf}, "extent": 5.0}},
+        2,
+    ),
+    "covering-boolean-constant": (
+        {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": True}, "extent": 5.0}},
+        2,
+    ),
+    "covering-boolean-power-R": (
+        {"kind": "covering", "parameters": {"density": {"kind": "power", "R": True, "eps": 0.5}, "extent": 5.0}},
+        2,
+    ),
+    "covering-boolean-power-eps": (
+        {"kind": "covering", "parameters": {"density": {"kind": "power", "R": 1.0, "eps": True}, "extent": 5.0}},
+        2,
+    ),
+    "covering-nan-power-R": (
+        {"kind": "covering", "parameters": {"density": {"kind": "power", "R": math.nan, "eps": 0.5}, "extent": 5.0}},
+        2,
+    ),
+    "tabulated-infinite-grid": (
+        {
+            "kind": "covering",
+            "parameters": {"density": {"kind": "tabulated", "grid": [0, math.inf], "values": [1, 1]}, "extent": 5.0},
+        },
+        2,
+    ),
+    "tabulated-nan-values": (
+        {
+            "kind": "covering",
+            "parameters": {"density": {"kind": "tabulated", "grid": [0, 1], "values": [1, math.nan]}, "extent": 5.0},
+        },
+        2,
+    ),
+    "graded-infinite-constant": (
+        _scan_probe({"type": "graded", "density": {"kind": "constant", "m": math.inf}, "gamma": 0.5, "extent": 5.0}),
+        2,
+    ),
     "covering-reversed-extent": (
         {"kind": "covering", "parameters": {"density": {"kind": "constant", "m": 1.0}, "extent": -1.0}},
         2,
@@ -454,6 +492,11 @@ def test_negative_basis_index_is_named_in_the_diagnostic(tmp_path, capsys):
     assert main([cfg["kind"], "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "error: parameters.f0: index (-1,) is not a multi-index of the dim-1 degree-4 span" in err
+
+
+def test_every_kind_has_one_runner_in_the_same_order():
+    assert cli.KINDS == ("spectral-scan", "bernstein-check", "covering", "dissipation", "control-run", "singular-space")
+    assert list(cli._RUNNERS) == list(cli.KINDS)
 
 
 def test_main_rejects_kind_mismatch(tmp_path, capsys):

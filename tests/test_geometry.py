@@ -134,6 +134,72 @@ def test_tabulated_density_rejects_a_2d_box_before_any_grid(monkeypatch):
         covering_generate(SLOW_DIP, [(-1.0, 1.0), (-1.0, 1.0)])
 
 
+EDGE_POINTS = np.array([0.0, -0.0, 1.0, -2.5, 1e-170, 1e300, -1e300, math.inf, -math.inf, math.nan])
+
+
+def test_constant_density_is_the_power_law_at_eps_one():
+    rho, law = DensityFn.constant(0.7), DensityFn.power(0.7, 1.0)
+    assert rho == law
+    assert rho.kind == "power"
+    cube = np.column_stack([EDGE_POINTS, EDGE_POINTS[::-1], np.roll(EDGE_POINTS, 3)])
+    # |x|^2 overflows to inf at 1e300, and inf^0 is 1
+    with np.errstate(over="ignore"):
+        for s in EDGE_POINTS.tolist():
+            assert rho(s) == law(s) == 0.7
+        for pts in (EDGE_POINTS, EDGE_POINTS[:, None], cube):
+            np.testing.assert_array_equal(rho(pts), np.full(EDGE_POINTS.size, 0.7), strict=True)
+            np.testing.assert_array_equal(rho(pts), law(pts), strict=True)
+    for box in ([(-3.0, 5.0)], [(2.0, 5.0), (-1.0, 1.0)], [(-3.0, 5.0), (1.0, 2.0), (-4.0, -1.0)]):
+        assert rho.min_on_box(box) == law.min_on_box(box) == 0.7
+    assert rho.lipschitz == law.lipschitz == 0.0
+
+
+@pytest.mark.parametrize("kind", ["constant", "gauss"])
+def test_density_of_another_kind_is_rejected(kind):
+    with pytest.raises(InvalidDensityError, match="unknown density kind"):
+        DensityFn(kind, 1.0, 1.0, 1.0)
+
+
+def test_tabulated_density_takes_a_column_of_1d_points():
+    rho = DensityFn.tabulated([-20.0, 0.0, 20.0], [2.0, 1.0, 2.0])
+    x = np.array([-25.0, -20.0, -3.5, 0.0, 7.25, 20.0, 1e300])
+    np.testing.assert_array_equal(rho(x[:, None]), rho(x), strict=True)
+    np.testing.assert_array_equal(rho(x), np.interp(x, rho.grid, rho.values), strict=True)
+    with pytest.raises(InvalidDensityError, match="1-D only"):
+        rho(np.column_stack([x, x]))
+
+
+def test_constant_covering_matches_the_power_law_at_eps_one():
+    box = [(-4.0, 4.0), (-3.0, 3.0)]
+    cov = covering_generate(DensityFn.constant(0.7), box)
+    law = covering_generate(DensityFn.power(0.7, 1.0), box)
+    np.testing.assert_array_equal(cov.centers, law.centers, strict=True)
+    np.testing.assert_array_equal(cov.radii, np.full(cov.centers.shape[0], 0.7), strict=True)
+    assert (cov.max_multiplicity, cov.grid_step) == (law.max_multiplicity, law.grid_step)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DensityFn.constant(math.inf),
+        lambda: DensityFn.constant(math.nan),
+        lambda: DensityFn.constant(True),
+        lambda: DensityFn.constant("1"),
+        lambda: DensityFn.power(math.inf, 0.5),
+        lambda: DensityFn.power(True, 0.5),
+        lambda: DensityFn.power(1.0, True),
+        lambda: DensityFn.power(1.0, math.nan),
+        lambda: DensityFn.tabulated([0.0, math.inf], [1.0, 1.0]),
+        lambda: DensityFn.tabulated([math.nan, 1.0], [1.0, 1.0]),
+        lambda: DensityFn.tabulated([0.0, 1.0], [1.0, math.inf]),
+        lambda: DensityFn.tabulated([0.0, 1.0], [math.nan, 1.0]),
+    ],
+)
+def test_density_parameters_must_be_finite_numbers(make):
+    with pytest.raises(InvalidDensityError, match="finite"):
+        make()
+
+
 def test_covering_step_rule_sees_a_dip_between_samples():
     cov = covering_generate(SLOW_DIP, [(-100.0, 100.0)])
     assert cov.grid_step == 0.01 / 6.0
@@ -625,7 +691,7 @@ COVER_CASES = [
 def test_greedy_selection_matches_quadratic_scan(rho, box):
     axes = _axes(box, rho.min_on_box(box) / 6.0)
     grid = _axes_grid(axes)
-    radii = np.atleast_1d(rho(grid if grid.shape[1] > 1 else grid[:, 0]))
+    radii = rho(grid)
     np.testing.assert_array_equal(kernels.greedy_ball_select(axes, radii), _greedy_oracle(grid, radii))
 
 
