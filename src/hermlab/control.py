@@ -29,7 +29,7 @@ from .geometry import ControlSet
 from .hermite import HermiteExpansion
 from .quadrature import gauss_legendre
 from .semigroup import EvolutionSpec
-from .spectral import gram_matrix
+from .spectral import _line_fit, gram_matrix
 
 __all__ = [
     "ControlError",
@@ -262,12 +262,14 @@ class ObservabilityReport:
     """Best observability constants over a horizon grid, with a blow-up fit.
 
     C_T_lower[i] is the sharpest constant on the span at the caller's i-th
-    horizon; fit_kappa fits log C_T ~ c / T^fit_kappa over the horizons
-    with C_T > 1, and reference_exponent is the predicted kappa.
+    horizon; fit_kappa fits log C_T ~ c / T^fit_kappa over the horizons with
+    C_T > 1, kappa_err is its standard error (None on two), and
+    reference_exponent is the predicted kappa.
     """
 
     C_T_lower: tuple
     fit_kappa: float | None
+    kappa_err: float | None
     reference_exponent: float
     nonincreasing: bool
 
@@ -292,7 +294,7 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
     generalized eigenproblem between the integrated observation form and
     the squared terminal propagator. When the grid has at least two points
     with C_T > 1, log log C_T is regressed on log T to expose the blow-up
-    power, reported next to the predicted exponent (never asserted).
+    power and its standard error, beside the predicted exponent (never asserted).
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=np.float64))
     if not np.all(np.isfinite(Ts) & (Ts > 0)):
@@ -303,14 +305,14 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
     values = [_c_t_single(float(t), G, lam) for t in Ts]
     nonincr = bool(np.all(np.diff(values) <= 1e-9 * np.maximum(values[:-1], 1.0)))
     mask = np.array(values) > 1.0
-    fit_kappa = None
+    fit_kappa = kappa_err = None
     if int(np.sum(mask)) >= 2:
-        lx = np.log(Ts[mask])
-        ly = np.log(np.log(np.array(values)[mask]))
-        fit_kappa = float(-np.polyfit(lx, ly, 1)[0])
+        slope, _, _, kappa_err = _line_fit(np.log(Ts[mask]), np.log(np.log(np.array(values)[mask])))
+        fit_kappa = -slope
     return ObservabilityReport(
         C_T_lower=tuple(values),
         fit_kappa=fit_kappa,
+        kappa_err=kappa_err,
         reference_exponent=reference_blowup_exponent(spec.s, 0.0),
         nonincreasing=nonincr,
     )

@@ -423,6 +423,7 @@ class GrowthFitReport:
     intercept: float
     slope: float
     r2: float
+    slope_err: float
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -430,35 +431,36 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError("ε must lie in (0,1]")
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, intercept, r2, slope_err) of the least-squares line y = intercept + slope x.
+
+    r2 is clipped to [0, 1], and flat y has r2 = 1 only on an exact fit. slope_err
+    is the standard error sqrt(SS_res / (n - 2) / sum (x - mean x)^2), None on two points.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = float(ss_res <= 1e-24) if ss_tot <= 1e-30 else min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+    dof = x.size - 2
+    slope_err = float(np.sqrt(ss_res / dof / np.sum((x - np.mean(x)) ** 2))) if dof else None
+    return float(slope), float(intercept), float(r2), slope_err
+
+
 def growth_fit(pairs, epsilon: float) -> GrowthFitReport:
-    """Fit log C_N = A + B N^{1-eps/2} over (N, C_N) pairs.
+    """Fit log C_N = A + B N^{1-eps/2} over (N, C_N) pairs (see _line_fit).
 
     Needs at least five pairs with strictly increasing N. The slope is the
-    empirical aggregate of the growth law; r2 is clipped to [0, 1] and a
+    empirical aggregate of the growth law, slope_err its standard error; a
     constant sequence fits perfectly with slope 0.
     """
     pts = [(int(N), float(C)) for N, C in pairs]
     if len(pts) < 5:
         raise ValueError("at least 5 (N, C_N) pairs required")
-    Ns = np.array([p[0] for p in pts], dtype=np.float64)
-    Cs = np.array([p[1] for p in pts], dtype=np.float64)
+    Ns, Cs = np.array(pts, dtype=np.float64).T
     if np.any(np.diff(Ns) <= 0):
         raise ValueError("N values must be strictly increasing")
     if np.any(Cs <= 0):
         raise ValueError("C_N values must be positive")
     _check_epsilon(epsilon)
-    x = Ns ** (1.0 - epsilon / 2.0)
-    y = np.log(Cs)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot <= 1e-30:
-        r2 = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
-    return GrowthFitReport(
-        intercept=float(intercept),
-        slope=float(slope),
-        r2=float(r2),
-    )
+    slope, intercept, r2, slope_err = _line_fit(Ns ** (1.0 - epsilon / 2.0), np.log(Cs))
+    return GrowthFitReport(intercept=intercept, slope=slope, r2=r2, slope_err=slope_err)

@@ -53,7 +53,7 @@ def test_criterion_03_growth_scaling_law():
             pairs.append((N, res.constant))
         fit = spectral.growth_fit(pairs, eps)
         elapsed = time.monotonic() - t0
-        results.append(f"eps={eps:g}: r2={fit.r2:.4f} in {elapsed:.1f}s")
+        results.append(f"eps={eps:g}: slope {fit.slope:.4f} ± {fit.slope_err:.4f}, r2={fit.r2:.4f} in {elapsed:.1f}s")
         ok = ok and fit.r2 >= 0.95 and elapsed <= 300.0
     _verdict(3, "log C_N fits N^(1-eps/2)", ok, "; ".join(results))
 
@@ -203,7 +203,7 @@ def test_criterion_12_observability_blowup():
     rep = control.observability_lower_bound(Ts, 10, stripes, spec)
     ok = rep.nonincreasing and rep.fit_kappa is not None and rep.fit_kappa > 0
     _verdict(12, "observability constant blows up as T shrinks", ok,
-             f"fitted kappa {rep.fit_kappa:.3f}, reference exponent {rep.reference_exponent:.3f}"
+             f"fitted kappa {rep.fit_kappa:.3f} ± {rep.kappa_err:.3f}, reference exponent {rep.reference_exponent:.3f}"
              " (reported, not asserted)")
 
 

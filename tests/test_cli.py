@@ -119,9 +119,9 @@ def test_spectral_scan_manifest_times_assembly_and_solve(tmp_path):
     }
     manifest = run(cfg, out_override=str(tmp_path))
     timings = manifest["timings"]
-    assert set(timings) == {"assembly_s", "solve_s"}
+    assert set(timings) == {"import_s", "assembly_s", "solve_s"}
     assert min(timings.values()) >= 0.0
-    assert timings["assembly_s"] + timings["solve_s"] <= manifest["metrics"]["wall_time_s"]
+    assert sum(timings.values()) <= manifest["metrics"]["wall_time_s"]
 
 
 def _scan_omega_hash(tmp_path, name, omega_spec):
@@ -147,18 +147,6 @@ def test_manifest_hashes_the_built_sensor_set(tmp_path):
     assert _scan_omega_hash(tmp_path, "p3", dict(periodic, offset=1.0)) != _scan_omega_hash(tmp_path, "p4", periodic)
 
 
-def test_ball_spec_scans_as_its_intervals(tmp_path):
-    balls = {"type": "balls", "centers": [[-3.0], [0.5], [4.0]], "radii": [1.0, 0.3, 2.5]}
-    intervals = {"type": "intervals", "intervals": [[-4.0, -2.0], [0.2, 0.8], [1.5, 6.5]]}
-    hashes, texts = [], []
-    for name, spec in (("balls", balls), ("intervals", intervals)):
-        cfg = {"kind": "spectral-scan", "seed": 0, "parameters": {"N_values": [4, 10], "omega": spec}}
-        hashes.append(run(cfg, out_override=str(tmp_path / name))["omega_hash"])
-        texts.append((tmp_path / name / "spectral.csv").read_bytes())
-    assert hashes[0] == hashes[1]
-    assert texts[0] == texts[1]
-
-
 def test_csv_dialect(tmp_path):
     run(_full_scan(str(tmp_path)))
     raw = (tmp_path / "spectral.csv").read_bytes()
@@ -181,6 +169,34 @@ def test_floor_column_flags_rounding_noise(tmp_path):
     rows = (tmp_path / "spectral.csv").read_text().splitlines()[1:]
     assert [r.split(",")[-1] for r in rows] == ["0", "1"]
     assert manifest["metrics"]["floor_rows"] == 1
+
+
+def test_growth_fit_skips_floored_rows(tmp_path):
+    # C_N of a floored row is only a lower bound; here N = 150 and 175 floor
+    Ns = list(range(25, 176, 25))
+    omega = {"type": "periodic", "dim": 1, "period": 4.0, "kept": 0.25}
+    cfg = {"kind": "spectral-scan", "seed": 0, "parameters": {"N_values": Ns, "epsilon": 1.0, "omega": omega}}
+    metrics = run(cfg, out_override=str(tmp_path))["metrics"]
+    with open(tmp_path / "spectral.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    trusted = [(int(r["N"]), float(r["C_N"])) for r in rows if r["floor"] == "0"]
+    fit = spectral.growth_fit(trusted, 1.0)
+    assert metrics["floor_rows"] == 2 and metrics["fit_rows"] == len(trusted) == 5
+    assert (metrics["fit_slope"], metrics["fit_slope_err"], metrics["fit_r2"]) == (fit.slope, fit.slope_err, fit.r2)
+    assert "max_abs_cn_minus_1" not in metrics
+    # with fewer than five rows left no fit is reported
+    cfg["parameters"]["N_values"] = Ns[2:]
+    metrics = run(cfg, out_override=str(tmp_path / "short"))["metrics"]
+    assert metrics["floor_rows"] == 2 and "fit_slope" not in metrics and "fit_rows" not in metrics
+
+
+def test_spectral_plot_labels_its_x_axis_n(tmp_path):
+    params = {"N_values": [2, 4, 6, 8, 10], "epsilon": 0.5, "omega": {"type": "full"}}
+    cfg = {"kind": "spectral-scan", "seed": 0, "parameters": params}
+    metrics = run(cfg, out_override=str(tmp_path))["metrics"]
+    assert metrics["fit_rows"] == 5 and metrics["max_abs_cn_minus_1"] <= 1e-8
+    gp = (tmp_path / "spectral.gp").read_text().splitlines()
+    assert "set xlabel 'N'" in gp and gp[-1].startswith("plot 'spectral.csv' skip 1 using 1:3 ")
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
@@ -321,15 +337,14 @@ def _control_probe(**extra):
 _PROBES = {
     "boxes-of-mixed-dimension": (_scan_probe({"type": "boxes", "boxes": [[[0, 1]], [[0, 1], [0, 1]]]}), 2),
     "reversed-interval": (_scan_probe({"type": "intervals", "intervals": [[2, 1]]}), 2),
-    "negative-radius": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [-1.0]}), 2),
     "full-space-3d": (_scan_probe({"type": "full", "dim": 3}), 1),
     "periodic-2d-above-degree-cap": (_scan_probe({"type": "periodic", "dim": 2, "period": 4.0, "kept": 0.25}, [30]), 1),
     "periodic-dim-0": (_scan_probe({"type": "periodic", "dim": 0, "period": 4.0, "kept": 0.25}), 2),
+    # balls are no omega type: 1-D balls are written as intervals
     "balls-2d": (_scan_probe({"type": "balls", "centers": [[0.0, 0.0], [3.0, 1.0]], "radii": [1.5, 1.0]}, [2]), 2),
-    "balls-radii-mismatch": (_scan_probe({"type": "balls", "centers": [[0.0], [3.0]], "radii": [1.5]}), 2),
     "nan-interval": (_scan_probe({"type": "intervals", "intervals": [[math.nan, 1.0]]}), 2),
     "nan-box": (_scan_probe({"type": "boxes", "boxes": [[[0.0, 1.0], [math.nan, 1.0]]]}, [2]), 2),
-    "nan-radius": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [math.nan]}), 2),
+    "nan-interval-end": (_scan_probe({"type": "intervals", "intervals": [[0.0, 1.0], [2.0, math.nan]]}), 2),
     "string-interval": (_scan_probe({"type": "intervals", "intervals": [["a", "b"]]}), 2),
     "periodic-infinite-period": (_scan_probe({"type": "periodic", "period": math.inf, "kept": 0.25}), 2),
     "string-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "offset": "x"}), 2),
@@ -427,7 +442,7 @@ _PROBES = {
     "unknown-parameter": (_scan_probe({"type": "full"}, tolerance=1e-12), 2),
     "misspelled-offset": (_scan_probe({"type": "periodic", "period": 4.0, "kept": 0.25, "ofset": 1.0}), 2),
     "extra-boxes-key": (_scan_probe({"type": "boxes", "boxes": [[[0.0, 1.0]]], "dims": 1}), 2),
-    "extra-balls-key": (_scan_probe({"type": "balls", "centers": [[0.0]], "radii": [1.0], "radius": 2.0}), 2),
+    "extra-intervals-key": (_scan_probe({"type": "intervals", "intervals": [[0.0, 1.0]], "radius": 2.0}), 2),
     "extra-graded-key": (
         _scan_probe(
             {"type": "graded", "density": {"kind": "constant", "m": 0.5}, "gamma": 0.5, "extent": 5.0, "extnt": 9.0}
@@ -671,7 +686,10 @@ def test_control_run_manifest_counts_stages_and_times_synthesis(tmp_path):
         rows = list(csv.DictReader(fh))
     assert manifest["counters"]["stages"] == len(rows) > 0
     assert manifest["counters"]["max_level"] == max(int(r["level"]) for r in rows)
-    assert 0.0 <= manifest["timings"]["synthesis_s"] <= manifest["metrics"]["wall_time_s"]
+    timings = manifest["timings"]
+    assert set(timings) == {"import_s", "synthesis_s"}
+    assert min(timings.values()) >= 0.0
+    assert sum(timings.values()) <= manifest["metrics"]["wall_time_s"]
 
 
 def test_load_config_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import linregress
 
 from hermlab import control, geometry
 from hermlab.control import (
@@ -335,6 +336,31 @@ def test_observability_grid_monotone_with_blowup_fit():
     assert rep.fit_kappa is not None and rep.fit_kappa > 0
     assert rep.reference_exponent == pytest.approx(1.0)
     assert len(rep.C_T_lower) == len(Ts)
+
+
+def test_blowup_fit_recovers_an_exact_kappa_law(monkeypatch):
+    # log C_T = 2 / T^1.5 exactly, so log log C_T is linear in log T
+    monkeypatch.setattr(control, "_c_t_single", lambda T, G, lam: math.exp(2.0 * T**-1.5))
+    rep = observability_lower_bound([0.1, 0.2, 0.4, 0.8, 1.6], 4, STRIPES, HEAT)
+    assert rep.fit_kappa == pytest.approx(1.5, abs=1e-12)
+    assert 0.0 <= rep.kappa_err < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_blowup_fit_error_matches_linregress(monkeypatch, n):
+    Ts = np.geomspace(0.1, 2.0, n)
+    rng = np.random.default_rng(n)
+    values = dict(zip(Ts.tolist(), np.exp(np.exp(rng.uniform(-1.0, 1.0, n))).tolist()))
+    monkeypatch.setattr(control, "_c_t_single", lambda T, G, lam: values[T])
+    rep = observability_lower_bound(Ts, 4, STRIPES, HEAT)
+    ref = linregress(np.log(Ts), np.log(np.log(rep.C_T_lower)))
+    assert rep.fit_kappa == pytest.approx(-ref.slope, rel=1e-10)
+    assert rep.kappa_err == pytest.approx(ref.stderr, rel=1e-10)
+
+
+def test_blowup_fit_on_two_horizons_has_no_error():
+    rep = observability_lower_bound([0.2, 0.4], 8, STRIPES, HEAT)
+    assert rep.fit_kappa is not None and rep.kappa_err is None
 
 
 def test_observability_on_a_sensor_set_the_span_cannot_see_raises():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from hermlab import cli, geometry, kernels
+from hermlab import geometry, kernels
 from hermlab.geometry import (
     BoxUnion,
     CoverageError,
@@ -320,8 +320,8 @@ def test_periodic_measure_unit_ball():
 
 
 def test_ball_union_measure_1d():
-    # a 1-D ball spec builds the intervals [c - r, c + r]
-    omega = cli._build_omega({"type": "balls", "centers": [[0.0], [10.0]], "radii": [1.0, 2.0]})
+    # the 1-D balls (0, 1) and (10, 2) are the intervals [c - r, c + r]
+    omega = interval_union([(-1.0, 1.0), (8.0, 12.0)])
     assert intersection_measure(omega, np.array([0.0]), 3.0) == pytest.approx(2.0, abs=1e-14)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import erf
+from scipy.stats import linregress
 
 from hermlab import geometry, indexing, spectral
 from hermlab.hermite import DEGREE_CAP
@@ -583,15 +584,33 @@ def test_growth_fit_recovers_exponential_law():
     eps = 1.0
     pairs = [(N, math.exp(0.3 * N ** (1 - eps / 2) + 0.2)) for N in range(10, 80, 10)]
     fit = growth_fit(pairs, eps)
-    assert fit.slope == pytest.approx(0.3, rel=1e-9)
-    assert fit.intercept == pytest.approx(0.2, abs=1e-9)
+    assert fit.slope == pytest.approx(0.3, abs=1e-12)
+    assert fit.intercept == pytest.approx(0.2, abs=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= fit.slope_err < 1e-12
 
 
 def test_growth_fit_constant_sequence():
     fit = growth_fit([(N, 2.0) for N in (5, 10, 15, 20, 25)], 0.5)
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.r2 == 1.0
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_line_fit_matches_linregress(n):
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(0.0, 10.0, n))
+    y = 0.7 * x - 1.0 + rng.normal(size=n)
+    slope, intercept, r2, slope_err = spectral._line_fit(x, y)
+    ref = linregress(x, y)
+    assert slope == pytest.approx(ref.slope, rel=1e-10)
+    assert intercept == pytest.approx(ref.intercept, rel=1e-10)
+    assert r2 == pytest.approx(ref.rvalue**2, rel=1e-10)
+    assert slope_err == pytest.approx(ref.stderr, rel=1e-10)
+
+
+def test_line_fit_on_two_points_has_no_slope_error():
+    assert spectral._line_fit(np.array([1.0, 2.0]), np.array([3.0, 5.0]))[3] is None
 
 
 def test_growth_fit_input_validation():
