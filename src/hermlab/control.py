@@ -263,8 +263,9 @@ class ObservabilityReport:
 
     C_T_lower[i] is the sharpest constant on the span at the caller's i-th
     horizon; fit_kappa fits log C_T ~ c / T^fit_kappa over the horizons with
-    C_T > 1, kappa_err is its standard error (None on two), and
-    reference_exponent is the predicted kappa.
+    C_T > 1, None unless at least two of them are distinct, kappa_err is its
+    standard error (None on two), and reference_exponent is the predicted
+    kappa.
     """
 
     C_T_lower: tuple
@@ -292,9 +293,10 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
 
     T may be a single horizon or a grid. Each constant solves the
     generalized eigenproblem between the integrated observation form and
-    the squared terminal propagator. When the grid has at least two points
-    with C_T > 1, log log C_T is regressed on log T to expose the blow-up
-    power and its standard error, beside the predicted exponent (never asserted).
+    the squared terminal propagator. When the grid has at least two distinct
+    horizons with C_T > 1, log log C_T is regressed on log T to expose the
+    blow-up power and its standard error, beside the predicted exponent
+    (never asserted); otherwise fit_kappa and kappa_err are None.
     """
     Ts = np.atleast_1d(np.asarray(T, dtype=np.float64))
     if not np.all(np.isfinite(Ts) & (Ts > 0)):
@@ -306,7 +308,7 @@ def observability_lower_bound(T, N: int, omega, spec: EvolutionSpec) -> Observab
     nonincr = bool(np.all(np.diff(values) <= 1e-9 * np.maximum(values[:-1], 1.0)))
     mask = np.array(values) > 1.0
     fit_kappa = kappa_err = None
-    if int(np.sum(mask)) >= 2:
+    if np.unique(Ts[mask]).size >= 2:
         slope, _, _, kappa_err = _line_fit(np.log(Ts[mask]), np.log(np.log(np.array(values)[mask])))
         fit_kappa = -slope
     return ObservabilityReport(

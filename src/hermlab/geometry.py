@@ -177,8 +177,15 @@ class DensityFn:
         # a scalar goes through numpy's array pow too, which may round unlike its scalar pow
         x = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else np.atleast_1d(pts)
         if self.kind == "power":
-            r = np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
-            out = self.R * (1.0 + r * r) ** ((1.0 - self.eps) / 2.0)
+            with np.errstate(over="ignore"):
+                r = np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1)
+                rr = r * r
+            out = self.R * (1.0 + rr) ** ((1.0 - self.eps) / 2.0)
+            # past |x| ~ 1.3e154 r * r overflows, and <x>^{1-eps} is r^{1-eps} to rounding
+            far = np.isinf(rr)
+            if far.any():
+                r[far] = np.abs(x[far]) if x.ndim == 1 else np.hypot.reduce(x[far], axis=-1)
+                out[far] = self.R * r[far] ** (1.0 - self.eps)
         elif x.ndim > 1:
             raise InvalidDensityError(f"tabulated density is 1-D only, got {x.shape[-1]}-D points")
         else:

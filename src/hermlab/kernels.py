@@ -1,5 +1,11 @@
 """Hot kernels in numpy: Hermite-function tables, and greedy ball selection line by line on a grid.
 
+A table runs the three-term recurrence on a per-point scaled polynomial
+part. Points past |x| = 26.64 are tested for rescaling only at check steps,
+spaced by a growth bound so that the part stays within 2^512 between them,
+and an optional per-point factor (say, quadrature weights) is multiplied
+into the row factor, so a weighted table costs no pass of its own.
+
 Selection decides each grid line by a 1-D test in Python floats, then marks
 the later lines' candidates that the line's kept balls exclude through one
 offset stencil built per call, on a grid padded with +inf coordinates.
@@ -20,21 +26,36 @@ __all__ = ["BACKEND", "hermite_function_table", "greedy_ball_select"]
 _LN2_HI = 0.693145751953125
 _LN2_LO = 1.4286068203094173e-06
 _RESCALE = 512
+# a check rescales where max(|p_k|, |p_{k-1}|) passes 2^_CHECK, and the steps to
+# the next one grow it by at most 2^_HEADROOM, so |p| stays below 2^_RESCALE
+_CHECK = 256
+_HEADROOM = 255
+_TINY = np.finfo(np.float64).tiny
 # past this |x| every h_k a table can hold is 0 in binary64
 _ZERO_BEYOND = 2.0**32
 
 
-def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of normalized Hermite functions h_k(x), rows k = 0..kmax.
+def hermite_function_table(kmax: int, x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Table of normalized Hermite functions h_k(x), rows k = 0..kmax, each column times its weight.
 
     Runs the three-term recurrence
-        p_{k+1}(x) = sqrt(2/(k+1)) x p_k(x) - sqrt(k/(k+1)) p_{k-1}(x)
+        p_{k+1}(x) = a_k x p_k(x) - sqrt(k/(k+1)) p_{k-1}(x),  a_k = sqrt(2/(k+1)),
     on the polynomial part p_k = h_k e^{x^2/2} 2^{-E}, with a per-point
-    integer exponent E. Whenever |p_k| passes 2^512, p_k and p_{k-1} are
-    scaled by 2^-512 exactly and E grows by 512; h_k = p_k
-    exp(E ln 2 - x^2/2), with ln 2 split so the exponent stays exact. So
-    h_k stays right where e^{-x^2/2} alone underflows (|x| > 38.6), which
-    degrees past about 750 reach inside their turning point.
+    integer exponent E, and writes row k as p_k times the per-point factor
+    row = exp(E ln 2 - x^2/2) * weight, ln 2 split so the exponent stays
+    exact. Only points with x^2/2 > 512 ln 2 (|x| > 26.64) can need E > 0,
+    since |h_k| <= pi^{-1/4} (Cramer); they are tested at check steps alone.
+    At a check every such point with M = max(|p_k|, |p_{k-1}|) > 2^256 has
+    p_k and p_{k-1} scaled by 2^-512 exactly and E raised by 512. As
+    |p_{j+1}| <= (a_j |x| + 1) max(|p_j|, |p_{j-1}|) and a_j falls, the next
+    floor(255 / log2(a_{k+1} max|x| + 1)) steps cannot take M past 2^511,
+    so |p| <= 2^512 holds at every step and the next check comes then. A
+    check also raises E, by 512 at a time, wherever row is subnormal and
+    M > 2^-256 leaves p room, so e^{-x^2/2} underflowing (|x| > 37.6) costs
+    no digits: a point left with a subnormal row has M <= 2^-1 up to the next
+    check, hence h_k below 2^-1022. So h_k stays right far out, which degrees
+    past about 750 reach inside their turning point. A table with no point
+    past |x| = 26.64 runs no check.
 
     Points with |x| > 2^32 get exact zero columns: the recurrence would
     overflow past |x| ~ 1e154, and there every h_k a table can hold (k <
@@ -46,6 +67,9 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     ----------
     kmax : highest degree (>= 0).
     x : 1-D float64 array of evaluation points.
+    weights : optional per-point factors, one per point, multiplied into
+        row once (and into each recomputed row), so the table comes out
+        weighted with no pass of its own; None leaves h_k(x) unweighted.
 
     Returns
     -------
@@ -57,12 +81,15 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
     out = np.empty((kmax + 1, x.size), dtype=np.float64)
     half = 0.5 * x * x
     E = np.zeros(x.size, dtype=np.int64)
-    row = np.exp(-half)
+    # a factor of 1 leaves each row bit for bit unweighted
+    factor = np.ones_like(x) if weights is None else np.asarray(weights, dtype=np.float64)
+    row = np.exp(-half) * factor
     p_prev = np.zeros_like(x)
     p = np.full_like(x, np.pi**-0.25)
     out[0] = p * row
-    # |h_k| <= pi^{-1/4} (Cramer), so |p_k| can pass 2^512 only where x^2/2 > 512 ln 2
     far = np.flatnonzero(half > _RESCALE * _LN2_HI)
+    x_far = float(np.max(np.abs(x[far]))) if far.size else 0.0
+    check = 0 if far.size else kmax  # the step of the next check
     scratch = np.empty_like(x)
     for k in range(kmax):
         # p_{k+1} overwrites p_{k-1}: a x p_k + (-b p_{k-1}) rounds as a x p_k - b p_{k-1}
@@ -71,15 +98,34 @@ def hermite_function_table(kmax: int, x: np.ndarray) -> np.ndarray:
         p_prev *= -math.sqrt(k / (k + 1.0))
         p_prev += scratch
         p, p_prev = p_prev, p
-        big = far[np.abs(p[far]) > 2.0**_RESCALE] if far.size else far
-        if big.size:
-            p[big] = np.ldexp(p[big], -_RESCALE)
-            p_prev[big] = np.ldexp(p_prev[big], -_RESCALE)
-            E[big] += _RESCALE
-            row[big] = np.exp((E[big] * _LN2_HI - half[big]) + E[big] * _LN2_LO)
+        if k == check:
+            _rescale(far, p, p_prev, E, row, half, factor)
+            check = k + int(_HEADROOM // math.log2(math.sqrt(2.0 / (k + 2)) * x_far + 1.0))
         np.multiply(p, row, out=out[k + 1])
     out[:, zero] = 0.0
     return out
+
+
+def _rescale(far, p, p_prev, E, row, half, factor):
+    """One check of the far points, updating p, p_prev, E and row in place.
+
+    With M = max(|p_k|, |p_{k-1}|), E rises by 512 where M > 2^256, then
+    again while row is subnormal and M > 2^-256.
+    """
+    M = np.maximum(np.abs(p[far]), np.abs(p_prev[far]))
+    up = M > 2.0**_CHECK
+    while True:
+        raise_ = far[up]
+        if raise_.size:
+            p[raise_] = np.ldexp(p[raise_], -_RESCALE)
+            p_prev[raise_] = np.ldexp(p_prev[raise_], -_RESCALE)
+            E[raise_] += _RESCALE
+            Er = E[raise_]
+            row[raise_] = np.exp((Er * _LN2_HI - half[raise_]) + Er * _LN2_LO) * factor[raise_]
+            M[up] = np.ldexp(M[up], -_RESCALE)
+        up = (np.abs(row[far]) < _TINY) & (M > 2.0**-_CHECK)
+        if not up.any():
+            return
 
 
 def greedy_ball_select(axes, radii: np.ndarray) -> np.ndarray:

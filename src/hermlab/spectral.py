@@ -12,14 +12,16 @@ on panels of 2L bounds the quadrature error as quad_tol, the largest change
 of an entry between the rules. Against an order-20 rule on panels of L/4
 the returned entries are off by at most 4e-15 on the graded, periodic and
 control sets at N <= 400. In both dimensions the intervals take one
-panel_nodes call per rule and both rules' nodes one weighted Hermite table,
-and no check Gram is kept. In 1-D one recursive-panel QR of the weighted
-evaluation factor B leaves the m x m triangle R, G = R^T R, and only R is
-kept. A set equal to its mirror image (graded cells, their complement, the
-whole line) splits by parity, since h_k(-x) = (-1)^k h_k(x): the entries
-pairing even with odd degrees are exactly zero, the even and the odd
-columns are integrated on x >= 0 with doubled weights and factored apart,
-and each half-size triangle sits on its own rows and columns of R.
+panel_nodes call per rule and both rules' nodes one Hermite table, which
+applies the weights sqrt(w) inside its recurrence (the kernel's per-point
+factor), so no pass over the finished table weights it; no check Gram is
+kept. In 1-D one recursive-panel QR of the weighted evaluation factor B
+leaves the m x m triangle R, G = R^T R, and only R is kept. A set equal to
+its mirror image (graded cells, their complement, the whole line) splits by
+parity, since h_k(-x) = (-1)^k h_k(x): the entries pairing even with odd
+degrees are exactly zero, the even and the odd columns are integrated on
+x >= 0 with doubled weights and factored apart, and each half-size
+triangle is written straight onto its own rows and columns of R.
 lambda_min is the square of the smallest singular value of R (equal to
 that of B), from the singular values of R alone, taken block by block when
 R splits by parity, which stays accurate far below the eps*||G|| floor of
@@ -116,13 +118,14 @@ def _weighted_tables(parts, degree: int, panel_len: float, weight: float = 1.0):
 
     parts are arrays of intervals, all integrated by one panel_nodes call per
     rule, the returned one on panels of panel_len and the check rule on
-    2 * panel_len; both rules' nodes go through one Hermite table.
+    2 * panel_len; both rules' nodes go through one Hermite table, which
+    takes sqrt(weight * w) as its per-point factor.
     """
     intervals = np.concatenate(parts) if parts else np.empty((0, 2))
     bounds = np.cumsum([0] + [p.shape[0] for p in parts])  # each part's first interval, then the end
     rules = [panel_nodes(intervals, L, _ORDER) for L in (panel_len, 2.0 * panel_len)]
-    table = hermite_function_table(degree, np.concatenate([x for x, _, _ in rules]))
-    table *= np.sqrt(weight * np.concatenate([w for _, w, _ in rules]))
+    weights = np.sqrt(weight * np.concatenate([w for _, w, _ in rules]))
+    table = hermite_function_table(degree, np.concatenate([x for x, _, _ in rules]), weights)
     # each rule's node count per part, then every part's columns in table order
     sizes = [np.diff(np.concatenate([[0], np.cumsum(counts)])[bounds]) for _, _, counts in rules]
     cuts = np.cumsum(np.concatenate([[0], *sizes]))
@@ -140,7 +143,8 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     and each class's triangle sits on its own rows and columns of R, which
     keeps R upper triangular. Any other set is one class on the whole line.
     quad_tol compares each class's check pairing B_c B_c^T with its block
-    of G, the only entries the check rule does not leave zero.
+    of G, the only entries the check rule does not leave zero, the
+    difference formed in place in the pairing.
     """
     R = truncation_radius(degree)
     iv = omega.cells([[-R, R]])[:, 0]
@@ -154,15 +158,19 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     m = degree + 1
     F = np.zeros((m, m))
     for p in classes:
-        F[p, p] = _triangle(B[p].T)
+        _triangle(B[p].T, F[p, p])
     G = F.T @ F
-    # initial=0.0: a degree-0 symmetric set leaves the odd class empty
-    quad_tol = np.max([np.max(np.abs(B_check[p] @ B_check[p].T - G[p, p]), initial=0.0) for p in classes])
-    return G, F, float(quad_tol), int(weight) * B.shape[1]
+    quad_tol = 0.0
+    for p in classes:
+        gap = B_check[p] @ B_check[p].T
+        gap -= G[p, p]
+        # initial=0.0: a degree-0 symmetric set leaves the odd class empty
+        quad_tol = max(quad_tol, float(np.max(np.abs(gap, out=gap), initial=0.0)))
+    return G, F, quad_tol, int(weight) * B.shape[1]
 
 
-def _triangle(B: np.ndarray) -> np.ndarray:
-    """The m x m upper triangle R of a QR of B (nodes x m), so R^T R = B^T B.
+def _triangle(B: np.ndarray, R: np.ndarray) -> None:
+    """Write into the zero m x m view R the upper triangle of a QR of B (nodes x m), so R^T R = B^T B.
 
     One recursive-panel Householder QR (LAPACK dgeqrt) of a copy of B. When
     B has k < m rows, R keeps zero rows below its first k, so the missing
@@ -172,13 +180,11 @@ def _triangle(B: np.ndarray) -> np.ndarray:
 
     m = B.shape[1]
     k = min(B.shape)
-    R = np.zeros((m, m))
     if k:
         qr, _, info = dgeqrt(min(64, k), B)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
-        R[:k] = np.triu(qr[:k])
-    return R
+        np.copyto(R[:k], qr[:k], where=~np.tri(k, m, -1, dtype=bool))
 
 
 def _gram_2d(omega: ControlSet, degree: int, panel_len: float):

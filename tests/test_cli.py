@@ -291,7 +291,8 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["spectral-scan", "--config", good]) == 0
 
     failing = _full_scan(str(tmp_path / "f"))
-    failing["acceptance"] = [{"metric": "max_abs_cn_minus_1", "op": "<=", "value": 0.0}]
+    # no deviation is below 0, so this criterion fails whatever the rounding
+    failing["acceptance"] = [{"metric": "max_abs_cn_minus_1", "op": "<", "value": 0.0}]
     bad_acc = _write(tmp_path, "failing.json", failing)
     assert main(["spectral-scan", "--config", bad_acc]) == 1
 

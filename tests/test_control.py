@@ -363,6 +363,18 @@ def test_blowup_fit_on_two_horizons_has_no_error():
     assert rep.fit_kappa is not None and rep.kappa_err is None
 
 
+def test_blowup_fit_needs_two_distinct_horizons():
+    # a RankWarning or a divide-by-zero RuntimeWarning would fail the test
+    rep = observability_lower_bound([0.5] * 3, 6, STRIPES, HEAT)
+    pair = observability_lower_bound([0.2, 0.2, 0.5, 0.5], 6, STRIPES, HEAT)
+    assert min(rep.C_T_lower) > 1.0 and rep.fit_kappa is None and rep.kappa_err is None
+    # two distinct horizons, each twice: the line through their two points
+    ref = observability_lower_bound([0.2, 0.5], 6, STRIPES, HEAT)
+    assert pair.C_T_lower == ref.C_T_lower[:1] * 2 + ref.C_T_lower[1:] * 2
+    assert pair.fit_kappa == pytest.approx(ref.fit_kappa, rel=1e-12)
+    assert 0.0 <= pair.kappa_err < 1e-12
+
+
 def test_observability_on_a_sensor_set_the_span_cannot_see_raises():
     with pytest.raises(ControlError, match="observation form singular"):
         observability_lower_bound([0.5], 4, geometry.interval_union([(50.0, 51.0)]), HEAT)

@@ -142,16 +142,44 @@ def test_constant_density_is_the_power_law_at_eps_one():
     assert rho == law
     assert rho.kind == "power"
     cube = np.column_stack([EDGE_POINTS, EDGE_POINTS[::-1], np.roll(EDGE_POINTS, 3)])
-    # |x|^2 overflows to inf at 1e300, and inf^0 is 1
-    with np.errstate(over="ignore"):
-        for s in EDGE_POINTS.tolist():
-            assert rho(s) == law(s) == 0.7
-        for pts in (EDGE_POINTS, EDGE_POINTS[:, None], cube):
-            np.testing.assert_array_equal(rho(pts), np.full(EDGE_POINTS.size, 0.7), strict=True)
-            np.testing.assert_array_equal(rho(pts), law(pts), strict=True)
+    for s in EDGE_POINTS.tolist():
+        assert rho(s) == law(s) == 0.7
+    for pts in (EDGE_POINTS, EDGE_POINTS[:, None], cube):
+        np.testing.assert_array_equal(rho(pts), np.full(EDGE_POINTS.size, 0.7), strict=True)
+        np.testing.assert_array_equal(rho(pts), law(pts), strict=True)
     for box in ([(-3.0, 5.0)], [(2.0, 5.0), (-1.0, 1.0)], [(-3.0, 5.0), (1.0, 2.0), (-4.0, -1.0)]):
         assert rho.min_on_box(box) == law.min_on_box(box) == 0.7
     assert rho.lipschitz == law.lipschitz == 0.0
+
+
+def _power_law_reference(R, eps, r):
+    """R <x>^{1-eps} written out, for |x| = r with a finite r * r."""
+    return R * (1.0 + r * r) ** ((1.0 - eps) / 2.0)
+
+
+@pytest.mark.parametrize("R, eps", [(1.0, 0.5), (2.0, 1.0), (0.3, 0.1)])
+def test_power_density_far_out_is_finite_and_silent(R, eps):
+    rho = DensityFn.power(R, eps)
+    # an overflow RuntimeWarning would fail the test
+    far = rho(np.array([1e300, -1e300, 1e200, math.inf]))
+    plane = rho(np.array([[1e300, 1e300], [-1e300, 0.0], [1e160, 1e160]]))
+    scalar = rho(1e300)
+    assert scalar == far[0] == far[1] == pytest.approx(R * 1e300 ** (1.0 - eps), rel=1e-15)
+    assert far[2] == pytest.approx(R * 1e200 ** (1.0 - eps), rel=1e-15)
+    assert far[3] == (R if eps == 1.0 else math.inf)
+    expect = [R * (math.sqrt(2.0) * 1e300) ** (1.0 - eps), R * 1e300 ** (1.0 - eps), R * (math.sqrt(2.0) * 1e160) ** (1.0 - eps)]
+    np.testing.assert_allclose(plane, expect, rtol=1e-15)
+
+
+def test_power_density_keeps_its_formula_where_squares_are_finite():
+    # every finite r * r keeps today's rounding, bit for bit
+    r = np.concatenate([[0.0], np.logspace(-200, 154, 709), -np.logspace(-3, 154, 101)])
+    pts = np.column_stack([r, np.roll(r, 7)])
+    pts = pts[np.isfinite(np.sum(pts * pts, axis=1))]
+    for R, eps in [(1.0, 0.5), (2.0, 1.0), (0.3, 0.1)]:
+        rho = DensityFn.power(R, eps)
+        np.testing.assert_array_equal(rho(r), _power_law_reference(R, eps, np.abs(r)), strict=True)
+        np.testing.assert_array_equal(rho(pts), _power_law_reference(R, eps, np.linalg.norm(pts, axis=-1)), strict=True)
 
 
 @pytest.mark.parametrize("kind", ["constant", "gauss"])

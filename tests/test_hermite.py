@@ -294,11 +294,17 @@ def test_high_degree_table_matches_mpmath(k):
         ref = _mp_hermite_function(k, x)
         assert table[k, j] == pytest.approx(ref, abs=1e-12)
         if abs(ref) > 1e-290:
-            assert table[k, j] == pytest.approx(ref, rel=1e-12)
+            assert table[k, j] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def _table_with_temporaries(kmax, x):
-    """The Hermite table through the recurrence written with a fresh array per operation."""
+    """The Hermite table through the recurrence written with a fresh array per operation.
+
+    Same check schedule as the kernel: at each check, far points whose
+    max(|p_k|, |p_{k-1}|) passes 2^256 are scaled by 2^-512, then again while
+    their row is subnormal and the maximum passes 2^-256; the next check
+    comes floor(255 / log2(a_{k+1} max|x| + 1)) steps later.
+    """
     out = np.empty((kmax + 1, x.size))
     half = 0.5 * x * x
     E = np.zeros(x.size, dtype=np.int64)
@@ -306,24 +312,82 @@ def _table_with_temporaries(kmax, x):
     p_prev = np.zeros_like(x)
     p = np.full_like(x, np.pi**-0.25)
     out[0] = p * row
-    far = np.flatnonzero(half > kernels._RESCALE * kernels._LN2_HI)
+    far = half > kernels._RESCALE * kernels._LN2_HI
+    check = 0 if far.any() else kmax
     for k in range(kmax):
         p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1.0)) * p_prev, p
-        big = far[np.abs(p[far]) > 2.0**kernels._RESCALE] if far.size else far
-        if big.size:
-            p[big] = np.ldexp(p[big], -kernels._RESCALE)
-            p_prev[big] = np.ldexp(p_prev[big], -kernels._RESCALE)
-            E[big] += kernels._RESCALE
-            row[big] = np.exp((E[big] * kernels._LN2_HI - half[big]) + E[big] * kernels._LN2_LO)
-        np.multiply(p, row, out=out[k + 1])
+        if k == check:
+            big = far & (np.maximum(np.abs(p), np.abs(p_prev)) > 2.0**256)
+            while True:
+                p = np.where(big, np.ldexp(p, -512), p)
+                p_prev = np.where(big, np.ldexp(p_prev, -512), p_prev)
+                E = E + 512 * big
+                row = np.where(big, np.exp((E * kernels._LN2_HI - half) + E * kernels._LN2_LO), row)
+                big = far & (row < np.finfo(np.float64).tiny)
+                big &= np.maximum(np.abs(p), np.abs(p_prev)) > 2.0**-256
+                if not big.any():
+                    break
+            step = math.log2(math.sqrt(2.0 / (k + 2)) * np.max(np.abs(x[far])) + 1.0)
+            check = k + int(255 // step)
+        out[k + 1] = p * row
     return out
 
 
 @pytest.mark.parametrize("kmax", [400, 1000])
 def test_in_place_recurrence_is_bitwise_equal(kmax):
-    # past |x| = 26.6 the rescaling runs; 1000 degrees rescale out to |x| = 60
+    # past |x| = 26.6 the checks run; past 37.6 e^{-x^2/2} is subnormal
     x = np.linspace(-60.0, 60.0, 1201)
     assert np.array_equal(kernels.hermite_function_table(kmax, x), _table_with_temporaries(kmax, x))
+
+
+# |x| from 26 to 46 spans points that never rescale, rescale, and start with a subnormal
+# e^{-x^2/2} (past 37.6; at k = 100, x = 41 still has h_k = 3.4e-269)
+RESCALE_WINDOW = np.arange(26.0, 46.25, 0.5)
+RESCALE_DEGREES = [100, 200, 300, 400, 1000]
+
+
+@functools.cache
+def _mp_window_values():
+    return np.array([[_mp_hermite_function(k, x) for x in RESCALE_WINDOW] for k in RESCALE_DEGREES])
+
+
+def test_table_matches_mpmath_across_rescale_window():
+    x = np.concatenate([RESCALE_WINDOW, -RESCALE_WINDOW])
+    table = kernels.hermite_function_table(max(RESCALE_DEGREES), x)
+    for ref, k in zip(_mp_window_values(), RESCALE_DEGREES):
+        # h_k(-x) = (-1)^k h_k(x)
+        both = np.concatenate([ref, (-1) ** k * ref])
+        kept = np.abs(both) > 1e-290
+        assert kept.sum() >= 10
+        assert np.all(np.abs(table[k, kept] - both[kept]) <= 1e-12 * np.abs(both[kept]))
+
+
+def test_weighted_table_matches_mpmath_times_weight():
+    rng = np.random.default_rng(37)
+    w = rng.uniform(1e-3, 2.0, RESCALE_WINDOW.size)
+    table = kernels.hermite_function_table(max(RESCALE_DEGREES), RESCALE_WINDOW, w)
+    for ref, k in zip(_mp_window_values(), RESCALE_DEGREES):
+        kept = np.abs(ref) > 1e-290
+        expect = ref[kept] * w[kept]
+        assert np.all(np.abs(table[k, kept] - expect) <= 1e-12 * np.abs(expect))
+
+
+def _per_step_recurrence(kmax, x):
+    """The recurrence with no exponent: h_k = p_k e^{-x^2/2}, right while |p_k| stays finite."""
+    out = np.empty((kmax + 1, x.size))
+    row = np.exp(-0.5 * x * x)
+    p_prev, p = np.zeros_like(x), np.full_like(x, np.pi**-0.25)
+    out[0] = p * row
+    for k in range(kmax):
+        p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1.0)) * p_prev, p
+        out[k + 1] = p * row
+    return out
+
+
+def test_table_without_far_points_is_the_per_step_recurrence():
+    # x^2/2 <= 512 ln 2 everywhere, so no check runs and no weight is applied
+    x = np.linspace(-26.6, 26.6, 533)
+    assert np.array_equal(kernels.hermite_function_table(1000, x), _per_step_recurrence(1000, x))
 
 
 @settings(deadline=None, max_examples=25)

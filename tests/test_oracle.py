@@ -87,6 +87,6 @@ def test_lambda_min_lies_within_lambda_err_of_a_60_digit_oracle():
         gram = box_gram(_periodic_intervals(mp.sqrt(4 * N + 300)), N, mp)
         oracle = min(mp.eigsy(mp.matrix(gram), eigvals_only=True))
         error = float(abs(mp.mpf(res.lambda_min) - oracle))
-    assert float(oracle) == pytest.approx(6.8450481e-11, rel=1e-7)
+    assert float(oracle) == pytest.approx(6.8450481e-11, rel=1e-7, abs=0.0)
     assert not res.floor
     assert error <= res.lambda_err

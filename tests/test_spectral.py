@@ -423,14 +423,14 @@ def _per_run_gram_2d(omega, degree, panel_len, order):
         else:
             runs.append([start, start + size, iv, b])
         start += size
-    Bx = hermite_function_table(degree, x) * np.sqrt(wx)
+    Bx = hermite_function_table(degree, x, np.sqrt(wx))
     G = np.zeros((alphas.shape[0],) * 2)
     nodes = 0
     for start, stop, iv, _ in runs:
         y, wy, _ = panel_nodes(iv, panel_len, order)
         if y.size == 0:
             continue
-        By = hermite_function_table(degree, y) * np.sqrt(wy)
+        By = hermite_function_table(degree, y, np.sqrt(wy))
         Px = Bx[:, start:stop] @ Bx[:, start:stop].T
         My = By @ By.T
         G += Px[a1[:, None], a1[None, :]] * My[a2[:, None], a2[None, :]]
