@@ -33,9 +33,14 @@ are pooled, and each distinct set of y-intervals adds one separable block
 Px[a1, a1] * My[a2, a2] of its x- and y-pairings to each rule. Each block
 is the Hadamard product of two PSD matrices, so the 2-D Gram is PSD to
 rounding (Schur product theorem). Its lambda_min is the bottom eigenvalue
-of the tridiagonal matrix left by one Householder reduction, found by
+of the tridiagonal matrix left by a Householder reduction, found by
 bisection (LAPACK dstebz) with the top one, and the bottom vector comes
-from inverse iteration (dstein) mapped back through the reflectors.
+from inverse iteration (dstein) mapped back through the reflectors. A Gram
+exactly invariant under the axis exchange (a1, a2) -> (a2, a1), as on the
+full plane and every periodic pattern, splits into an exchange-even and an
+exchange-odd block of about half the size, and each is reduced on its own
+at about a quarter of the flops of the whole; any other Gram is reduced
+whole.
 
 Every lambda_min carries lambda_err, the rounding error bound of its solve,
 and a floor flag set when lambda_min does not exceed that bound: such a
@@ -44,6 +49,7 @@ value is rounding noise and its C_N only a lower bound on the constant.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,9 +148,11 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     intervals with doubled weights, one parity class of columns at a time,
     and each class's triangle sits on its own rows and columns of R, which
     keeps R upper triangular. Any other set is one class on the whole line.
-    quad_tol compares each class's check pairing B_c B_c^T with its block
-    of G, the only entries the check rule does not leave zero, the
-    difference formed in place in the pairing.
+    Each class's block of G is F_c^T F_c of a contiguous copy F_c of its
+    triangle, so no product runs over the zero blocks between the classes.
+    quad_tol compares each class's check pairing B_c B_c^T with that block,
+    the only entries the check rule does not leave zero, the difference
+    formed in place in the pairing.
     """
     R = truncation_radius(degree)
     iv = omega.cells([[-R, R]])[:, 0]
@@ -157,13 +165,15 @@ def _gram_1d(omega: ControlSet, degree: int, panel_len: float):
     (B,), (B_check,) = _weighted_tables([iv], degree, panel_len, weight)
     m = degree + 1
     F = np.zeros((m, m))
-    for p in classes:
-        _triangle(B[p].T, F[p, p])
-    G = F.T @ F
+    G = np.zeros((m, m))
     quad_tol = 0.0
     for p in classes:
+        _triangle(B[p].T, F[p, p])
+        F_p = np.ascontiguousarray(F[p, p])
+        G_p = F_p.T @ F_p
+        G[p, p] = G_p
         gap = B_check[p] @ B_check[p].T
-        gap -= G[p, p]
+        gap -= G_p
         # initial=0.0: a degree-0 symmetric set leaves the odd class empty
         quad_tol = max(quad_tol, float(np.max(np.abs(gap, out=gap), initial=0.0)))
     return G, F, quad_tol, int(weight) * B.shape[1]
@@ -339,6 +349,93 @@ def _tridiagonal_eigenvalue(d: np.ndarray, e: np.ndarray, i: int) -> tuple:
     return w[:1], iblock, isplit
 
 
+def _reduce(a: np.ndarray) -> tuple:
+    """(bottom, top, state) of the symmetric Fortran block a, reduced to a tridiagonal in place.
+
+    One Householder reduction (LAPACK dsytrd, lower triangle) leaves T =
+    Q^T a Q; bisection (see _tridiagonal_eigenvalue) finds T's bottom and
+    top eigenvalues. state holds what _reduced_bottom_vector needs to map T's
+    bottom vector back through the reflectors.
+    """
+    from scipy.linalg.lapack import dsytrd, dsytrd_lwork
+
+    n = a.shape[0]
+    lwork, _ = dsytrd_lwork(n, lower=1)
+    qt, d, e, tau, _ = dsytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
+    e = e if n > 1 else np.zeros(1)  # the wrappers want max(n - 1, 1) off-diagonal entries
+    w, iblock, isplit = _tridiagonal_eigenvalue(d, e, 0)
+    top = float(_tridiagonal_eigenvalue(d, e, n - 1)[0][0])
+    return float(w[0]), top, (qt, tau, d, e, w, iblock, isplit)
+
+
+def _reduced_bottom_vector(qt, tau, d, e, w, iblock, isplit) -> np.ndarray:
+    """Unit bottom eigenvector of a block reduced by _reduce: inverse iteration (dstein), then dormqr."""
+    from scipy.linalg.lapack import dormqr, dstein
+
+    V, info = dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed with info={info}")
+    if d.size > 1:
+        V[1:] = dormqr("L", "N", qt[1:, :-1], tau, V[1:], 1)[0]
+    return V[:, 0]
+
+
+@lru_cache(maxsize=32)
+def _swap_classes(m: int):
+    """(sigma, d, p, q) for the axis exchange of the 2-D span of size m, None when m is no such size.
+
+    sigma(a1, a2) = (a2, a1) permutes the multi-indices of total degree
+    <= N; d lists its fixed points (a1 = a2), p the indices with a1 < a2,
+    and q = sigma(p).
+    """
+    N = (math.isqrt(8 * m + 1) - 3) // 2
+    if indexing.span_dim(2, N) != m:
+        return None
+    alpha = indexing.multi_indices(2, N)
+    sigma = np.empty(m, dtype=np.intp)
+    # the k-th smallest swapped pair is the k-th smallest pair
+    sigma[np.lexsort(alpha.T)] = np.lexsort(alpha.T[::-1])
+    assert np.array_equal(sigma[sigma], np.arange(m)), "the axis exchange is not an involution"
+    d = np.flatnonzero(alpha[:, 0] == alpha[:, 1])
+    p = np.flatnonzero(alpha[:, 0] < alpha[:, 1])
+    out = (sigma, d, p, sigma[p])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _swap_blocks(E: np.ndarray):
+    """(S, A, d, p, q): E's two blocks under the axis exchange when E is exactly invariant under it, else None.
+
+    With sigma, d, p and q from _swap_classes, E[sigma][:, sigma] is compared
+    with E bitwise, on the diagonal first, then row class by row class. When
+    they agree, the orthogonal basis e_d, (e_p + e_q) / sqrt(2),
+    (e_p - e_q) / sqrt(2) splits E into the sigma-even block
+    S = [[E_dd, sqrt(2) E_dp], [sqrt(2) E_pd, E_pp + E_pq]] and the
+    sigma-odd block A = E_pp - E_pq, both Fortran-ordered.
+    """
+    swap = _swap_classes(E.shape[0])
+    if swap is None:
+        return None
+    sigma, d, p, q = swap
+    diag = np.diagonal(E)
+    if not np.array_equal(diag[p], diag[q]):
+        return None
+    E_d, E_p = E[d], E[p]
+    # sigma maps the rows q onto the rows p and each row of d onto itself
+    if not (np.array_equal(E[q][:, sigma], E_p) and np.array_equal(E_d[:, sigma], E_d)):
+        return None
+    k, n = d.size, p.size
+    E_pp, E_pq = E_p[:, p], E_p[:, q]
+    S = np.empty((k + n,) * 2, order="F")
+    S[:k, :k] = E_d[:, d]
+    np.multiply(E_p[:, d], math.sqrt(2.0), out=S[k:, :k])
+    S[:k, k:] = S[k:, :k].T
+    np.add(E_pp, E_pq, out=S[k:, k:])
+    A = np.subtract(E_pp, E_pq, out=np.empty((n, n), order="F"))
+    return S, A, d, p, q
+
+
 def spectral_constant(G: GramMatrix) -> SpectralResult:
     """C_N(omega) = lambda_min(G)^{-1/2} with the extremal coefficient vector.
 
@@ -356,15 +453,24 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
     is far below machine epsilon times ||G||. A set with fewer nodes than
     the m basis functions leaves zero rows in R, whose singular values are
     zero. Otherwise (2-D) the entries are reduced to a tridiagonal
-    T = Q^T G Q by one Householder reduction (LAPACK dsytrd); bisection
-    (dstebz) finds T's bottom and top eigenvalues to relative accuracy,
-    inverse iteration (dstein) T's bottom vector, and the reflectors map it
-    back to the extremizer (dormqr). Only these two of the m eigenvalues are
+    T = Q^T G Q by a Householder reduction (LAPACK dsytrd, see _reduce);
+    bisection (dstebz) finds T's bottom and top eigenvalues to relative
+    accuracy, inverse iteration (dstein) T's bottom vector, and the
+    reflectors map it back (dormqr). Only these two eigenvalues are
     computed, unless bisection over one index fails (see
-    _tridiagonal_eigenvalue). The
-    reduction's backward error gives lambda_err = m * eps * lambda_top.
-    Raises DegenerateRestrictionError when lambda_min <= 0; floor is set
-    when lambda_min <= lambda_err.
+    _tridiagonal_eigenvalue). When the entries are exactly invariant under
+    the axis exchange sigma(a1, a2) = (a2, a1), they are not reduced whole:
+    the exchange-even block S and the exchange-odd block A (see
+    _swap_blocks) are reduced apart, lambda_min and lambda_top are the
+    least and the greatest over both, dstein and dormqr run only on the
+    block holding the bottom, and its vector s maps back through the
+    orthogonal change of basis, v[d] = s_d, v[p] = s_p / sqrt(2) and
+    v[q] = +-v[p], so the extremizer is exchange-even or exchange-odd. Any
+    other Gram (a box union not symmetric in the diagonal) is reduced whole.
+    Either way the reductions' backward error gives lambda_err =
+    m * eps * lambda_top with the full size m. Raises
+    DegenerateRestrictionError when lambda_min <= 0; floor is set when
+    lambda_min <= lambda_err.
     """
     m = G.size
     eps = float(np.finfo(np.float64).eps)
@@ -393,20 +499,29 @@ def spectral_constant(G: GramMatrix) -> SpectralResult:
         if lam > 0.0:
             vec[bottom] = _bottom_vector(np.asfortranarray(F[bottom, bottom]), lam, lam_err)
     else:
-        from scipy.linalg.lapack import dormqr, dstein, dsytrd, dsytrd_lwork
-
-        lwork, _ = dsytrd_lwork(m, lower=1)
-        qt, d, e, tau, _ = dsytrd(G.entries, lower=1, lwork=int(lwork))
-        e = e if m > 1 else np.zeros(1)  # the wrappers want max(m - 1, 1) off-diagonal entries
-        w, iblock, isplit = _tridiagonal_eigenvalue(d, e, 0)
-        lam = float(w[0])
-        top = float(_tridiagonal_eigenvalue(d, e, m - 1)[0][0])
-        V, info = dstein(d, e, w, iblock, isplit)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dstein failed with info={info}")
-        if m > 1:
-            V[1:] = dormqr("L", "N", qt[1:, :-1], tau, V[1:], 1)[0]
-        vec = V[:, 0]
+        split = _swap_blocks(G.entries)
+        if split is None:
+            blocks = [np.array(G.entries, order="F")]
+        else:
+            S, A, d, p, q = split
+            blocks = [S, A] if A.size else [S]  # degree 0 has no sigma-odd block
+        reduced = [_reduce(b) for b in blocks]
+        bottom = min(range(len(reduced)), key=lambda i: reduced[i][0])
+        lam = reduced[bottom][0]
+        top = max(r[1] for r in reduced)
+        s = _reduced_bottom_vector(*reduced[bottom][2])
+        if split is None:
+            vec = s
+        else:
+            # back through the basis: v[d] = s_d, v[p] = s_p / sqrt(2), v[q] = +-v[p]
+            vec = np.zeros(m)
+            if bottom == 0:  # sigma-even
+                vec[d], vec[p] = s[: d.size], s[d.size :] / math.sqrt(2.0)
+                vec[q] = vec[p]
+            else:  # sigma-odd
+                vec[p] = s / math.sqrt(2.0)
+                vec[q] = -vec[p]
+        # the full size m, so floor means the same with and without the split
         lam_err = m * eps * top
     if lam <= 0.0:
         raise DegenerateRestrictionError(

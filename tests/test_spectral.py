@@ -159,7 +159,10 @@ def test_symmetric_set_splits_by_parity(omega, N):
     assert not (G.entries[0::2, 1::2].any() or G.entries[1::2, 0::2].any())
     R = np.asarray(G.factor)
     assert np.array_equal(np.triu(R), R)
-    assert np.array_equal(R.T @ R, G.entries)
+    # each class's block is the product of its own contiguous triangle
+    for p in (slice(0, None, 2), slice(1, None, 2)):
+        R_p = np.ascontiguousarray(R[p, p])
+        assert np.array_equal(R_p.T @ R_p, G.entries[p, p])
 
 
 @pytest.mark.parametrize("N", [150, 400])
@@ -336,8 +339,8 @@ def test_two_dim_full_space_gram():
 
 @pytest.mark.parametrize("omega", [geometry.FullSpace(2), geometry.BoxUnion(2, [[[-50.0, 50.0], [-50.0, 50.0]]])])
 def test_full_plane_constant_is_one_within_lambda_err(omega):
-    # the plane-filling Gram is the identity to rounding; at N = 6 its tridiagonal
-    # (d within 1.1e-15 of 1, |e| <= 8.2e-16) makes dstebz's index range fail
+    # the plane-filling Gram is the identity to rounding, so near-identity tridiagonals
+    # can make dstebz's index range fail (see the bisection fallback tests)
     for N in range(25):
         res = spectral_constant(gram_matrix(omega, N))
         assert abs(res.constant - 1.0) <= res.lambda_err, N
@@ -530,7 +533,7 @@ def test_2d_solve_makes_no_full_eigendecomposition(monkeypatch):
     assert res.lambda_min > res.lambda_err
 
 
-def test_2d_solve_bisects_every_eigenvalue_when_dstebz_index_range_fails(monkeypatch):
+def _solve_with_failing_index_ranges(omega, monkeypatch):
     # near the identity dstebz fails its index range with info 2; fail every such call here,
     # so both the bottom pair (with dstein) and the top come from the all-eigenvalue fallback
     from scipy.linalg import lapack
@@ -543,7 +546,7 @@ def test_2d_solve_bisects_every_eigenvalue_when_dstebz_index_range_fails(monkeyp
             return 0, np.zeros(n), np.zeros(n, dtype=np.int32), np.zeros(n, dtype=np.int32), 2
         return dstebz(d, e, rng, *args)
 
-    G = gram_matrix(BOXES_2D, 12)
+    G = gram_matrix(omega, 12)
     ref = spectral_constant(G)
     monkeypatch.setattr(lapack, "dstebz", index_range_fails)
     res = spectral_constant(G)
@@ -552,6 +555,136 @@ def test_2d_solve_bisects_every_eigenvalue_when_dstebz_index_range_fails(monkeyp
     v = res.extremizer
     assert abs(np.linalg.norm(v) - 1.0) <= G.size * EPS
     assert abs(v @ G.entries @ v - res.lambda_min) <= res.lambda_err
+
+
+def test_2d_solve_bisects_every_eigenvalue_when_dstebz_index_range_fails(monkeypatch):
+    _solve_with_failing_index_ranges(BOXES_2D, monkeypatch)
+
+
+def test_split_blocks_bisect_every_eigenvalue_when_dstebz_index_range_fails(monkeypatch):
+    # the same fallback inside each half of the axis-symmetric split
+    _solve_with_failing_index_ranges(PERIODIC_2D, monkeypatch)
+
+
+def _axis_swap(N):
+    """sigma(a1, a2) = (a2, a1) on the 2-D span, from a dictionary of the enumeration."""
+    alphas = indexing.multi_indices(2, N).tolist()
+    position = {tuple(a): i for i, a in enumerate(alphas)}
+    return np.array([position[(a2, a1)] for a1, a2 in alphas])
+
+
+def _count_dsytrd(monkeypatch):
+    """The sizes of the matrices handed to LAPACK dsytrd, one per reduction."""
+    from scipy.linalg import lapack
+
+    dsytrd, sizes = lapack.dsytrd, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return dsytrd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsytrd", counted)
+    return sizes
+
+
+def _check_split_extremizer(G, res, N):
+    v = res.extremizer
+    sigma = _axis_swap(N)
+    assert np.array_equal(v[sigma], v) or np.array_equal(v[sigma], -v)
+    assert abs(np.linalg.norm(v) - 1.0) <= G.size * EPS
+    assert abs(v @ G.entries @ v - res.lambda_min) <= res.lambda_err
+
+
+@pytest.mark.parametrize("N", [8, 12, 16, 20, 24])
+def test_axis_symmetric_split_matches_khatri_rao_triangle(N, monkeypatch):
+    # T = Rx[a1][:, a1] * Rx[a2][:, a2] is upper triangular with T^T T = G1[a1, a1] * G1[a2, a2],
+    # the product pattern's Gram, and its singular values hold s_min far below eps * ||G||
+    Rx = np.asarray(gram_matrix(PERIODIC_1D, N).factor)
+    a1, a2 = indexing.multi_indices(2, N).T
+    T = Rx[np.ix_(a1, a1)] * Rx[np.ix_(a2, a2)]
+    s_min = np.linalg.svd(T, compute_uv=False)[-1]
+    G = gram_matrix(PERIODIC_2D, N)
+    sizes = _count_dsytrd(monkeypatch)
+    res = spectral_constant(G)
+    # the sigma-even and the sigma-odd half, and nothing of size m
+    assert len(sizes) == 2 and sum(sizes) == G.size
+    assert abs(res.lambda_min - s_min**2) <= res.lambda_err
+    assert res.floor == (N == 24)
+    _check_split_extremizer(G, res, N)
+    if N <= 20:
+        w = np.linalg.eigvalsh(G.entries)
+        assert abs(res.lambda_min - w[0]) <= G.size * EPS * w[-1]
+        assert abs(res.condition * res.lambda_min - w[-1]) <= G.size * EPS * w[-1]
+
+
+def _one_reduction(E):
+    """(lambda_min, lambda_top, extremizer) from one dsytrd of all of E, as the solve ran before the split."""
+    from scipy.linalg.lapack import dormqr, dstein, dsytrd, dsytrd_lwork
+
+    m = E.shape[0]
+    lwork, _ = dsytrd_lwork(m, lower=1)
+    qt, d, e, tau, _ = dsytrd(E, lower=1, lwork=int(lwork))
+    e = e if m > 1 else np.zeros(1)
+    w, iblock, isplit = spectral._tridiagonal_eigenvalue(d, e, 0)
+    top = spectral._tridiagonal_eigenvalue(d, e, m - 1)[0][0]
+    V, _ = dstein(d, e, w, iblock, isplit)
+    if m > 1:
+        V[1:] = dormqr("L", "N", qt[1:, :-1], tau, V[1:], 1)[0]
+    return float(w[0]), float(top), V[:, 0]
+
+
+BOXES_3 = geometry.BoxUnion(2, [[[-3.0, -1.0], [0.0, 2.0]], [[0.5, 1.5], [-4.0, -2.0]], [[2.0, 5.0], [1.0, 3.0]]])
+# the same set as its mirror image in the diagonal, cut into other cells: invariant only to rounding
+L_SHAPE = geometry.BoxUnion(2, [[[-2.0, 0.0], [-2.0, 2.0]], [[0.0, 2.0], [-2.0, 0.0]]])
+
+
+@pytest.mark.parametrize("omega, N", [(BOXES_3, 8), (BOXES_3, 16), (BOXES_2D, 12), (L_SHAPE, 12)])
+def test_set_not_invariant_under_axis_swap_keeps_one_reduction(omega, N, monkeypatch):
+    G = gram_matrix(omega, N)
+    lam, top, vec = _one_reduction(G.entries)
+    sizes = _count_dsytrd(monkeypatch)
+    res = spectral_constant(G)
+    assert sizes == [G.size]
+    assert res.lambda_min == lam and res.condition == top / lam
+    assert res.lambda_err == G.size * EPS * top
+    assert np.array_equal(res.extremizer, vec)
+
+
+@pytest.mark.parametrize("N", [4, 8, 12])
+def test_invariant_box_union_takes_the_split(N, monkeypatch):
+    # two quadrant boxes, each the other's mirror image in the diagonal
+    omega = geometry.BoxUnion(2, [[[-3.0, 0.0], [0.0, 3.0]], [[0.0, 3.0], [-3.0, 0.0]]])
+    G = gram_matrix(omega, N)
+    w = np.linalg.eigvalsh(G.entries)
+    sizes = _count_dsytrd(monkeypatch)
+    res = spectral_constant(G)
+    assert len(sizes) == 2 and sum(sizes) == G.size
+    assert abs(res.lambda_min - w[0]) <= res.lambda_err
+    _check_split_extremizer(G, res, N)
+
+
+def test_full_plane_split_blocks_keep_the_bisection_fallback(monkeypatch):
+    # N = 0 leaves the sigma-odd block empty; at N = 7 an index range of the even block
+    # fails in dstebz, and every eigenvalue of that block is bisected
+    from scipy.linalg import lapack
+
+    dstebz, bisect_all = lapack.dstebz, []
+
+    def logged(d, e, rng, *args):
+        if rng == 0:
+            bisect_all.append((N, d.size))
+        return dstebz(d, e, rng, *args)
+
+    sizes = _count_dsytrd(monkeypatch)
+    monkeypatch.setattr(lapack, "dstebz", logged)
+    for N in (0, 1, 2, 3, 7):
+        G = gram_matrix(geometry.FullSpace(2), N)
+        sizes.clear()
+        res = spectral_constant(G)
+        assert len(sizes) == (1 if N == 0 else 2) and sum(sizes) == G.size, N
+        assert abs(res.constant - 1.0) <= res.lambda_err, N
+        _check_split_extremizer(G, res, N)
+    assert bisect_all and all(n < indexing.span_dim(2, N) for N, n in bisect_all)
 
 
 @pytest.mark.parametrize(
